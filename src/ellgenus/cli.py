@@ -109,6 +109,8 @@ def _load_pqseries(path: str) -> PQSeries:
         rows = [
             [Cyclo.deserialize(level, c) for c in row] for row in doc["rows"]
         ]
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("rows differ in length")
         return PQSeries(level, len(rows), len(rows[0]), rows)
     except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: malformed (p, q)-series ({exc})") from exc

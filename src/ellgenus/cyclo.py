@@ -18,6 +18,7 @@ import math
 from fractions import Fraction
 
 from .errors import LevelMismatch
+from .linalg import eliminate, rref_tracked
 
 
 def euler_phi(n: int) -> int:
@@ -225,9 +226,6 @@ class Cyclo:
     def __hash__(self):
         return hash((self.level, self.coords))
 
-    def is_rational(self) -> bool:
-        return not any(self.coords[1:])
-
     def rational_part(self) -> Fraction:
         return self.coords[0]
 
@@ -305,6 +303,13 @@ def _poly_sub(a, b):
     return [x - y for x, y in zip(a, b)]
 
 
+@functools.lru_cache(maxsize=None)
+def _descent_echelon(L: int, n: int):
+    """Tracked echelon of the image of the power basis of Q(zeta_n) in Q(zeta_L)."""
+    basis = [Cyclo.zeta(L, i * (L // n)).coords for i in range(euler_phi(n))]
+    return rref_tracked(basis)
+
+
 def descend(a: Cyclo, new_level: int) -> Cyclo | None:
     """Express a in Q(zeta_new_level) if possible, else None.
 
@@ -316,51 +321,12 @@ def descend(a: Cyclo, new_level: int) -> Cyclo | None:
         return a
     if L % new_level != 0:
         raise LevelMismatch(f"{new_level} does not divide {L}")
-    phi_small = euler_phi(new_level)
-    phi_big = euler_phi(L)
-    basis = [Cyclo.zeta(L, i * (L // new_level)).coords for i in range(phi_small)]
-    # solve sum_i x_i * basis[i] = a.coords by Gaussian elimination over Q
-    target = list(a.coords)
-    coords = [Fraction(0)] * phi_small
-    rows = [list(b) for b in basis]
-    rhs_rows = [[Fraction(1 if j == i else 0) for j in range(phi_small)]
-                for i in range(phi_small)]
-    rank = 0
-    pivots = []
-    for col in range(phi_big):
-        pr = None
-        for i in range(rank, phi_small):
-            if rows[i][col]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[rank], rows[pr] = rows[pr], rows[rank]
-        rhs_rows[rank], rhs_rows[pr] = rhs_rows[pr], rhs_rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        rhs_rows[rank] = [x * inv for x in rhs_rows[rank]]
-        for i in range(phi_small):
-            if i != rank and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
-                rhs_rows[i] = [x - c * y for x, y in zip(rhs_rows[i], rhs_rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == phi_small:
-            break
-    assert rank == phi_small  # the basis vectors are independent
-    residual = list(target)
-    for r, col in enumerate(pivots):
-        c = residual[col]
-        if c:
-            for j in range(phi_small):
-                coords[j] += c * rhs_rows[r][j]
-            for j in range(phi_big):
-                residual[j] -= c * rows[r][j]
+    pivots, rows, tags = _descent_echelon(L, new_level)
+    residual, coeffs = eliminate(a.coords, pivots, rows)
     if any(residual):
         return None
-    return Cyclo(new_level, coords)
+    return Cyclo(new_level, [sum(c * t for c, t in zip(coeffs, column))
+                             for column in zip(*tags)])
 
 
 def _split_denominator(den: int, N: int) -> tuple[int, int]:

@@ -211,11 +211,6 @@ def phi_series(N: int, prec_x: int, prec_q: int) -> XQSeries:
     return Q * a
 
 
-def q_factor_a(N: int, prec_q: int) -> QSeries:
-    """a(q) = Q_{-zeta_N}(0)(q)^{-1}."""
-    return q_factor_Q(N, 1, prec_q)[0].inv()
-
-
 class GradedSymPoly:
     """Homogeneous polynomial in Chern classes with QSeries coefficients.
 

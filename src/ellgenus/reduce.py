@@ -35,57 +35,31 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from .cyclo import Cyclo, NZCoset, descend, euler_phi, in_NZ, reduce_mod_NZ
-from .errors import PrecisionInsufficient
-from .linalg import eliminate
+from .cyclo import (
+    Cyclo,
+    NZCoset,
+    _split_denominator,
+    descend,
+    euler_phi,
+    in_NZ,
+    reduce_mod_NZ,
+)
+from .errors import LevelMismatch, PrecisionInsufficient
+from .linalg import eliminate, rref_tracked
 from .modforms import sturm_bound, weight_basis
 from .series import PQSeries, QSeries, project_q0  # noqa: F401  (re-exported)
-
-
-def _n_smooth(den: int, N: int) -> bool:
-    g = gcd(den, N)
-    while g > 1:
-        den //= g
-        g = gcd(den, N)
-    return den == 1
-
-
-def _rref_tracked(rows: list[list[Fraction]], width: int):
-    """rref on the first `width` columns, tracking the row transform."""
-    rows = [list(r) for r in rows]
-    tags = [
-        [Fraction(1 if j == i else 0) for j in range(len(rows))]
-        for i in range(len(rows))
-    ]
-    pivots = []
-    rank = 0
-    for col in range(width):
-        pr = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pr is None:
-            continue
-        rows[rank], rows[pr] = rows[pr], rows[rank]
-        tags[rank], tags[pr] = tags[pr], tags[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        tags[rank] = [x * inv for x in tags[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
-                tags[i] = [a - c * b for a, b in zip(tags[i], tags[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows[:rank], tags[:rank], pivots
 
 
 def _z_echelon_tracked(rows: list[list[int]], width: int):
     """Row echelon over Z by Euclidean (unimodular) row operations.
 
     Returns (echelon_rows, integer_tags, pivots); the echelon rows are a
-    Z-basis of the row lattice and tags express them over the input rows.
+    Z-basis of the row lattice and tags express them over the input rows
+    (an identity block carried along to the right of the first `width`
+    columns).
     """
-    rows = [list(r) for r in rows]
-    tags = [[1 if j == i else 0 for j in range(len(rows))] for i in range(len(rows))]
+    n = len(rows)
+    rows = [list(r) + [1 if j == i else 0 for j in range(n)] for i, r in enumerate(rows)]
     pivots = []
     rank = 0
     for col in range(width):
@@ -95,13 +69,11 @@ def _z_echelon_tracked(rows: list[list[int]], width: int):
                 break
             i0 = min(nz, key=lambda i: abs(rows[i][col]))
             rows[rank], rows[i0] = rows[i0], rows[rank]
-            tags[rank], tags[i0] = tags[i0], tags[rank]
             clean = True
             for i in range(rank + 1, len(rows)):
                 if rows[i][col]:
                     q = rows[i][col] // rows[rank][col]
                     rows[i] = [a - q * b for a, b in zip(rows[i], rows[rank])]
-                    tags[i] = [a - q * b for a, b in zip(tags[i], tags[rank])]
                     if rows[i][col]:
                         clean = False
             if clean:
@@ -109,7 +81,7 @@ def _z_echelon_tracked(rows: list[list[int]], width: int):
         if rank < len(rows) and rows[rank][col]:
             pivots.append(col)
             rank += 1
-    return rows[:rank], tags[:rank], pivots
+    return [r[:width] for r in rows[:rank]], [r[width:] for r in rows[:rank]], pivots
 
 
 def _solve_constant_direction(
@@ -149,18 +121,9 @@ def _solve_constant_direction(
             vec[c * phiL : (c + 1) * phiL] = list(lifted[i])
             gens.append(vec)
 
-    sub_rref, _, sub_pivots = _rref_tracked(sub_rows, m)
-
-    def project(vec):
-        vec = list(vec)
-        for col, row in zip(sub_pivots, sub_rref):
-            c = vec[col]
-            if c:
-                vec = [a - c * b for a, b in zip(vec, row)]
-        return vec
-
-    tau = project(t)
-    gens_p = [project(g) for g in gens]
+    sub_pivots, sub_rref, sub_tags = rref_tracked(sub_rows)
+    tau = eliminate(t, sub_pivots, sub_rref)[0]
+    gens_p = [eliminate(g, sub_pivots, sub_rref)[0] for g in gens]
     # clear denominators jointly (membership is invariant under scaling)
     denom = 1
     for vec in gens_p + [tau]:
@@ -174,34 +137,24 @@ def _solve_constant_direction(
     coeffs = []
     for col, row in zip(pivots, ech):
         c = residual[col] / row[col]
-        if not _n_smooth(c.denominator, N):
+        if _split_denominator(c.denominator, N)[1] != 1:
             return None
         coeffs.append(c)
         residual = [a - c * b for a, b in zip(residual, row)]
     if any(residual):
         return None
     # lattice witness z over the original generators
-    x_over_gens = [Fraction(0)] * len(gens)
-    for c, tag in zip(coeffs, tags):
-        for g, u in enumerate(tag):
-            if u:
-                x_over_gens[g] += c * u
+    x_over_gens = [sum(c * u for c, u in zip(coeffs, column)) for column in zip(*tags)]
     z = [Fraction(0)] * m
     for xg, gen in zip(x_over_gens, gens):
         if xg:
             z = [a + xg * b for a, b in zip(z, gen)]
     # solve for alpha: t - z lies in the subspace spanned by sub_rows
     target = [a - b for a, b in zip(t, z)]
-    rref2, tags2, pivots2 = _rref_tracked(sub_rows, m)
-    alpha_coords = [Fraction(0)] * phiL
-    for col, row, tag in zip(pivots2, rref2, tags2):
-        c = target[col]
-        if c:
-            target = [a - c * b for a, b in zip(target, row)]
-            for j, u in enumerate(tag):
-                alpha_coords[j] += c * u
-    assert not any(target)
-    return Cyclo(L, alpha_coords)
+    rest, alpha_over_rows = eliminate(target, sub_pivots, sub_rref)
+    assert not any(rest)
+    return Cyclo(L, [sum(c * u for c, u in zip(alpha_over_rows, column))
+                     for column in zip(*sub_tags)])
 
 
 class UqClass:
@@ -382,7 +335,10 @@ def reduce_Wtilde(s: PQSeries, N: int, degree: int) -> WtClass:
     The p^0 row is reduced as a q-series, the q^0 column as a p-series
     (the shared constant cell is absorbed by the constants summand in
     both), and every mixed coefficient is reduced modulo Z[1/N, zeta_N].
+    The carrier level of s must divide N; s is read at level N.
     """
+    if N % s.level:
+        raise LevelMismatch(f"carrier level {s.level} does not divide {N}")
     row_class = reduce_Uq(s.p_row(0), N, degree)
     column_class = reduce_Uq(s.q_column(0), N, degree)
     trivial = row_class.trivial and column_class.trivial
@@ -390,7 +346,7 @@ def reduce_Wtilde(s: PQSeries, N: int, degree: int) -> WtClass:
     for i in range(1, s.prec_p):
         row = []
         for j in range(1, s.prec_q):
-            coset = reduce_mod_NZ(s[i, j])
+            coset = reduce_mod_NZ(s[i, j].lift(N))
             if not coset.is_zero():
                 trivial = False
             row.append(coset)

@@ -521,9 +521,6 @@ class XQSeries:
             result = result + term * Fraction((-1) ** (k + 1), k)
         return result
 
-    def truncate_q(self, new_prec: int) -> "XQSeries":
-        return XQSeries([c.truncate(new_prec) for c in self.coeffs], self.prec_x)
-
     def __eq__(self, other):
         if not isinstance(other, XQSeries):
             return NotImplemented

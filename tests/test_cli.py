@@ -158,3 +158,14 @@ def test_selfcheck_command_passes(capsys):
     assert code == 0
     assert out.count("[PASS]") == 10
     assert "[FAIL]" not in out
+
+
+def test_reduce_w_rejects_ragged_rows_exits_3(tmp_path, capsys):
+    # the 1/3 cell lies past the first row's width; it must not be dropped
+    zero = ["0/1"] * 4
+    rows = [[zero, zero], [zero, zero, ["1/3", "0/1", "0/1", "0/1"]]]
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps({"level": 5, "rows": rows}))
+    code = cli.main(["--level", "5", "--degree", "4", "reduce-w", str(path)])
+    assert code == 3
+    assert "trivial" not in capsys.readouterr().out

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellgenus.cyclo import Cyclo, in_NZ
-from ellgenus.errors import PrecisionInsufficient
+from ellgenus.errors import LevelMismatch, PrecisionInsufficient
 from ellgenus.genus import cp_chern, genus, genus_bivariate, split_product
 from ellgenus.modforms import weight_basis
 from ellgenus.reduce import project_q0, reduce_Uq, reduce_Wtilde
@@ -188,3 +188,21 @@ def test_projection_of_positive_q_support_is_trivially_trivial():
     F = PQSeries(5, 5, 5, rows)
     assert project_q0(F).is_zero()
     assert reduce_Uq(project_q0(F), 5, 4).trivial
+
+
+def test_mixed_cells_reduce_at_level_N_whatever_the_carrier():
+    # 1/2 is 10-integral but not 5-integral: a level-5 carrier at N = 10
+    # must be read at level 10, exactly like a level-10 carrier
+    verdicts = []
+    for carrier in (10, 5):
+        rows = [[Cyclo(carrier)] * 14 for _ in range(14)]
+        rows[1][1] = Cyclo.from_rational(carrier, Fraction(1, 2))
+        cls = reduce_Wtilde(PQSeries(carrier, 14, 14, rows), 10, 4)
+        assert cls.mixed_cosets[0][0].is_zero()
+        verdicts.append(cls.trivial)
+    assert verdicts == [True, True]
+
+
+def test_carrier_level_must_divide_N():
+    with pytest.raises(LevelMismatch):
+        reduce_Wtilde(PQSeries(4, 14, 14), 10, 4)
