@@ -46,6 +46,7 @@ from .genus import (
     cp_chern,
     genus,
     genus_bivariate,
+    log_phi_series,
     multiplicative_class,
     phi_series,
     split_product,
@@ -63,7 +64,7 @@ from .modforms import (
 )
 from .reduce import UqClass, WtClass, project_q0, reduce_Uq, reduce_Wtilde
 from .selfcheck import CheckResult, format_report, run_checks
-from .series import PQSeries, QSeries, XQSeries, q_product, todd_coefficients
+from .series import PQSeries, QSeries, XQSeries, todd_coefficients
 
 __version__ = "0.1.0"
 
@@ -90,6 +91,7 @@ __all__ = [
     "cp_chern",
     "genus",
     "genus_bivariate",
+    "log_phi_series",
     "multiplicative_class",
     "phi_series",
     "split_product",
@@ -113,6 +115,5 @@ __all__ = [
     "PQSeries",
     "QSeries",
     "XQSeries",
-    "q_product",
     "todd_coefficients",
 ]

@@ -10,6 +10,11 @@ reduce-w   canonical class of a (p, q)-series in the two-variable quotient
 basis      certified q-expansion basis at the requested degree
 selfcheck  run the built-in verification corpus
 
+Levels: --level N >= 4 is accepted, but every command that builds a
+modular basis (genus at positive dimension, reduce-u, reduce-w, basis)
+needs the weight-1 dimension, which is known only when X_1(N) has
+genus 0, i.e. N in {4, ..., 10, 12}; other levels exit 3.
+
 Exit codes: 0 success, 2 span certification failure, 3 input/parse
 error, 4 insufficient precision.  With --machine the report is a single
 deterministic JSON document (sorted keys, no whitespace).
@@ -272,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ellgenus",
         description="exact level-N elliptic genus, modular bases, and quotient reductions",
     )
-    parser.add_argument("--level", type=int, default=5, help="level N >= 4 (default 5)")
+    parser.add_argument("--level", type=int, default=5, help="level N in 4..10 or 12 (default 5)")
     parser.add_argument("--prec-q", type=int, default=10, help="q-precision (default 10)")
     parser.add_argument("--prec-p", type=int, default=10, help="p-precision (default 10)")
     parser.add_argument("--degree", type=int, default=None,

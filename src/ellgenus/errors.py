@@ -21,10 +21,6 @@ class BadConstantTerm(EllGenusError):
     """exp needs constant term 0; log needs constant term 1."""
 
 
-class FactorNotUnitModQn(EllGenusError):
-    """A q-product factor is not congruent to 1 modulo q^n."""
-
-
 class InsufficientXPrecision(EllGenusError):
     """The x-truncation is too small for the requested degree."""
 
@@ -46,7 +42,8 @@ class BadLevelDivisibility(EllGenusError):
 
 
 class UnsupportedLevel(EllGenusError):
-    """The level is outside the supported range (N >= 4)."""
+    """The level is outside the supported range (N >= 4; modular bases
+    need a genus-0 X_1(N), i.e. N in {4, ..., 10, 12})."""
 
 
 class SpanFailure(EllGenusError):

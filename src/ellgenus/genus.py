@@ -10,10 +10,15 @@ The characteristic series is
 
     a(q) = Q_{-zeta_N}(0)(q)^{-1}.
 
-Genus values are computed from Chern numbers: the degree-n multiplicative
-class of phi is expanded in elementary symmetric polynomials (= Chern
+The genus needs only log phi.  The logarithm of the product is a sum of
+logarithms, so each x^k coefficient of log phi is a twisted divisor sum in
+q (an Eisenstein series), and `log_phi_series` writes it down in closed
+form, with no series product or inversion.  Genus values are computed from
+Chern numbers: the degree-n multiplicative class exp(sum_k l_k p_k), with
+l = log phi, is expanded in elementary symmetric polynomials (= Chern
 classes) via power sums and Newton's identities, then paired against the
-Chern-number data.
+Chern-number data.  `phi_series` = exp(log phi) and the product formula in
+`verify_Q_identity` serve as checks.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .errors import (
     BadChernData,
     BadSplitChernData,
     InsufficientXPrecision,
+    NonUnitConstantTerm,
 )
 from .series import PQSeries, QSeries, XQSeries, exp_x, todd_series
 
@@ -188,27 +194,41 @@ def _q_monomial(level: int, prec: int, n: int) -> QSeries:
     return QSeries(level, prec, coeffs)
 
 
-def q_factor_Q(N: int, prec_x: int, prec_q: int) -> XQSeries:
-    """The series Q_{-zeta_N}(x)(q), exact up to the truncations."""
+@functools.lru_cache(maxsize=None)
+def log_phi_series(N: int, prec_x: int, prec_q: int) -> XQSeries:
+    """log phi(x)(q) in closed form; the x^0 coefficient is 0.
+
+    With y = -zeta_N, the q^0 row is the x-series
+    log[x/(1-e^{-x}) * (1+y e^{-x})/(1+y)].  Expanding the logarithm of
+    each product factor of Q_y gives, for k >= 1 and j >= 1,
+
+        [q^j x^k] log phi = sum_{m | j} m^{k-1}/k!
+                            * ((-1)^k (1-zeta_N^m) + 1-zeta_N^{-m}),
+
+    which is filled in by a divisor sieve over m.
+    """
     y = -Cyclo.zeta(N)
-    yinv = y.inv()
-    em = exp_x(N, prec_x, prec_q, -1)
-    ep = exp_x(N, prec_x, prec_q, +1)
-    one = XQSeries.one(N, prec_x, prec_q)
-    result = todd_series(N, prec_x, prec_q) * (one + em * y)
-    for n in range(1, prec_q):
-        qn = _q_monomial(N, prec_q, n)
-        result = result * (one + em * (y * Fraction(1)) * qn) * (one - em * qn).inv()
-        result = result * (one + ep * yinv * qn) * (one - ep * qn).inv()
-    return result
+    if not 1 + y:
+        raise NonUnitConstantTerm(f"1 + y = 0 at level {N}: phi is undefined")
+    em = exp_x(N, prec_x, 1, -1)
+    q0 = (todd_series(N, prec_x, 1) * (1 + em * y) * (1 + y).inv()).log()
+    rows = [[q0[k][0]] + [Cyclo(N)] * (prec_q - 1) for k in range(prec_x)]
+    for m in range(1, prec_q):
+        zm, zinv = Cyclo.zeta(N, m), Cyclo.zeta(N, -m)
+        fact = 1
+        for k in range(1, prec_x):
+            fact *= k
+            c = ((1 - zm) * (-1) ** k + 1 - zinv) * Fraction(m ** (k - 1), fact)
+            row = rows[k]
+            for j in range(m, prec_q, m):
+                row[j] = row[j] + c
+    return XQSeries([QSeries(N, prec_q, row) for row in rows], prec_x)
 
 
 @functools.lru_cache(maxsize=None)
 def phi_series(N: int, prec_x: int, prec_q: int) -> XQSeries:
-    """phi(x)(q) = a(q) Q_{-zeta_N}(x)(q); the x^0 coefficient is 1."""
-    Q = q_factor_Q(N, prec_x, prec_q)
-    a = Q[0].inv()
-    return Q * a
+    """phi(x)(q) = a(q) Q_{-zeta_N}(x)(q) = exp(log phi); the x^0 coefficient is 1."""
+    return log_phi_series(N, prec_x, prec_q).exp()
 
 
 class GradedSymPoly:
@@ -222,9 +242,6 @@ class GradedSymPoly:
     def __init__(self, degree: int, terms: dict):
         self.degree = degree
         self.terms = dict(terms)
-
-    def coefficient(self, part: Partition) -> QSeries | None:
-        return self.terms.get(_normalize_partition(part))
 
 
 def _newton_power_sum(k: int) -> dict[Partition, int]:
@@ -243,7 +260,7 @@ def _newton_power_sum(k: int) -> dict[Partition, int]:
     return ps[k]
 
 
-def _sym_mul(a: dict, b: dict, cutoff: int, zero: QSeries) -> dict:
+def _sym_mul(a: dict, b: dict, cutoff: int) -> dict:
     out: dict[Partition, QSeries] = {}
     for la, ca in a.items():
         for lb, cb in b.items():
@@ -256,20 +273,17 @@ def _sym_mul(a: dict, b: dict, cutoff: int, zero: QSeries) -> dict:
     return out
 
 
-def multiplicative_class(phi: XQSeries, n: int) -> GradedSymPoly:
+def multiplicative_class(ell: XQSeries, n: int) -> GradedSymPoly:
     """Degree-n piece of prod_i phi(x_i), in elementary symmetric basis.
 
-    Computed as exp(sum_k l_k p_k) with l = log(phi), truncated at
-    symmetric-function weight n.
+    ``ell`` is l = log(phi), whose x^0 coefficient is 0.  Computed as
+    exp(sum_k l_k p_k), truncated at symmetric-function weight n.
     """
     if n == 0:
-        return GradedSymPoly(0, {(): QSeries.one(phi.level, phi.prec_q)})
-    if phi.prec_x <= n:
-        raise InsufficientXPrecision(f"prec_x {phi.prec_x} <= degree {n}")
-    level, prec_q = phi.level, phi.prec_q
-    ell = phi.log()
-    zero = QSeries.zero(level, prec_q)
-    one = QSeries.one(level, prec_q)
+        return GradedSymPoly(0, {(): QSeries.one(ell.level, ell.prec_q)})
+    if ell.prec_x <= n:
+        raise InsufficientXPrecision(f"prec_x {ell.prec_x} <= degree {n}")
+    one = QSeries.one(ell.level, ell.prec_q)
     # A = sum_k l_k p_k as a symmetric polynomial with QSeries coefficients
     A: dict[Partition, QSeries] = {}
     for k in range(1, n + 1):
@@ -283,7 +297,7 @@ def multiplicative_class(phi: XQSeries, n: int) -> GradedSymPoly:
     result: dict[Partition, QSeries] = {(): one}
     term: dict[Partition, QSeries] = {(): one}
     for j in range(1, n + 1):
-        term = _sym_mul(term, A, n, zero)
+        term = _sym_mul(term, A, n)
         term = {k: v * Fraction(1, j) for k, v in term.items()}
         for key, v in term.items():
             prev = result.get(key)
@@ -294,16 +308,12 @@ def multiplicative_class(phi: XQSeries, n: int) -> GradedSymPoly:
 
 @functools.lru_cache(maxsize=None)
 def _mclass(N: int, prec_x: int, prec_q: int, n: int) -> GradedSymPoly:
-    return multiplicative_class(phi_series(N, prec_x, prec_q), n)
+    return multiplicative_class(log_phi_series(N, prec_x, prec_q), n)
 
 
-def genus(M: ChernData, N: int, prec_q: int, prec_x: int | None = None) -> QSeries:
+def genus(M: ChernData, N: int, prec_q: int) -> QSeries:
     """The level-N complex elliptic genus of M as a q-expansion."""
-    if prec_x is None:
-        prec_x = M.dim + 2
-    if prec_x <= M.dim:
-        raise InsufficientXPrecision(f"prec_x {prec_x} <= dim {M.dim}")
-    K = _mclass(N, prec_x, prec_q, M.dim)
+    K = _mclass(N, M.dim + 2, prec_q, M.dim)
     result = QSeries.zero(N, prec_q)
     for part, value in M.numbers.items():
         if not value:
@@ -319,7 +329,6 @@ def genus_bivariate(
     N: int,
     prec_p: int,
     prec_q: int,
-    prec_x: int | None = None,
 ) -> PQSeries:
     """The two-variable representative F(X) in (p, q).
 
@@ -327,11 +336,7 @@ def genus_bivariate(
     F(X) pairs prod phi(x_i)(p) * prod phi(y_j)(q) against the split
     Chern numbers.
     """
-    dim = X.dim0 + X.dim1
-    if prec_x is None:
-        prec_x = dim + 2
-    if prec_x <= dim:
-        raise InsufficientXPrecision(f"prec_x {prec_x} <= dim {dim}")
+    prec_x = X.dim0 + X.dim1 + 2
     result = PQSeries(N, prec_p, prec_q)
     for (lam, mu), value in X.numbers.items():
         if not value:
@@ -370,7 +375,8 @@ def verify_Q_identity(N: int, prec_x: int, prec_q: int) -> bool:
     The right side is assembled from the Chern-character primitives
     ch Lambda_t(L*) = 1 + t e^{-x}, ch Lambda_t(L) = 1 + t e^{x},
     ch S_t(L) = (1 - t e^{x})^{-1}, ch S_t(L*) = (1 - t e^{-x})^{-1},
-    and compared coefficientwise with Q built from its product formula.
+    and compared coefficientwise with Q = phi * Q(0), where phi comes from
+    the closed form of log phi.
     """
     y = -Cyclo.zeta(N)
     yinv = y.inv()
@@ -397,5 +403,4 @@ def verify_Q_identity(N: int, prec_x: int, prec_q: int) -> bool:
         rhs = rhs * ch_lambda_dual(qn * y)
         rhs = rhs * ch_lambda(qn * yinv)
         rhs = rhs * ch_sym(qn) * ch_sym_dual(qn)
-    lhs = q_factor_Q(N, prec_x, prec_q)
-    return lhs == rhs
+    return phi_series(N, prec_x, prec_q) * rhs[0] == rhs

@@ -141,9 +141,6 @@ class DirichletCharacter:
             return Cyclo.from_rational(self.field_level, 0)
         return Cyclo.zeta(self.field_level, self.exponents[n])
 
-    def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exponents.values())
-
     def parity(self) -> int:
         """chi(-1), which is +1 or -1."""
         if self.modulus == 1:

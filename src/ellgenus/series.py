@@ -18,7 +18,6 @@ from fractions import Fraction
 from .cyclo import Cyclo
 from .errors import (
     BadConstantTerm,
-    FactorNotUnitModQn,
     LevelMismatch,
     NonUnitConstantTerm,
     PrecMismatch,
@@ -141,29 +140,6 @@ class QSeries:
             out[n] = -c0inv * acc
         return QSeries(self.level, self.prec, out)
 
-    def exp(self) -> "QSeries":
-        """exp of a series with zero constant term."""
-        if self.coeffs[0]:
-            raise BadConstantTerm("exp needs constant term 0")
-        result = QSeries.one(self.level, self.prec)
-        term = QSeries.one(self.level, self.prec)
-        for k in range(1, self.prec):
-            term = term * self * Fraction(1, k)
-            result = result + term
-        return result
-
-    def log(self) -> "QSeries":
-        """log of a series with constant term 1."""
-        if self.coeffs[0] != Cyclo.from_rational(self.level, 1):
-            raise BadConstantTerm("log needs constant term 1")
-        u = self - QSeries.one(self.level, self.prec)
-        result = QSeries.zero(self.level, self.prec)
-        term = QSeries.one(self.level, self.prec)
-        for k in range(1, self.prec):
-            term = term * u
-            result = result + term * Fraction((-1) ** (k + 1), k)
-        return result
-
     def truncate(self, new_prec: int) -> "QSeries":
         if new_prec > self.prec:
             raise PrecMismatch("cannot extend precision")
@@ -213,22 +189,6 @@ class QSeries:
         parts = [f"({c!r})q^{n}" for n, c in enumerate(self.coeffs) if c]
         body = " + ".join(parts) if parts else "0"
         return f"<{body} + O(q^{self.prec})>"
-
-
-def q_product(level: int, prec: int, factor) -> QSeries:
-    """Product over n >= 1 of factor(n), each factor congruent 1 mod q^n.
-
-    Only n < prec contribute; later factors are 1 up to truncation.
-    """
-    result = QSeries.one(level, prec)
-    for n in range(1, prec):
-        f = factor(n)
-        if f.coeffs[0] != Cyclo.from_rational(level, 1) or any(
-            f.coeffs[k] for k in range(1, min(n, f.prec))
-        ):
-            raise FactorNotUnitModQn(f"factor at n={n} is not 1 mod q^{n}")
-        result = result * f
-    return result
 
 
 class PQSeries:

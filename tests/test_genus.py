@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ellgenus.cyclo import Cyclo, in_NZ
-from ellgenus.errors import BadChernData, InsufficientXPrecision
+from ellgenus.errors import BadChernData, InsufficientXPrecision, NonUnitConstantTerm
 from ellgenus.genus import (
     ChernData,
     chern_product,
@@ -55,13 +57,21 @@ def test_phi_zero_is_one():
         assert phi_series(N, 3, 8)[0] == QSeries.one(N, 8)
 
 
+def test_phi_is_undefined_at_level_1():
+    # y = -zeta_1 = -1 makes 1 + y = 0, so a(q) does not exist
+    with pytest.raises(NonUnitConstantTerm):
+        phi_series(1, 3, 4)
+    with pytest.raises(NonUnitConstantTerm):
+        genus(cp_chern(1), 1, 4)
+
+
 def test_multiplicative_class_of_quadratic_series():
     # phi(x) = 1 + x + x^2 gives K_1 = sigma_1 and K_2 = sigma_1^2 - sigma_2
     phi = XQSeries.from_x_poly(5, 3, 2, [1, 1, 1])
-    k1 = multiplicative_class(phi, 1)
+    k1 = multiplicative_class(phi.log(), 1)
     assert set(k1.terms) == {(1,)}
     assert k1.terms[(1,)] == QSeries.one(5, 2)
-    k2 = multiplicative_class(phi, 2)
+    k2 = multiplicative_class(phi.log(), 2)
     one = QSeries.one(5, 2)
     assert k2.terms[(1, 1)] == one
     assert k2.terms[(2,)] == -one
@@ -70,7 +80,7 @@ def test_multiplicative_class_of_quadratic_series():
 def test_multiplicative_class_needs_x_precision():
     phi = XQSeries.from_x_poly(5, 2, 2, [1, 1])
     with pytest.raises(InsufficientXPrecision):
-        multiplicative_class(phi, 2)
+        multiplicative_class(phi.log(), 2)
 
 
 def test_genus_cp1_level5_frozen_expansion():
@@ -127,6 +137,19 @@ def test_chi_y_cp1_is_the_paper_value():
 def test_bundle_identity_for_the_characteristic_series():
     assert verify_Q_identity(5, 4, 6)
     assert verify_Q_identity(4, 3, 5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    N=st.integers(2, 12),
+    prec_x=st.integers(1, 5),
+    prec_q=st.integers(1, 7),
+)
+@example(N=2, prec_x=1, prec_q=1)
+@example(N=12, prec_x=5, prec_q=7)
+def test_closed_form_log_phi_matches_the_q_product(N, prec_x, prec_q):
+    # exp of the closed-form log phi, times Q(0), against Q built as a product
+    assert verify_Q_identity(N, prec_x, prec_q)
 
 
 def test_bivariate_degenerates_to_genus_when_one_factor_is_trivial():

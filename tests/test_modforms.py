@@ -6,7 +6,7 @@ import pytest
 
 from ellgenus.cyclo import Cyclo, descend, in_NZ
 from ellgenus.errors import PrecisionInsufficient, SpanFailure, UnsupportedLevel
-from ellgenus.genus import phi_series
+from ellgenus.genus import log_phi_series, phi_series
 from ellgenus.modforms import (
     all_characters,
     ambient_field_level,
@@ -137,6 +137,15 @@ def test_phi_coefficients_are_modular():
             ok, coeffs = is_in_span(phi[n], weight_basis(N, n, prec))
             assert ok
             assert len(coeffs) == dim_Mk(N, n)
+
+
+def test_log_phi_coefficients_are_modular():
+    for N in (4, 5, 6, 7, 8):
+        for k in (1, 2, 3, 4):
+            prec = max(sturm_bound(N, k), 8)
+            ell = log_phi_series(N, k + 1, prec)
+            ok, _ = is_in_span(ell[k], weight_basis(N, k, prec))
+            assert ok, (N, k)
 
 
 def test_is_in_span_rejects_non_members():
