@@ -35,6 +35,7 @@ from .errors import (
     LevelMismatch,
     PrecMismatch,
     PrecisionInsufficient,
+    RankExceedsDimension,
     SpanFailure,
     UnsupportedLevel,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "LevelMismatch",
     "PrecMismatch",
     "PrecisionInsufficient",
+    "RankExceedsDimension",
     "SpanFailure",
     "UnsupportedLevel",
     "BadChernData",

@@ -139,10 +139,12 @@ def cmd_genus(args) -> int:
     weight = data.dim
     floor = sturm_bound(args.level, weight) if weight else 1
     prec = max(args.prec_q, floor)
+    # the basis first: an unsupported level fails before the genus is built
+    basis = weight_basis(args.level, weight, prec) if weight else None
     g = genus(data, args.level, prec)
     integral = [bool(in_NZ(c)) for c in g.coeffs]
     if weight:
-        modular, _ = is_in_span(g, weight_basis(args.level, weight, prec))
+        modular, _ = is_in_span(g, basis)
     else:
         modular = all(not c for c in g.coeffs[1:])
     report = {

@@ -1,7 +1,11 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_N).
 
-Elements are stored in the power basis 1, zeta, ..., zeta^(phi(N)-1), with
-Fraction coordinates, reduced modulo the N-th cyclotomic polynomial.  The
+An element is stored in the power basis 1, zeta, ..., zeta^(phi(N)-1) as
+integer numerators over one positive common denominator, reduced modulo
+the N-th cyclotomic polynomial.  The form is canonical: the denominator
+and the numerators have gcd 1, and zero is all zeros over 1, so equal
+elements have equal storage.  Phi_N is monic, so every power of zeta has
+integer coordinates and products fold back through an integer table.  The
 generator zeta_N is purely symbolic; no complex embedding enters any
 computation.  A float embedding zeta_N -> exp(2*pi*i/N) is provided for
 display only.
@@ -16,11 +20,13 @@ import cmath
 import functools
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import LevelMismatch
-from .linalg import eliminate, rref_tracked
+from .linalg import rref_tracked
 
 
+@functools.lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler totient of n."""
     result = n
@@ -71,55 +77,82 @@ def cyclotomic_poly(N: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _power_table(N: int) -> list[tuple[Fraction, ...]]:
-    """zeta_N^j in the power basis, for j = 0 .. max(2*phi-2, N-1)."""
+def _power_table(N: int) -> list[tuple[int, ...]]:
+    """zeta_N^j in the power basis, for j = 0 .. max(2*phi-2, N-1).
+
+    Integral because Phi_N is monic.
+    """
     phi = euler_phi(N)
-    cyc = cyclotomic_poly(N)
-    top = [-Fraction(c) for c in cyc[:phi]]  # zeta^phi, since Phi_N is monic
-    rows: list[tuple[Fraction, ...]] = []
-    for i in range(phi):
-        row = [Fraction(0)] * phi
-        row[i] = Fraction(1)
-        rows.append(tuple(row))
-    limit = max(2 * phi - 2, N - 1)
-    for _ in range(phi, limit + 1):
+    top = [-c for c in cyclotomic_poly(N)[:phi]]  # zeta^phi
+    rows = [tuple(int(i == j) for j in range(phi)) for i in range(phi)]
+    for _ in range(phi, max(2 * phi - 2, N - 1) + 1):
         prev = rows[-1]
         # multiply by zeta: shift, then fold the overflow via zeta^phi = top
         carry = prev[phi - 1]
-        row = [Fraction(0)] + list(prev[:-1])
-        if carry:
-            row = [row[i] + carry * top[i] for i in range(phi)]
-        rows.append(tuple(row))
+        rows.append(tuple(s + carry * t for s, t in zip((0,) + prev[:-1], top)))
     return rows
 
 
-class Cyclo:
-    """An element of Q(zeta_N) in the power basis."""
+_new_object = object.__new__
 
-    __slots__ = ("level", "coords")
+
+def _make(level: int, num: tuple, den: int) -> "Cyclo":
+    """The element num / den, already in canonical form."""
+    self = _new_object(Cyclo)
+    self.level = level
+    self.num = num
+    self.den = den
+    return self
+
+
+def _reduced(level: int, num: tuple, den: int) -> "Cyclo":
+    """The element num / den for any den > 0, brought to canonical form."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple([x // g for x in num])
+            den //= g
+    return _make(level, num, den)
+
+
+class Cyclo:
+    """An element of Q(zeta_N): sum(num[i] * zeta^i) / den.
+
+    ``num`` is a tuple of phi(N) ints and ``den`` a positive int with
+    gcd(den, *num) == 1; zero is all zeros over 1.  ``coords`` gives the
+    same element as a tuple of Fractions.
+    """
+
+    __slots__ = ("level", "num", "den")
 
     def __init__(self, level: int, coords=None):
         phi = euler_phi(level)
-        if coords is None:
-            coords = ()
-        coords = tuple(Fraction(c) for c in coords)
+        coords = [Fraction(c) for c in coords] if coords is not None else []
         if len(coords) > phi:
             raise ValueError("too many coordinates for level")
-        if len(coords) < phi:
-            coords = coords + (Fraction(0),) * (phi - len(coords))
+        # Fractions are reduced, so the lcm of their denominators is the
+        # reduced common denominator
+        den = math.lcm(*(c.denominator for c in coords))
+        num = [c.numerator * (den // c.denominator) for c in coords]
         self.level = level
-        self.coords = coords
+        self.num = tuple(num) + (0,) * (phi - len(num))
+        self.den = den
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     @classmethod
     def zeta(cls, level: int, power: int = 1) -> "Cyclo":
         """The root of unity zeta_level^power."""
-        power %= level
-        table = _power_table(level)
-        return cls(level, table[power])
+        return _make(level, _power_table(level)[power % level], 1)
 
     @classmethod
     def from_rational(cls, level: int, value) -> "Cyclo":
-        return cls(level, (Fraction(value),))
+        value = Fraction(value)
+        num = (value.numerator,) + (0,) * (euler_phi(level) - 1)
+        return _make(level, num, value.denominator)
 
     def _coerce(self, other):
         if isinstance(other, Cyclo):
@@ -134,18 +167,36 @@ class Cyclo:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclo(self.level, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        if not any(o.num):
+            return self
+        da, db = self.den, o.den
+        if da == db:
+            num = tuple([a + b for a, b in zip(self.num, o.num)])
+            return _reduced(self.level, num, da)
+        g = math.gcd(da, db)
+        sa, sb = db // g, da // g
+        num = tuple([a * sa + b * sb for a, b in zip(self.num, o.num)])
+        return _reduced(self.level, num, da * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.level, tuple(-a for a in self.coords))
+        return _make(self.level, tuple([-a for a in self.num]), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclo(self.level, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        if not any(o.num):
+            return self
+        da, db = self.den, o.den
+        if da == db:
+            num = tuple([a - b for a, b in zip(self.num, o.num)])
+            return _reduced(self.level, num, da)
+        g = math.gcd(da, db)
+        sa, sb = db // g, da // g
+        num = tuple([a * sa - b * sb for a, b in zip(self.num, o.num)])
+        return _reduced(self.level, num, da * sa)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -154,26 +205,32 @@ class Cyclo:
         return o - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            n = other.numerator
+            return _reduced(
+                self.level, tuple([a * n for a in self.num]), self.den * other.denominator
+            )
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        phi = len(self.coords)
-        prod = [Fraction(0)] * (2 * phi - 1)
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(o.coords):
-                if b:
-                    prod[i + j] += a * b
+        an, bn = self.num, o.num
+        if not any(an):
+            return self
+        if not any(bn):
+            return o
+        phi = len(an)
+        prod = [0] * (2 * phi - 1)
+        for i, a in enumerate(an):
+            if a:
+                for j, b in enumerate(bn, i):
+                    prod[j] += a * b
+        out = prod[:phi]
         table = _power_table(self.level)
-        out = list(prod[:phi])
         for k in range(phi, 2 * phi - 1):
             c = prod[k]
             if c:
-                row = table[k]
-                for i in range(phi):
-                    out[i] += c * row[i]
-        return Cyclo(self.level, out)
+                out = [x + c * t for x, t in zip(out, table[k])]
+        return _reduced(self.level, tuple(out), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -195,7 +252,7 @@ class Cyclo:
                 break
         c = r0[0]
         coeffs = [x / c for x in s0]
-        phi = len(self.coords)
+        phi = len(self.num)
         if len(coeffs) < phi:
             coeffs += [Fraction(0)] * (phi - len(coeffs))
         result = Cyclo(self.level, coeffs[:phi])
@@ -214,20 +271,22 @@ class Cyclo:
         return o * self.inv()
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Cyclo.from_rational(self.level, other)
         if not isinstance(other, Cyclo):
             return NotImplemented
-        return self.level == other.level and self.coords == other.coords
+        return (
+            self.level == other.level and self.den == other.den and self.num == other.num
+        )
 
     def __hash__(self):
-        return hash((self.level, self.coords))
+        return hash((self.level, self.num, self.den))
 
     def rational_part(self) -> Fraction:
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def lift(self, new_level: int) -> "Cyclo":
         """Embed into Q(zeta_L) for N | L via zeta_N -> zeta_L^(L/N)."""
@@ -237,14 +296,11 @@ class Cyclo:
             raise LevelMismatch(f"{self.level} does not divide {new_level}")
         step = new_level // self.level
         table = _power_table(new_level)
-        phi_new = euler_phi(new_level)
-        out = [Fraction(0)] * phi_new
-        for i, a in enumerate(self.coords):
+        out = [0] * euler_phi(new_level)
+        for i, a in enumerate(self.num):
             if a:
-                row = table[(i * step) % new_level]
-                for j in range(phi_new):
-                    out[j] += a * row[j]
-        return Cyclo(new_level, out)
+                out = [x + a * t for x, t in zip(out, table[i * step])]
+        return _reduced(new_level, tuple(out), self.den)
 
     def to_complex(self) -> complex:
         """Display-only float embedding zeta_N -> exp(2*pi*i/N)."""
@@ -305,28 +361,46 @@ def _poly_sub(a, b):
 
 @functools.lru_cache(maxsize=None)
 def _descent_echelon(L: int, n: int):
-    """Tracked echelon of the image of the power basis of Q(zeta_n) in Q(zeta_L)."""
-    basis = [Cyclo.zeta(L, i * (L // n)).coords for i in range(euler_phi(n))]
-    return rref_tracked(basis)
+    """Integer-scaled tracked echelon of the power basis of Q(zeta_n) in Q(zeta_L).
+
+    Returns (pivots, free, tags, scale).  With R the reduced echelon rows
+    and T their tags over the images of 1, zeta_n, ..., scale * R and
+    scale * T are integral; ``free`` holds (j, column j of scale * R) for
+    every column j off the pivots, and ``tags`` the columns of scale * T.
+    """
+    table = _power_table(L)
+    basis = [[Fraction(x) for x in table[i * (L // n)]] for i in range(euler_phi(n))]
+    pivots, rows, tags = rref_tracked(basis)
+    scale = math.lcm(*(x.denominator for row in rows + tags for x in row))
+
+    def column(matrix, j):
+        return tuple(int(row[j] * scale) for row in matrix)
+
+    free = [(j, column(rows, j)) for j in range(len(table[0])) if j not in pivots]
+    return pivots, free, [column(tags, i) for i in range(len(tags[0]))], scale
 
 
 def descend(a: Cyclo, new_level: int) -> Cyclo | None:
     """Express a in Q(zeta_new_level) if possible, else None.
 
-    Requires new_level | a.level; solves for coordinates over the image
-    of the smaller power basis under zeta_new -> zeta_L^(L/new).
+    Requires new_level | a.level.  In reduced echelon form the
+    coordinates of a over the echelon rows are its entries at the pivot
+    columns; a lies in the subfield iff those coordinates also reproduce
+    every other column.
     """
     L = a.level
     if new_level == L:
         return a
     if L % new_level != 0:
         raise LevelMismatch(f"{new_level} does not divide {L}")
-    pivots, rows, tags = _descent_echelon(L, new_level)
-    residual, coeffs = eliminate(a.coords, pivots, rows)
-    if any(residual):
-        return None
-    return Cyclo(new_level, [sum(c * t for c, t in zip(coeffs, column))
-                             for column in zip(*tags)])
+    pivots, free, tags, scale = _descent_echelon(L, new_level)
+    num = a.num
+    coeffs = [num[p] for p in pivots]
+    for j, column in free:
+        if scale * num[j] != sum(map(mul, coeffs, column)):
+            return None
+    out = tuple([sum(map(mul, coeffs, column)) for column in tags])
+    return _reduced(new_level, out, a.den * scale)
 
 
 def _split_denominator(den: int, N: int) -> tuple[int, int]:
@@ -343,23 +417,11 @@ def _split_denominator(den: int, N: int) -> tuple[int, int]:
 def in_NZ(a: Cyclo) -> bool:
     """True iff a lies in Z[1/N, zeta_N].
 
-    Valid coordinatewise because Z[zeta_N] is free on the power basis.
+    Z[zeta_N] is free on the power basis, so this holds iff every
+    coordinate denominator is supported on primes of N; their lcm is the
+    common denominator.
     """
-    N = a.level
-    for c in a.coords:
-        _, coprime = _split_denominator(c.denominator, N)
-        if coprime != 1:
-            return False
-    return True
-
-
-def _reduce_coord(r: Fraction, N: int) -> Fraction:
-    dN, d = _split_denominator(r.denominator, N)
-    if d == 1:
-        return Fraction(0)
-    # unique c/d in [0,1) with r - c/d in Z[1/N]: c = a * dN^(-1) mod d
-    c = (r.numerator * pow(dN, -1, d)) % d
-    return Fraction(c, d)
+    return _split_denominator(a.den, a.level)[1] == 1
 
 
 class NZCoset:
@@ -391,6 +453,17 @@ class NZCoset:
 
 
 def reduce_mod_NZ(a: Cyclo) -> NZCoset:
-    """Canonical coset representative of a modulo Z[1/N, zeta_N]."""
-    rep = Cyclo(a.level, [_reduce_coord(c, a.level) for c in a.coords])
-    return NZCoset(a.level, rep)
+    """Canonical coset representative of a modulo Z[1/N, zeta_N].
+
+    With den = dN * d (dN supported on primes of N, d prime to N), the
+    representative of num / den is (num * dN^(-1) mod d) / d: it differs
+    from a by an element of Z[1/N, zeta_N], and its coordinates lie in
+    [0, 1) with denominators prime to N, which makes it unique.
+    """
+    N = a.level
+    dN, d = _split_denominator(a.den, N)
+    if d == 1:
+        return NZCoset(N, Cyclo.from_rational(N, 0))
+    unit = pow(dN, -1, d)
+    rep = _reduced(N, tuple([x * unit % d for x in a.num]), d)
+    return NZCoset(N, rep)

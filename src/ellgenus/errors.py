@@ -57,5 +57,17 @@ class SpanFailure(EllGenusError):
         )
 
 
+class RankExceedsDimension(SpanFailure):
+    """The candidates span more than the dimension formula allows."""
+
+    def __init__(self, rank, dimension):
+        super().__init__(
+            rank,
+            dimension,
+            f"rank {rank} exceeds dimension {dimension}: dimension formula or "
+            f"candidate construction is wrong",
+        )
+
+
 class PrecisionInsufficient(EllGenusError):
     """The working precision is below the required Sturm floor."""

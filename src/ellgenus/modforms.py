@@ -17,16 +17,19 @@ torsion-free groups Gamma_1(N), N >= 4.
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import math
 import threading
 from fractions import Fraction
 from math import comb, gcd
 
-from .cyclo import Cyclo, euler_phi
+from .cyclo import Cyclo, descend, euler_phi, in_NZ
 from .errors import (
     BadLevelDivisibility,
     IncompatibleParity,
     PrecisionInsufficient,
+    RankExceedsDimension,
     SpanFailure,
     UnsupportedLevel,
 )
@@ -359,10 +362,14 @@ class ModFormBasis:
     """Certified echelonized q-expansion basis of M_k(Gamma_1(N)).
 
     Elements are QSeries over the ambient field Q(zeta_L), in reduced row
-    echelon form with pivots at the earliest q-exponents.
+    echelon form with pivots at the earliest q-exponents.  ``is_integral``
+    and ``digest`` are computed at their first call and then kept.
     """
 
-    __slots__ = ("level", "weight", "prec", "field_level", "elements", "pivots", "certificate")
+    __slots__ = (
+        "level", "weight", "prec", "field_level", "elements", "pivots", "certificate",
+        "_integral", "_digest",
+    )
 
     def __init__(self, level, weight, prec, field_level, elements, pivots, certificate):
         self.level = level
@@ -372,6 +379,25 @@ class ModFormBasis:
         self.elements = list(elements)
         self.pivots = list(pivots)
         self.certificate = dict(certificate)
+        self._integral = None
+        self._digest = None
+
+    def is_integral(self) -> bool:
+        """True iff every coefficient lies in Z[1/N, zeta_N], N the level."""
+        if self._integral is None:
+            self._integral = all(
+                (down := descend(value, self.level)) is not None and in_NZ(down)
+                for e in self.elements
+                for value in e.coeffs
+            )
+        return self._integral
+
+    def digest(self) -> str:
+        """First 16 hex digits of the sha256 of the serialized basis."""
+        if self._digest is None:
+            text = json.dumps(self.serialize(), sort_keys=True)
+            self._digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        return self._digest
 
     def serialize(self) -> dict:
         return {
@@ -457,10 +483,7 @@ def _build_basis(N: int, k: int, prec: int, candidates) -> ModFormBasis:
     if rank < dim:
         raise SpanFailure(rank, dim)
     if rank > dim:
-        raise AssertionError(
-            f"rank {rank} exceeds dimension {dim}: dimension formula or "
-            f"candidate construction is wrong"
-        )
+        raise RankExceedsDimension(rank, dim)
     elements = [QSeries(L, prec, r) for r in reduced]
     certificate = {"dimension": dim, "rank": rank, "sturm": sb}
     return ModFormBasis(N, k, prec, L, elements, pivots, certificate)

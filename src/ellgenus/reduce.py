@@ -30,8 +30,6 @@ report the canonical echelon residual.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from fractions import Fraction
 from math import gcd
 
@@ -41,7 +39,6 @@ from .cyclo import (
     _split_denominator,
     descend,
     euler_phi,
-    in_NZ,
     reduce_mod_NZ,
 )
 from .errors import LevelMismatch, PrecisionInsufficient
@@ -237,11 +234,7 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
 
     # the exact constant-direction decision is complete only over an
     # N-integral echelon basis (unit pivots); check that precondition
-    integral_basis = all(
-        (down := descend(value, N)) is not None and in_NZ(down)
-        for row in b_rows
-        for value in row
-    )
+    integral_basis = basis.is_integral()
     alpha = None
     if integral_basis:
         free_cols = [c for c in range(prec) if c not in set(b_pivots)]
@@ -276,15 +269,12 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
         trivial = True
     rep = QSeries(N, prec, reps)
     coeffs = [b - alpha_used * g for b, g in zip(beta, gamma)]
-    basis_hash = hashlib.sha256(
-        json.dumps(basis.serialize(), sort_keys=True).encode()
-    ).hexdigest()[:16]
     modular_part = {
         "pivot_columns": b_pivots,
         "coefficients": coeffs,
         "constant": alpha_used,
         "sturm": sb,
-        "basis_hash": basis_hash,
+        "basis_hash": basis.digest(),
     }
     return UqClass(N, degree, prec, cosets, rep, modular_part, trivial)
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, report content."""
 
+import functools
 import json
 
 import pytest
@@ -136,6 +137,28 @@ def test_span_failure_exits_2(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "weight_basis", broken)
     assert cli.main(["--level", "5", "--degree", "4", "basis"]) == 2
+
+
+def test_rank_above_the_dimension_exits_2(monkeypatch, capsys):
+    from ellgenus import modforms
+
+    real = modforms.dim_Mk
+    monkeypatch.setattr(modforms, "dim_Mk", lambda N, k: real(N, k) - 1)
+    # a fresh basis cache, so bases cached by other tests are rebuilt
+    fresh = functools.lru_cache(maxsize=None)(modforms._weight_basis_cached.__wrapped__)
+    monkeypatch.setattr(modforms, "_weight_basis_cached", fresh)
+    code = cli.main(["--level", "5", "--degree", "4", "basis"])
+    assert code == 2
+    assert "exceeds dimension" in capsys.readouterr().err
+
+
+def test_genus_at_unsupported_level_fails_before_the_genus(cp2_file, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("genus must not run at an unsupported level")
+
+    monkeypatch.setattr(cli, "genus", never)
+    assert cli.main(["--level", "11", "genus", cp2_file]) == 3
+    assert "genus-0" in capsys.readouterr().err
 
 
 def test_out_flag_writes_report_file(cp2_file, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Cyclotomic field arithmetic and the subring Z[1/N, zeta_N]."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -155,3 +156,153 @@ def test_display_embedding_matches_roots_of_unity():
     z5 = Cyclo.zeta(5).to_complex()
     assert abs(z5**5 - 1) < 1e-12
     assert abs(z5 - 1) > 1e-3
+
+
+# -- differential test: the integer kernel against a Fraction reference -----
+#
+# The reference stores an element as its tuple of Fraction coordinates and
+# multiplies by a polynomial product reduced modulo Phi_N by long division.
+
+
+def _ref_reduce(poly: list, N: int) -> tuple:
+    cyc = cyclotomic_poly(N)
+    phi = len(cyc) - 1
+    poly = list(poly) + [Fraction(0)] * max(0, phi - len(poly))
+    for k in range(len(poly) - 1, phi - 1, -1):
+        c = poly[k]
+        if c:
+            for i, t in enumerate(cyc):
+                poly[k - phi + i] -= c * t
+    return tuple(poly[:phi])
+
+
+def _ref_mul(a: tuple, b: tuple, N: int) -> tuple:
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_reduce(prod, N)
+
+
+def _ref_lift(a: tuple, N: int, L: int) -> tuple:
+    poly = [Fraction(0)] * (L // N * (len(a) - 1) + 1)
+    for i, x in enumerate(a):
+        poly[i * (L // N)] = x
+    return _ref_reduce(poly, L)
+
+
+def _ref_n_smooth(den: int, N: int) -> bool:
+    while (g := math.gcd(den, N)) > 1:
+        den //= g
+    return den == 1
+
+
+def _ref_coset_coord(r: Fraction, N: int) -> Fraction:
+    # the unique c/d in [0, 1) with d prime to N and r - c/d in Z[1/N]
+    d, dN = r.denominator, 1
+    while (g := math.gcd(d, N)) > 1:
+        d //= g
+        dN *= g
+    return Fraction(r.numerator * pow(dN, -1, d) % d, d)
+
+
+def _assert_canonical(a: Cyclo) -> None:
+    assert len(a.num) == euler_phi(a.level)
+    assert all(type(x) is int for x in a.num) and type(a.den) is int
+    assert a.den > 0 and math.gcd(a.den, *a.num) == 1
+    if not any(a.num):
+        assert a.den == 1
+
+
+DIFF_LEVELS = (5, 7, 12, 20, 42)
+LIFTS = {5: 20, 7: 42, 12: 24, 20: 60, 42: 84}
+
+edge_coords = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.fractions(max_denominator=10**30),
+)
+
+
+@st.composite
+def diff_elements(draw, level):
+    phi = euler_phi(level)
+    kind = draw(st.sampled_from(["zero", "one", "minus_one", "coords"]))
+    if kind == "zero":
+        return ()
+    if kind in ("one", "minus_one"):
+        return (Fraction(1 if kind == "one" else -1),) + (Fraction(0),) * (phi - 1)
+    return tuple(draw(st.lists(edge_coords, min_size=phi, max_size=phi)))
+
+
+def _pad(coords: tuple, level: int) -> tuple:
+    return tuple(coords) + (Fraction(0),) * (euler_phi(level) - len(coords))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), level=st.sampled_from(DIFF_LEVELS))
+def test_integer_kernel_matches_the_fraction_reference(data, level):
+    ra = _pad(data.draw(diff_elements(level)), level)
+    rb = _pad(data.draw(diff_elements(level)), level)
+    a, b = Cyclo(level, ra), Cyclo(level, rb)
+    assert a.coords == ra and b.coords == rb
+    results = [
+        (a + b, tuple(x + y for x, y in zip(ra, rb))),
+        (a - b, tuple(x - y for x, y in zip(ra, rb))),
+        (-a, tuple(-x for x in ra)),
+        (a * b, _ref_mul(ra, rb, level)),
+        (a * rb[0], tuple(x * rb[0] for x in ra)),
+    ]
+    for value, expected in results:
+        _assert_canonical(value)
+        assert value.coords == expected
+        assert value.serialize() == [f"{c.numerator}/{c.denominator}" for c in expected]
+        assert value.rational_part() == expected[0]
+    if any(ra):
+        inverse = a.inv()
+        _assert_canonical(inverse)
+        assert _ref_mul(ra, inverse.coords, level) == _pad((Fraction(1),), level)
+    assert in_NZ(a) == all(_ref_n_smooth(c.denominator, level) for c in ra)
+    rep = reduce_mod_NZ(a).rep
+    _assert_canonical(rep)
+    assert rep.coords == tuple(_ref_coset_coord(c, level) for c in ra)
+
+    L = LIFTS[level]
+    lifted = a.lift(L)
+    _assert_canonical(lifted)
+    assert lifted.coords == _ref_lift(ra, level, L)
+    assert descend(lifted, level) == a
+    # zeta_L lies outside Q(zeta_level), so any nonzero multiple spoils descent
+    c = data.draw(edge_coords.filter(bool))
+    assert descend(lifted + Cyclo.zeta(L) * c, level) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), level=st.sampled_from(DIFF_LEVELS))
+def test_equal_values_built_differently_compare_and_hash_equal(data, level):
+    ra = _pad(data.draw(diff_elements(level)), level)
+    rb = _pad(data.draw(diff_elements(level)), level)
+    a, b = Cyclo(level, ra), Cyclo(level, rb)
+    # the same value through an arithmetic detour and through strings
+    detours = (
+        (a + b) - b,
+        a * Cyclo.from_rational(level, 1),
+        Cyclo.deserialize(level, a.serialize()),
+    )
+    for other in detours:
+        _assert_canonical(other)
+        assert other == a and hash(other) == hash(a)
+        assert (other.num, other.den) == (a.num, a.den)
+    assert (a == b) == (ra == rb)
+
+
+def test_canonical_form_of_equal_rationals():
+    half = Cyclo(5, [Fraction(2, 4)])
+    assert half == Cyclo.from_rational(5, Fraction(1, 2))
+    assert hash(half) == hash(Cyclo.from_rational(5, Fraction(1, 2)))
+    assert (half.num, half.den) == ((1, 0, 0, 0), 2)
+    zero = Cyclo(12, [Fraction(0, 7), 0, Fraction(0, 3)])
+    assert (zero.num, zero.den) == ((0, 0, 0, 0), 1)
+    assert Cyclo.from_rational(12, Fraction(3, 9)) - Fraction(1, 3) == zero
+    assert Cyclo(12, ["1/6", "1/4"]).num == (2, 3, 0, 0)
+    assert Cyclo(12, ["1/6", "1/4"]).den == 12

@@ -1,11 +1,18 @@
 """Dirichlet characters, Eisenstein series, and certified bases."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from ellgenus.cyclo import Cyclo, descend, in_NZ
-from ellgenus.errors import PrecisionInsufficient, SpanFailure, UnsupportedLevel
+from ellgenus.errors import (
+    PrecisionInsufficient,
+    RankExceedsDimension,
+    SpanFailure,
+    UnsupportedLevel,
+)
 from ellgenus.genus import log_phi_series, phi_series
 from ellgenus.modforms import (
     all_characters,
@@ -129,6 +136,17 @@ def test_span_failure_on_a_starved_candidate_pool():
     assert info.value.rank < info.value.dimension
 
 
+def test_rank_above_the_dimension_is_a_typed_error():
+    # the monomials q^0 .. q^4 are independent, but dim M_2(Gamma_1(5)) = 3
+    L = ambient_field_level(5)
+    monomials = [QSeries(L, 5, [0] * n + [1]) for n in range(5)]
+    with pytest.raises(RankExceedsDimension) as info:
+        weight_basis(5, 2, 5, candidates=monomials)
+    assert isinstance(info.value, SpanFailure)
+    assert (info.value.rank, info.value.dimension) == (5, 3)
+    assert "rank 5 exceeds dimension 3" in str(info.value)
+
+
 def test_phi_coefficients_are_modular():
     for N in (4, 5):
         for n in (1, 2, 3):
@@ -162,6 +180,21 @@ def test_weight_basis_results_are_cached():
     a = weight_basis(5, 2, 8)
     b = weight_basis(5, 2, 8)
     assert a is b
+
+
+def test_integrality_and_digest_are_computed_once_on_first_use():
+    # an explicit pool bypasses the cache, so the basis is freshly built
+    basis = weight_basis(5, 2, 8, candidates=eisenstein_candidates(5, 2, 8))
+    assert basis._integral is None and basis._digest is None
+    text = json.dumps(basis.serialize(), sort_keys=True)
+    assert basis.digest() == hashlib.sha256(text.encode()).hexdigest()[:16]
+    integral = all(
+        (down := descend(c, 5)) is not None and in_NZ(down)
+        for e in basis.elements
+        for c in e.coeffs
+    )
+    assert basis.is_integral() is integral
+    assert (basis._integral, basis._digest) == (integral, basis.digest())
 
 
 def test_basis_serialization_shape():
