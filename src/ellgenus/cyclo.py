@@ -452,6 +452,12 @@ class NZCoset:
         return f"NZCoset({self.rep!r})"
 
 
+@functools.lru_cache(maxsize=None)
+def _zero_coset(N: int) -> NZCoset:
+    """The zero coset at level N, one shared object: cosets are immutable."""
+    return NZCoset(N, Cyclo.from_rational(N, 0))
+
+
 def reduce_mod_NZ(a: Cyclo) -> NZCoset:
     """Canonical coset representative of a modulo Z[1/N, zeta_N].
 
@@ -463,7 +469,7 @@ def reduce_mod_NZ(a: Cyclo) -> NZCoset:
     N = a.level
     dN, d = _split_denominator(a.den, N)
     if d == 1:
-        return NZCoset(N, Cyclo.from_rational(N, 0))
+        return _zero_coset(N)
     unit = pow(dN, -1, d)
     rep = _reduced(N, tuple([x * unit % d for x in a.num]), d)
     return NZCoset(N, rep)

@@ -259,9 +259,7 @@ def eisenstein(
     L = psi.field_level
     if phi_char.field_level != L:
         raise BadLevelDivisibility("character field levels differ")
-    if psi.modulus * phi_char.modulus * t % 1 != 0 or N % (
-        psi.modulus * phi_char.modulus * t
-    ) != 0:
+    if N % (psi.modulus * phi_char.modulus * t) != 0:
         raise BadLevelDivisibility(
             f"{psi.modulus} * {phi_char.modulus} * {t} does not divide {N}"
         )

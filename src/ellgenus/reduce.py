@@ -26,16 +26,26 @@ solvability over the integral lattice is decided, which makes the
 verdict complete whenever the modular basis itself is N-integral with
 unit pivots -- true for all supported levels.  Nontrivial verdicts
 report the canonical echelon residual.
+
+Everything in that decision that depends only on the basis -- the
+residual of the series 1, the subspace it spans over Q(zeta_L), the
+projected lattice and its Euclidean Z-basis -- is built once per
+(N, weight, prec) and kept as integer tables; each reduction then
+decides in integer arithmetic against them.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
-from math import gcd
+from operator import mul
+from typing import NamedTuple
 
 from .cyclo import (
     Cyclo,
     NZCoset,
+    _reduced,
     _split_denominator,
     descend,
     euler_phi,
@@ -81,77 +91,160 @@ def _z_echelon_tracked(rows: list[list[int]], width: int):
     return [r[:width] for r in rows[:rank]], [r[width:] for r in rows[:rank]], pivots
 
 
-def _solve_constant_direction(
-    s_cols: list[Cyclo], r_cols: list[Cyclo], N: int, L: int
-) -> Cyclo | None:
+class _Lattice(NamedTuple):
+    """The input-independent part of the constant-direction solve for one basis.
+
+    ``one_res``/``gamma`` are the residual and basis coefficients of the
+    series 1.  With phi = phi(L) and m = phi * len(free_cols), the rows
+    ``sub_rows`` / ``sub_scale`` are the reduced echelon form of the
+    subspace {alpha * r} of Q^m (pivots ``sub_pivots``), and
+    ``alpha_cols[j]`` / ``tag_scale`` gives coordinate j of alpha over
+    those rows.  ``z_rows`` are (pivot, row) pairs: the Euclidean echelon
+    of the projected lattice generators, scaled by ``gen_scale``, followed
+    by gen_scale times the row's integer tags over the generators.
+    ``lifted`` holds the lifted powers zeta_N^i, i < phi(N).  Every table
+    is integral.
+    """
+
+    level: int
+    one_res: tuple
+    gamma: tuple
+    free_cols: tuple
+    sub_pivots: tuple
+    sub_rows: tuple
+    sub_scale: int
+    alpha_cols: tuple
+    tag_scale: int
+    z_rows: tuple
+    gen_scale: int
+    lifted: tuple
+
+
+def _residual_of_one(basis):
+    """(residual, coefficients) of the series 1 eliminated against the basis."""
+    one = QSeries.one(basis.field_level, basis.prec)
+    return eliminate(list(one.coeffs), basis.pivots, [list(e.coeffs) for e in basis.elements])
+
+
+def _scaled(rows: list[list[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer rows and the common denominator d with rows = integer rows / d."""
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return tuple([tuple([int(x * d) for x in row]) for row in rows]), d
+
+
+@functools.lru_cache(maxsize=None)
+def _constant_direction(N: int, weight: int, prec: int) -> _Lattice:
+    """Build the constant-direction tables of weight_basis(N, weight, prec).
+
+    Only the integer tables are kept; the Fraction eliminations that
+    produce them are dropped.  Scaling the projected generators by their
+    own denominator (rather than jointly with the input) scales the
+    Euclidean echelon and leaves its tags and quotients unchanged.
+    """
+    basis = weight_basis(N, weight, prec)
+    L = basis.field_level
+    one_res, gamma = _residual_of_one(basis)
+    pivots = set(basis.pivots)
+    free_cols = [c for c in range(prec) if c not in pivots]
+    phiL = euler_phi(L)
+    phiN = euler_phi(N)
+    k = len(free_cols)
+    m = k * phiL
+    # subspace: alpha = sum_j a_j zeta_L^j acting on r columnwise
+    r_cols = [one_res[c] for c in free_cols]
+    sub_rows = [
+        [x for rc in r_cols for x in (Cyclo.zeta(L, j) * rc).coords] for j in range(phiL)
+    ]
+    sub_pivots, sub_rref, sub_tags = rref_tracked(sub_rows)
+    # lattice: per column, the lifted power basis of Z[zeta_N] over Z[1/N]
+    lifted = [Cyclo.zeta(N, i).lift(L).num for i in range(phiN)]
+    gens_p = []
+    for c in range(k):
+        for i in range(phiN):
+            vec = [0] * m
+            vec[c * phiL : (c + 1) * phiL] = lifted[i]
+            gens_p.append(eliminate(vec, sub_pivots, sub_rref)[0])
+    gens_int, gen_scale = _scaled(gens_p)
+    ech, tags, z_pivots = _z_echelon_tracked(gens_int, m)
+    z_rows = tuple([
+        (col, tuple(row) + tuple([gen_scale * x for x in tag]))
+        for col, row, tag in zip(z_pivots, ech, tags)
+    ])
+    sub_int, sub_scale = _scaled(sub_rref)
+    tags_int, tag_scale = _scaled(sub_tags)
+    alpha_cols = tuple([tuple([row[j] for row in tags_int]) for j in range(phiL)])
+    return _Lattice(L, tuple(one_res), tuple(gamma), tuple(free_cols), tuple(sub_pivots),
+                    sub_int, sub_scale, alpha_cols, tag_scale, z_rows, gen_scale,
+                    tuple(lifted))
+
+
+def _project(vec: list[int], lat: _Lattice) -> list[int]:
+    """sub_scale * (vec minus its component in the subspace), vec integral."""
+    out = [lat.sub_scale * x for x in vec]
+    for p, row in zip(lat.sub_pivots, lat.sub_rows):
+        c = vec[p]
+        if c:
+            out = [a - c * b for a, b in zip(out, row)]
+    return out
+
+
+def _solve_constant_direction(s_cols: list[Cyclo], lat: _Lattice, N: int) -> Cyclo | None:
     """Find alpha in Q(zeta_L) with s - alpha*r coefficientwise in Z[1/N, zeta_N].
 
     Returns None when no such alpha exists.  This is an exact decision:
     the conditions are linear over Q in the coordinates of alpha modulo
     the free Z[1/N]-lattice spanned by the (lifted) powers of zeta_N, so
     the question reduces to membership of a rational vector in (rational
-    subspace) + (Z[1/N]-lattice), settled by echelon elimination over Q
-    followed by a Euclidean Z-basis and back-substitution whose
-    coefficients must have N-smooth denominators.
+    subspace) + (Z[1/N]-lattice): project the input off the subspace,
+    back-substitute against a Euclidean Z-basis of the projected lattice
+    (every coefficient must have an N-smooth denominator and nothing may
+    remain), then read alpha off t - z for the lattice witness z.
+
+    Everything that depends only on the basis comes from the tables of
+    ``_constant_direction``; the input enters as one integer vector over
+    one denominator, and each step is fraction-free integer arithmetic
+    against those tables (Cohen 1993, section 2.4; Bareiss 1968).
     """
-    phiL = euler_phi(L)
+    phiL = euler_phi(lat.level)
     phiN = euler_phi(N)
-    k = len(s_cols)
-    m = k * phiL
-
-    def stacked(values: list[Cyclo]) -> list[Fraction]:
-        out = []
-        for v in values:
-            out.extend(v.coords)
-        return out
-
-    t = stacked(s_cols)
-    # subspace: alpha = sum_j a_j zeta_L^j acting on r columnwise
-    zetas = [Cyclo.zeta(L, j) for j in range(phiL)]
-    sub_rows = [stacked([zetas[j] * rc for rc in r_cols]) for j in range(phiL)]
-    # lattice: per column, the lifted power basis of Z[zeta_N] over Z[1/N]
-    lifted = [Cyclo.zeta(N, i).lift(L).coords for i in range(phiN)]
-    gens = []
-    for c in range(k):
-        for i in range(phiN):
-            vec = [Fraction(0)] * m
-            vec[c * phiL : (c + 1) * phiL] = list(lifted[i])
-            gens.append(vec)
-
-    sub_pivots, sub_rref, sub_tags = rref_tracked(sub_rows)
-    tau = eliminate(t, sub_pivots, sub_rref)[0]
-    gens_p = [eliminate(g, sub_pivots, sub_rref)[0] for g in gens]
-    # clear denominators jointly (membership is invariant under scaling)
-    denom = 1
-    for vec in gens_p + [tau]:
-        for x in vec:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    gi = [[int(x * denom) for x in vec] for vec in gens_p]
-    ti = [x * denom for x in tau]
-
-    ech, tags, pivots = _z_echelon_tracked(gi, m)
-    residual = [Fraction(x) for x in ti]
-    coeffs = []
-    for col, row in zip(pivots, ech):
-        c = residual[col] / row[col]
-        if _split_denominator(c.denominator, N)[1] != 1:
+    m = phiL * len(s_cols)
+    den = math.lcm(*(v.den for v in s_cols))
+    t = [x * (den // v.den) for v in s_cols for x in v.num]
+    # tau = v[:m] / scale, the input projected off the subspace; v[m:]
+    # accumulates minus the lattice coefficients over the generators
+    v = _project(t, lat) + [0] * (len(s_cols) * phiN)
+    scale = lat.sub_scale * den
+    for col, row in lat.z_rows:
+        a, p = v[col], row[col]
+        if not a:
+            continue
+        g = math.gcd(a, p)
+        a, p = a // g, p // g
+        if p < 0:
+            a, p = -a, -p
+        # the coefficient gen_scale * a / (scale * p) needs an N-smooth denominator
+        c_den = scale * p // math.gcd(lat.gen_scale * a, scale * p)
+        if _split_denominator(c_den, N)[1] != 1:
             return None
-        coeffs.append(c)
-        residual = [a - c * b for a, b in zip(residual, row)]
-    if any(residual):
+        v = [p * x - a * y for x, y in zip(v, row)]
+        scale *= p
+    if any(v[:m]):
         return None
-    # lattice witness z over the original generators
-    x_over_gens = [sum(c * u for c, u in zip(coeffs, column)) for column in zip(*tags)]
-    z = [Fraction(0)] * m
-    for xg, gen in zip(x_over_gens, gens):
-        if xg:
-            z = [a + xg * b for a, b in zip(z, gen)]
-    # solve for alpha: t - z lies in the subspace spanned by sub_rows
-    target = [a - b for a, b in zip(t, z)]
-    rest, alpha_over_rows = eliminate(target, sub_pivots, sub_rref)
-    assert not any(rest)
-    return Cyclo(L, [sum(c * u for c, u in zip(alpha_over_rows, column))
-                     for column in zip(*sub_tags)])
+    # target = t - z, for the lattice witness z, as integers over scale
+    f = scale // den
+    w = v[m:]
+    target = []
+    for c in range(len(s_cols)):
+        block = [f * x for x in t[c * phiL : (c + 1) * phiL]]
+        for wi, power in zip(w[c * phiN : (c + 1) * phiN], lat.lifted):
+            if wi:
+                block = [a + wi * b for a, b in zip(block, power)]
+        target.extend(block)
+    # t - z lies in the subspace; alpha is read off its pivot entries
+    assert not any(_project(target, lat))
+    coeffs = [target[p] for p in lat.sub_pivots]
+    num = tuple([sum(map(mul, coeffs, column)) for column in lat.alpha_cols])
+    return _reduced(lat.level, num, scale * lat.tag_scale)
 
 
 class UqClass:
@@ -229,18 +322,17 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
     b_pivots = list(basis.pivots)
     lifted = s.lift(L).truncate(prec)
     s_res, beta = eliminate(list(lifted.coeffs), b_pivots, b_rows)
-    one = QSeries.one(L, prec)
-    one_res, gamma = eliminate(list(one.coeffs), b_pivots, b_rows)
 
     # the exact constant-direction decision is complete only over an
     # N-integral echelon basis (unit pivots); check that precondition
     integral_basis = basis.is_integral()
-    alpha = None
     if integral_basis:
-        free_cols = [c for c in range(prec) if c not in set(b_pivots)]
-        alpha = _solve_constant_direction(
-            [s_res[c] for c in free_cols], [one_res[c] for c in free_cols], N, L
-        )
+        lat = _constant_direction(N, weight, prec)
+        one_res, gamma = lat.one_res, lat.gamma
+        alpha = _solve_constant_direction([s_res[c] for c in lat.free_cols], lat, N)
+    else:
+        one_res, gamma = _residual_of_one(basis)
+        alpha = None
     if alpha is None:
         # canonical fallback: cancel the earliest nonzero constant-residual
         # coefficient (the combined-echelon choice)

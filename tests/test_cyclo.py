@@ -125,6 +125,8 @@ def test_coset_reduction_canonical_values():
         Cyclo.from_rational(4, Fraction(5, 6))
     ).rep == Cyclo.from_rational(4, Fraction(1, 3))
     assert reduce_mod_NZ(Cyclo.from_rational(5, Fraction(3, 25))).is_zero()
+    # every N-integral element maps to one shared zero coset
+    assert reduce_mod_NZ(Cyclo.zeta(5)) is reduce_mod_NZ(Cyclo.from_rational(5, Fraction(3, 25)))
 
 
 def test_coset_representative_is_idempotent():

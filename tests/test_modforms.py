@@ -8,6 +8,7 @@ import pytest
 
 from ellgenus.cyclo import Cyclo, descend, in_NZ
 from ellgenus.errors import (
+    BadLevelDivisibility,
     PrecisionInsufficient,
     RankExceedsDimension,
     SpanFailure,
@@ -19,6 +20,7 @@ from ellgenus.modforms import (
     ambient_field_level,
     bernoulli_number,
     dim_Mk,
+    eisenstein,
     eisenstein_candidates,
     gen_bernoulli,
     is_in_span,
@@ -53,6 +55,14 @@ def test_characters_mod_4():
     assert chi.conductor() == 4
     assert chi.value(3) == Cyclo.from_rational(4, -1)
     assert chi.value(2) == Cyclo(4)
+
+
+def test_eisenstein_needs_moduli_times_t_to_divide_the_level():
+    chi = [ch for ch in all_characters(4, 4) if ch.parity() == -1][0]
+    trivial = all_characters(1, 4)[0]
+    assert eisenstein(trivial, chi, 2, 1, 5, 8).prec == 5
+    with pytest.raises(BadLevelDivisibility):
+        eisenstein(trivial, chi, 3, 1, 5, 8)
 
 
 def test_generalized_bernoulli_of_the_odd_character_mod_4():

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellgenus.cyclo import Cyclo, in_NZ
+from ellgenus.cyclo import Cyclo, descend, in_NZ, reduce_mod_NZ
 from ellgenus.errors import LevelMismatch, PrecisionInsufficient
 from ellgenus.genus import cp_chern, genus, genus_bivariate, split_product
-from ellgenus.modforms import weight_basis
-from ellgenus.reduce import project_q0, reduce_Uq, reduce_Wtilde
+from ellgenus.modforms import ModFormBasis, weight_basis
+from ellgenus.reduce import _constant_direction, project_q0, reduce_Uq, reduce_Wtilde
 from ellgenus.series import PQSeries, QSeries
 
 
@@ -124,23 +124,52 @@ def test_report_carries_certificate_and_sturm():
     assert doc["modular_part"]["constant"] is not None
 
 
-def test_recorded_decomposition_is_exact():
-    s = genus(cp_chern(2), 5, 7)
-    cls = reduce_Uq(s, 5, 6)
-    basis = weight_basis(5, 3, 7)
+def assert_decomposition_is_exact(s, cls, N, weight):
+    """s = sum(coefficients * basis) + constant + residual, with residual's cosets."""
+    basis = weight_basis(N, weight, cls.prec)
     L = basis.field_level
-    rebuilt = QSeries.zero(L, 7)
+    rebuilt = QSeries.zero(L, cls.prec)
     for c, elem in zip(cls.modular_part["coefficients"], basis.elements):
-        rebuilt = rebuilt + QSeries(L, 7, [c * x for x in elem.coeffs])
+        rebuilt = rebuilt + QSeries(L, cls.prec, [c * x for x in elem.coeffs])
     alpha = cls.modular_part["constant"]
-    rebuilt = rebuilt + QSeries(L, 7, [alpha] + [Cyclo(L)] * 6)
-    residual = s.lift(L) - rebuilt
-    # trivial verdict: what remains is N-integral coefficientwise
-    from ellgenus.cyclo import descend
+    rebuilt = rebuilt + QSeries(L, cls.prec, [alpha] + [Cyclo(L)] * (cls.prec - 1))
+    residual = s.lift(L).truncate(cls.prec) - rebuilt
+    for c, coset in zip(residual.coeffs, cls.cosets):
+        down = descend(c, N)
+        if coset is None:
+            assert down is None
+        else:
+            assert down is not None and reduce_mod_NZ(down) == coset
 
-    for c in residual.coeffs:
-        down = descend(c, 5)
-        assert down is not None and in_NZ(down)
+
+def test_recorded_decomposition_is_exact():
+    for N, prec in ((5, 7), (7, 13)):
+        s = genus(cp_chern(2), N, prec)
+        cls = reduce_Uq(s, N, 6)
+        assert cls.trivial
+        # trivial verdict: what remains is N-integral coefficientwise
+        assert all(c is not None and c.is_zero() for c in cls.cosets)
+        assert_decomposition_is_exact(s, cls, N, 3)
+
+
+def test_fallback_without_an_integral_basis(monkeypatch):
+    # every supported basis is N-integral, so the echelon fallback is
+    # reached only by pretending otherwise
+    monkeypatch.setattr(ModFormBasis, "is_integral", lambda self: False)
+    before = _constant_direction.cache_info()
+    probes = [
+        (const_series(5, 7, Fraction(7, 3)), True),
+        (single_coeff(5, 7, 1, Fraction(1, 7)), False),
+        (genus(cp_chern(2), 5, 7), None),
+    ]
+    for s, expected in probes:
+        cls = reduce_Uq(s, 5, 6)
+        assert cls.trivial == all(c is not None and c.is_zero() for c in cls.cosets)
+        if expected is not None:
+            assert cls.trivial == expected
+        assert_decomposition_is_exact(s, cls, 5, 3)
+    after = _constant_direction.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_closed_product_degree4_vanishes_in_two_variables():
