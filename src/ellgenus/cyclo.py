@@ -235,28 +235,29 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inv(self) -> "Cyclo":
-        """Multiplicative inverse via extended gcd with Phi_N over Q[x]."""
+        """Multiplicative inverse by the Galois norm.
+
+        With self = A / den, the conjugates sigma_k(A) (zeta -> zeta^k, k
+        prime to N) multiply to the rational integer norm(A) = A * P for
+        P = prod_{k != 1} sigma_k(A), so 1 / self = den * P / norm(A).
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta_N)")
-        # extended Euclid on (a, Phi_N); gcd is a nonzero constant
-        r0 = [Fraction(c) for c in cyclotomic_poly(self.level)]
-        r1 = list(self.coords)
-        while len(r1) > 1 and not r1[-1]:
-            r1.pop()
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1 or r1[0]:
-            q, r = _poly_divmod_frac(r0, r1)
-            s = _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1, s0, s1 = r1, r, s1, s
-            if len(r0) == 1 and r0[0]:
-                break
-        c = r0[0]
-        coeffs = [x / c for x in s0]
+        N = self.level
         phi = len(self.num)
-        if len(coeffs) < phi:
-            coeffs += [Fraction(0)] * (phi - len(coeffs))
-        result = Cyclo(self.level, coeffs[:phi])
-        return result
+        table = _power_table(N)
+        product = _make(N, (1,) + (0,) * (phi - 1), 1)
+        for k in range(2, N):
+            if math.gcd(k, N) == 1:
+                conj = [0] * phi
+                for i, a in enumerate(self.num):
+                    if a:
+                        conj = [x + a * t for x, t in zip(conj, table[i * k % N])]
+                product = product * _make(N, tuple(conj), 1)
+        norm = (product * _make(N, self.num, 1)).num
+        assert not any(norm[1:])
+        sign = 1 if norm[0] > 0 else -1
+        return _reduced(N, tuple([sign * self.den * x for x in product.num]), abs(norm[0]))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -322,43 +323,6 @@ class Cyclo:
         return " + ".join(terms) if terms else "0"
 
 
-def _poly_divmod_frac(num, den):
-    num = list(num)
-    dn = len(den)
-    while dn > 1 and not den[dn - 1]:
-        dn -= 1
-    den = den[:dn]
-    if len(num) < dn:
-        return [Fraction(0)], num
-    q = [Fraction(0)] * (len(num) - dn + 1)
-    lead = den[-1]
-    for i in range(len(num) - dn, -1, -1):
-        c = num[i + dn - 1] / lead
-        q[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    while len(num) > 1 and not num[-1]:
-        num.pop()
-    return q, num
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
 @functools.lru_cache(maxsize=None)
 def _descent_echelon(L: int, n: int):
     """Integer-scaled tracked echelon of the power basis of Q(zeta_n) in Q(zeta_L).
@@ -380,27 +344,42 @@ def _descent_echelon(L: int, n: int):
     return pivots, free, [column(tags, i) for i in range(len(tags[0]))], scale
 
 
+def _subfield_part(a: Cyclo, n: int) -> Cyclo:
+    """The Q(zeta_n) part of a in Q(zeta_L), for n | L.
+
+    In reduced echelon form the coordinates of a vector over the echelon
+    rows are its entries at the pivot columns; their combination of the
+    rows is a Q-linear projection of Q(zeta_L) onto Q(zeta_n), the
+    identity on Q(zeta_n), and zero on the elements that vanish at every
+    pivot column.
+    """
+    if n == a.level:
+        return a
+    pivots, _, tags, scale = _descent_echelon(a.level, n)
+    coeffs = [a.num[p] for p in pivots]
+    out = tuple([sum(map(mul, coeffs, column)) for column in tags])
+    return _reduced(n, out, a.den * scale)
+
+
 def descend(a: Cyclo, new_level: int) -> Cyclo | None:
     """Express a in Q(zeta_new_level) if possible, else None.
 
-    Requires new_level | a.level.  In reduced echelon form the
-    coordinates of a over the echelon rows are its entries at the pivot
-    columns; a lies in the subfield iff those coordinates also reproduce
-    every other column.
+    Requires new_level | a.level.  a lies in the subfield iff its
+    coordinates over the echelon rows (its pivot entries, see
+    ``_subfield_part``) also reproduce every other column.
     """
     L = a.level
     if new_level == L:
         return a
     if L % new_level != 0:
         raise LevelMismatch(f"{new_level} does not divide {L}")
-    pivots, free, tags, scale = _descent_echelon(L, new_level)
+    pivots, free, _, scale = _descent_echelon(L, new_level)
     num = a.num
     coeffs = [num[p] for p in pivots]
     for j, column in free:
         if scale * num[j] != sum(map(mul, coeffs, column)):
             return None
-    out = tuple([sum(map(mul, coeffs, column)) for column in tags])
-    return _reduced(new_level, out, a.den * scale)
+    return _subfield_part(a, new_level)
 
 
 def _split_denominator(den: int, N: int) -> tuple[int, int]:

@@ -1,11 +1,13 @@
 """Exact Gaussian elimination over Q(zeta_L), Q, or any exact field.
 
-This is the package's one field-elimination routine: modular-form bases,
-the constant-direction solve and descent to subfields all reduce through
-``rref``.  Rows are lists of field elements supporting +, -, *,
-truthiness, and division via 1/x.  Matrices are small (a handful of
-modular forms by a few dozen q-coefficients), so plain elimination on
-exact entries is fine.
+This is the package's one field-elimination routine: modular-form bases
+and descent to subfields reduce through ``rref``, and reductions
+eliminate against a basis with ``eliminate``.  The constant-direction
+solve works on the residual coordinate by coordinate and runs no
+elimination of its own.  Rows are lists of field elements supporting
++, -, *, truthiness, and division via 1/x.  Matrices are small (a
+handful of modular forms by a few dozen q-coefficients), so plain
+elimination on exact entries is fine.
 """
 
 from __future__ import annotations

@@ -22,16 +22,16 @@ stated precision: it always comes with an explicit decomposition into a
 modular combination, a constant, and an N-integral remainder.  The
 constant-direction coefficient is not forced to the echelon pivot ratio
 (whose pivot need not be a unit in Z[1/N, zeta_N]); instead its exact
-solvability over the integral lattice is decided, which makes the
-verdict complete whenever the modular basis itself is N-integral with
-unit pivots -- true for all supported levels.  Nontrivial verdicts
-report the canonical echelon residual.
+solvability is decided, which makes the verdict complete whenever the
+modular basis itself is N-integral with unit pivots -- true for all
+supported levels.  Nontrivial verdicts report the canonical echelon
+residual.
 
-Everything in that decision that depends only on the basis -- the
-residual of the series 1, the subspace it spans over Q(zeta_L), the
-projected lattice and its Euclidean Z-basis -- is built once per
-(N, weight, prec) and kept as integer tables; each reduction then
-decides in integer arithmetic against them.
+The residual r of the series 1 is rational, so that decision splits
+into one congruence system over Z[1/N] per coordinate of Q(zeta_N),
+solved by an integer CRT, and the constant it records depends only on
+the class of the input.  r, the basis coefficients of 1 and the free
+columns are built once per (N, weight, prec).
 """
 
 from __future__ import annotations
@@ -39,212 +39,119 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import mul
-from typing import NamedTuple
 
 from .cyclo import (
     Cyclo,
     NZCoset,
     _reduced,
     _split_denominator,
+    _subfield_part,
     descend,
     euler_phi,
+    in_NZ,
     reduce_mod_NZ,
 )
 from .errors import LevelMismatch, PrecisionInsufficient
-from .linalg import eliminate, rref_tracked
+from .linalg import eliminate
 from .modforms import sturm_bound, weight_basis
 from .series import PQSeries, QSeries, project_q0  # noqa: F401  (re-exported)
 
 
-def _z_echelon_tracked(rows: list[list[int]], width: int):
-    """Row echelon over Z by Euclidean (unimodular) row operations.
-
-    Returns (echelon_rows, integer_tags, pivots); the echelon rows are a
-    Z-basis of the row lattice and tags express them over the input rows
-    (an identity block carried along to the right of the first `width`
-    columns).
-    """
-    n = len(rows)
-    rows = [list(r) + [1 if j == i else 0 for j in range(n)] for i, r in enumerate(rows)]
-    pivots = []
-    rank = 0
-    for col in range(width):
-        while True:
-            nz = [i for i in range(rank, len(rows)) if rows[i][col]]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(rows[i][col]))
-            rows[rank], rows[i0] = rows[i0], rows[rank]
-            clean = True
-            for i in range(rank + 1, len(rows)):
-                if rows[i][col]:
-                    q = rows[i][col] // rows[rank][col]
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[rank])]
-                    if rows[i][col]:
-                        clean = False
-            if clean:
-                break
-        if rank < len(rows) and rows[rank][col]:
-            pivots.append(col)
-            rank += 1
-    return [r[:width] for r in rows[:rank]], [r[width:] for r in rows[:rank]], pivots
-
-
-class _Lattice(NamedTuple):
-    """The input-independent part of the constant-direction solve for one basis.
+@functools.lru_cache(maxsize=None)
+def _residual_of_one(N: int, weight: int, prec: int) -> tuple[tuple, tuple, tuple]:
+    """(one_res, gamma, free_cols) for weight_basis(N, weight, prec).
 
     ``one_res``/``gamma`` are the residual and basis coefficients of the
-    series 1.  With phi = phi(L) and m = phi * len(free_cols), the rows
-    ``sub_rows`` / ``sub_scale`` are the reduced echelon form of the
-    subspace {alpha * r} of Q^m (pivots ``sub_pivots``), and
-    ``alpha_cols[j]`` / ``tag_scale`` gives coordinate j of alpha over
-    those rows.  ``z_rows`` are (pivot, row) pairs: the Euclidean echelon
-    of the projected lattice generators, scaled by ``gen_scale``, followed
-    by gen_scale times the row's integer tags over the generators.
-    ``lifted`` holds the lifted powers zeta_N^i, i < phi(N).  Every table
-    is integral.
-    """
-
-    level: int
-    one_res: tuple
-    gamma: tuple
-    free_cols: tuple
-    sub_pivots: tuple
-    sub_rows: tuple
-    sub_scale: int
-    alpha_cols: tuple
-    tag_scale: int
-    z_rows: tuple
-    gen_scale: int
-    lifted: tuple
-
-
-def _residual_of_one(basis):
-    """(residual, coefficients) of the series 1 eliminated against the basis."""
-    one = QSeries.one(basis.field_level, basis.prec)
-    return eliminate(list(one.coeffs), basis.pivots, [list(e.coeffs) for e in basis.elements])
-
-
-def _scaled(rows: list[list[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Integer rows and the common denominator d with rows = integer rows / d."""
-    d = math.lcm(*(x.denominator for row in rows for x in row))
-    return tuple([tuple([int(x * d) for x in row]) for row in rows]), d
-
-
-@functools.lru_cache(maxsize=None)
-def _constant_direction(N: int, weight: int, prec: int) -> _Lattice:
-    """Build the constant-direction tables of weight_basis(N, weight, prec).
-
-    Only the integer tables are kept; the Fraction eliminations that
-    produce them are dropped.  Scaling the projected generators by their
-    own denominator (rather than jointly with the input) scales the
-    Euclidean echelon and leaves its tags and quotients unchanged.
+    series 1 eliminated against the basis; ``free_cols`` are the
+    q-exponents off its pivots, the only places a residual can be nonzero.
     """
     basis = weight_basis(N, weight, prec)
-    L = basis.field_level
-    one_res, gamma = _residual_of_one(basis)
+    one = QSeries.one(basis.field_level, prec)
+    one_res, gamma = eliminate(
+        list(one.coeffs), basis.pivots, [list(e.coeffs) for e in basis.elements]
+    )
     pivots = set(basis.pivots)
-    free_cols = [c for c in range(prec) if c not in pivots]
-    phiL = euler_phi(L)
-    phiN = euler_phi(N)
-    k = len(free_cols)
-    m = k * phiL
-    # subspace: alpha = sum_j a_j zeta_L^j acting on r columnwise
-    r_cols = [one_res[c] for c in free_cols]
-    sub_rows = [
-        [x for rc in r_cols for x in (Cyclo.zeta(L, j) * rc).coords] for j in range(phiL)
-    ]
-    sub_pivots, sub_rref, sub_tags = rref_tracked(sub_rows)
-    # lattice: per column, the lifted power basis of Z[zeta_N] over Z[1/N]
-    lifted = [Cyclo.zeta(N, i).lift(L).num for i in range(phiN)]
-    gens_p = []
-    for c in range(k):
-        for i in range(phiN):
-            vec = [0] * m
-            vec[c * phiL : (c + 1) * phiL] = lifted[i]
-            gens_p.append(eliminate(vec, sub_pivots, sub_rref)[0])
-    gens_int, gen_scale = _scaled(gens_p)
-    ech, tags, z_pivots = _z_echelon_tracked(gens_int, m)
-    z_rows = tuple([
-        (col, tuple(row) + tuple([gen_scale * x for x in tag]))
-        for col, row, tag in zip(z_pivots, ech, tags)
-    ])
-    sub_int, sub_scale = _scaled(sub_rref)
-    tags_int, tag_scale = _scaled(sub_tags)
-    alpha_cols = tuple([tuple([row[j] for row in tags_int]) for j in range(phiL)])
-    return _Lattice(L, tuple(one_res), tuple(gamma), tuple(free_cols), tuple(sub_pivots),
-                    sub_int, sub_scale, alpha_cols, tag_scale, z_rows, gen_scale,
-                    tuple(lifted))
+    return tuple(one_res), tuple(gamma), tuple(c for c in range(prec) if c not in pivots)
 
 
-def _project(vec: list[int], lat: _Lattice) -> list[int]:
-    """sub_scale * (vec minus its component in the subspace), vec integral."""
-    out = [lat.sub_scale * x for x in vec]
-    for p, row in zip(lat.sub_pivots, lat.sub_rows):
-        c = vec[p]
-        if c:
-            out = [a - c * b for a, b in zip(out, row)]
-    return out
-
-
-def _solve_constant_direction(s_cols: list[Cyclo], lat: _Lattice, N: int) -> Cyclo | None:
+def _solve_constant_direction(
+    s_cols: list[Cyclo], r_cols: list[Cyclo], N: int, L: int
+) -> Cyclo | None:
     """Find alpha in Q(zeta_L) with s - alpha*r coefficientwise in Z[1/N, zeta_N].
 
-    Returns None when no such alpha exists.  This is an exact decision:
-    the conditions are linear over Q in the coordinates of alpha modulo
-    the free Z[1/N]-lattice spanned by the (lifted) powers of zeta_N, so
-    the question reduces to membership of a rational vector in (rational
-    subspace) + (Z[1/N]-lattice): project the input off the subspace,
-    back-substitute against a Euclidean Z-basis of the projected lattice
-    (every coefficient must have an N-smooth denominator and nothing may
-    remain), then read alpha off t - z for the lattice witness z.
+    Returns None when no such alpha exists.  This is an exact decision, and
+    the alpha returned depends only on the set of valid alphas.
 
-    Everything that depends only on the basis comes from the tables of
-    ``_constant_direction``; the input enters as one integer vector over
-    one denominator, and each step is fraction-free integer arithmetic
-    against those tables (Cohen 1993, section 2.4; Bareiss 1968).
+    r is rational, so the conditions act coordinatewise.  A column with
+    r_c = 0 needs s_c in Z[1/N, zeta_N].  On the others, with x_c = s_c/r_c,
+    r_c * (x_c - alpha) in Z[1/N, zeta_N] needs x_c - alpha in Q(zeta_N),
+    so every x_c - x_c0 must lie in Q(zeta_N), and then the valid alphas
+    are x_c0 - pi(x_c0) + theta, for pi the Q(zeta_N) part
+    (``cyclo._subfield_part``) and theta in Q(zeta_N) with
+    r_c * (pi(x_c) - theta) in Z[1/N, zeta_N] for every c: one congruence
+    system over Z[1/N] per power-basis coordinate, see ``_congruence_solution``.
     """
-    phiL = euler_phi(lat.level)
-    phiN = euler_phi(N)
-    m = phiL * len(s_cols)
-    den = math.lcm(*(v.den for v in s_cols))
-    t = [x * (den // v.den) for v in s_cols for x in v.num]
-    # tau = v[:m] / scale, the input projected off the subspace; v[m:]
-    # accumulates minus the lattice coefficients over the generators
-    v = _project(t, lat) + [0] * (len(s_cols) * phiN)
-    scale = lat.sub_scale * den
-    for col, row in lat.z_rows:
-        a, p = v[col], row[col]
-        if not a:
+    # the series 1 and the default candidate pool are Galois-stable, so the
+    # reduced echelon form of the basis is Galois-fixed and r is rational
+    # (Shimura 1971, Thm 3.52); the coordinatewise split below needs it
+    assert not any(x for r in r_cols for x in r.num[1:])
+    x_cols, r_vals = [], []
+    for s, r in zip(s_cols, r_cols):
+        if r:
+            r_vals.append(r.rational_part())
+            x_cols.append(s * (1 / r_vals[-1]))
             continue
-        g = math.gcd(a, p)
-        a, p = a // g, p // g
-        if p < 0:
-            a, p = -a, -p
-        # the coefficient gen_scale * a / (scale * p) needs an N-smooth denominator
-        c_den = scale * p // math.gcd(lat.gen_scale * a, scale * p)
-        if _split_denominator(c_den, N)[1] != 1:
+        down = descend(s, N)
+        if down is None or not in_NZ(down):
             return None
-        v = [p * x - a * y for x, y in zip(v, row)]
-        scale *= p
-    if any(v[:m]):
+    if not x_cols:
+        return Cyclo(L)
+    x0 = x_cols[0]
+    if any(descend(x - x0, N) is None for x in x_cols[1:]):
         return None
-    # target = t - z, for the lattice witness z, as integers over scale
-    f = scale // den
-    w = v[m:]
-    target = []
-    for c in range(len(s_cols)):
-        block = [f * x for x in t[c * phiL : (c + 1) * phiL]]
-        for wi, power in zip(w[c * phiN : (c + 1) * phiN], lat.lifted):
-            if wi:
-                block = [a + wi * b for a, b in zip(block, power)]
-        target.extend(block)
-    # t - z lies in the subspace; alpha is read off its pivot entries
-    assert not any(_project(target, lat))
-    coeffs = [target[p] for p in lat.sub_pivots]
-    num = tuple([sum(map(mul, coeffs, column)) for column in lat.alpha_cols])
-    return _reduced(lat.level, num, scale * lat.tag_scale)
+    parts = [_subfield_part(x, N) for x in x_cols]
+    theta = _congruence_solution(parts, r_vals, N)
+    if theta is None:
+        return None
+    return x0 - parts[0].lift(L) + theta.lift(L)
+
+
+def _congruence_solution(parts: list[Cyclo], r_vals: list[Fraction], N: int) -> Cyclo | None:
+    """The canonical theta with r_c * (parts[c] - theta) in Z[1/N, zeta_N] for all c.
+
+    Returns None when there is none.  Coordinate i asks for theta_i =
+    parts[c]_i modulo (v_c/u_c) Z[1/N], with u_c/v_c the prime-to-N part
+    of r_c.  For S = lcm(u_c * e_c), e_c the prime-to-N part of the
+    denominator of parts[c], T = S * theta_i must solve the integer system
+    T = S * parts[c]_i mod n_c, n_c = S * v_c / u_c, because n_c is prime
+    to N and so Z[1/N] / n_c Z[1/N] = Z / n_c.  The solutions are
+    beta + n Z[1/N], n = lcm(n_c), and theta_i = (beta mod n) / S is g * rho
+    for g = n / S, the generator of the solution coset g Z[1/N] with
+    numerator and denominator prime to N, and rho = (beta mod n) / n in
+    [0, 1) with denominator prime to N: the rule of ``reduce_mod_NZ``.
+    """
+    split = [
+        (_split_denominator(p.den, N),
+         _split_denominator(abs(r.numerator), N)[1],
+         _split_denominator(r.denominator, N)[1])
+        for p, r in zip(parts, r_vals)
+    ]
+    S = math.lcm(*(e * u for (_, e), u, _ in split))
+    n, beta = 1, [0] * euler_phi(N)
+    for p, ((dN, e), u, v) in zip(parts, split):
+        n_c = S // u * v
+        # S * p.num[i] / p.den = p.num[i] * unit modulo n_c
+        unit = S // e * pow(dN, -1, n_c)
+        h = math.gcd(n, n_c)
+        step = n * pow(n // h, -1, n_c // h)
+        for i, a in enumerate(p.num):
+            diff = a * unit - beta[i]
+            if diff % h:
+                return None
+            beta[i] += step * (diff // h)
+        n = n // h * n_c
+        beta = [b % n for b in beta]
+    return _reduced(N, tuple(beta), S)
 
 
 class UqClass:
@@ -254,6 +161,17 @@ class UqClass:
     modulo Z[1/N, zeta_N], or None when the residual does not even lie in
     Q(zeta_N) (such a coset is necessarily nonzero).  ``rep`` collects the
     coset representatives as a QSeries at level N.
+
+    ``modular_part["constant"]`` is the constant alpha of the recorded
+    decomposition.  On a trivial verdict the valid alphas form one coset
+    of a Z[1/N]-module, and alpha is its canonical element: the
+    Q(zeta_N)-complement part shared by every valid alpha, plus in each
+    coordinate of Q(zeta_N) the representative g * rho of the solution
+    coset g Z[1/N], rho in [0, 1) with denominator prime to N (the rule of
+    ``reduce_mod_NZ``).  It depends only on the set of valid alphas, so it
+    does not change when s moves by an N-integral series or by a modular
+    combination.  On a nontrivial verdict alpha cancels the earliest
+    nonzero coefficient of the residual of 1.
     """
 
     __slots__ = (
@@ -323,16 +241,15 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
     lifted = s.lift(L).truncate(prec)
     s_res, beta = eliminate(list(lifted.coeffs), b_pivots, b_rows)
 
+    one_res, gamma, free_cols = _residual_of_one(N, weight, prec)
     # the exact constant-direction decision is complete only over an
     # N-integral echelon basis (unit pivots); check that precondition
     integral_basis = basis.is_integral()
+    alpha = None
     if integral_basis:
-        lat = _constant_direction(N, weight, prec)
-        one_res, gamma = lat.one_res, lat.gamma
-        alpha = _solve_constant_direction([s_res[c] for c in lat.free_cols], lat, N)
-    else:
-        one_res, gamma = _residual_of_one(basis)
-        alpha = None
+        alpha = _solve_constant_direction(
+            [s_res[c] for c in free_cols], [one_res[c] for c in free_cols], N, L
+        )
     if alpha is None:
         # canonical fallback: cancel the earliest nonzero constant-residual
         # coefficient (the combined-echelon choice)
