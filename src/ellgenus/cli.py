@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .cyclo import Cyclo, in_NZ
 from .errors import BadChernData, BadSplitChernData, EllGenusError, \
@@ -53,6 +54,30 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _exact(value) -> Fraction:
+    """A JSON integer or a "num/den" string as an exact rational.
+
+    JSON floats and booleans are refused: a binary float is not the number
+    its author wrote, and a boolean is not a number.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{value!r} is not an exact number: use an integer or a 'num/den' string")
+    return Fraction(value)
+
+
+def _integer(value) -> int:
+    x = _exact(value)
+    if x.denominator != 1:
+        raise ValueError(f"{value!r} is not an integer")
+    return x.numerator
+
+
+def _coefficient(level: int, value) -> Cyclo:
+    if not isinstance(value, list):
+        raise ValueError(f"{value!r} is not a list of coordinates")
+    return Cyclo(level, [_exact(x) for x in value])
+
+
 def _parse_partition(key: str) -> tuple[int, ...]:
     if key == "":
         return ()
@@ -68,11 +93,11 @@ def _parse_partition(key: str) -> tuple[int, ...]:
 def _load_chern(path: str) -> ChernData:
     doc = _load_json(path)
     try:
-        dim = int(doc["dim"])
+        dim = _integer(doc["dim"])
         chern = {
-            _parse_partition(k): int(v) for k, v in dict(doc["chern"]).items()
+            _parse_partition(k): _integer(v) for k, v in dict(doc["chern"]).items()
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: malformed Chern data ({exc})") from exc
     try:
         return ChernData(dim, chern)
@@ -83,13 +108,13 @@ def _load_chern(path: str) -> ChernData:
 def _load_split(path: str) -> SplitChernData:
     doc = _load_json(path)
     try:
-        dim0 = int(doc["dim0"])
-        dim1 = int(doc["dim1"])
+        dim0 = _integer(doc["dim0"])
+        dim1 = _integer(doc["dim1"])
         chern = {}
         for key, value in dict(doc["chern"]).items():
             left, _, right = key.partition("|")
-            chern[(_parse_partition(left), _parse_partition(right))] = int(value)
-    except (KeyError, TypeError, ValueError) as exc:
+            chern[(_parse_partition(left), _parse_partition(right))] = _integer(value)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: malformed split Chern data ({exc})") from exc
     try:
         return SplitChernData(dim0, dim1, chern)
@@ -100,8 +125,8 @@ def _load_split(path: str) -> SplitChernData:
 def _load_qseries(path: str) -> QSeries:
     doc = _load_json(path)
     try:
-        level = int(doc["level"])
-        coeffs = [Cyclo.deserialize(level, c) for c in doc["coeffs"]]
+        level = _integer(doc["level"])
+        coeffs = [_coefficient(level, c) for c in doc["coeffs"]]
         return QSeries(level, len(coeffs), coeffs)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: malformed q-series ({exc})") from exc
@@ -110,10 +135,8 @@ def _load_qseries(path: str) -> QSeries:
 def _load_pqseries(path: str) -> PQSeries:
     doc = _load_json(path)
     try:
-        level = int(doc["level"])
-        rows = [
-            [Cyclo.deserialize(level, c) for c in row] for row in doc["rows"]
-        ]
+        level = _integer(doc["level"])
+        rows = [[_coefficient(level, c) for c in row] for row in doc["rows"]]
         if any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("rows differ in length")
         return PQSeries(level, len(rows), len(rows[0]), rows)

@@ -47,7 +47,13 @@ class UnsupportedLevel(EllGenusError):
 
 
 class SpanFailure(EllGenusError):
-    """The candidate pool does not span the full space of modular forms."""
+    """The candidate pool does not span the full space of modular forms.
+
+    Raised when the candidates span a smaller rank than the dimension, and
+    when they reach full rank but their reduced echelon form is not
+    rational: the echelon form of M_k(Gamma_1(N)) is Galois-fixed, so such
+    a span is not M_k.
+    """
 
     def __init__(self, rank, dimension, message=None):
         self.rank = rank

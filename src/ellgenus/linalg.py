@@ -1,13 +1,14 @@
 """Exact Gaussian elimination over Q(zeta_L), Q, or any exact field.
 
 This is the package's one field-elimination routine: modular-form bases
-and descent to subfields reduce through ``rref``, and reductions
-eliminate against a basis with ``eliminate``.  The constant-direction
-solve works on the residual coordinate by coordinate and runs no
-elimination of its own.  Rows are lists of field elements supporting
-+, -, *, truthiness, and division via 1/x.  Matrices are small (a
-handful of modular forms by a few dozen q-coefficients), so plain
-elimination on exact entries is fine.
+and descent to subfields reduce through ``rref``.  A finished basis is
+rational, so reductions eliminate against it in integers
+(``ModFormBasis.eliminate``), and the constant-direction solve works on
+the residual coordinate by coordinate; neither runs a field
+elimination.  Rows are lists of field elements supporting +, -, *,
+truthiness, and division via 1/x.  Matrices are small (a handful of
+modular forms by a few dozen q-coefficients), so plain elimination on
+exact entries is fine.
 """
 
 from __future__ import annotations
@@ -65,19 +66,3 @@ def rref_tracked(rows: list[list]) -> tuple[list[int], list[list], list[list]]:
     ]
     pivots, reduced = rref(augmented, width)
     return pivots, [r[:width] for r in reduced], [r[width:] for r in reduced]
-
-
-def eliminate(vec: list, pivots: list[int], rows: list[list]) -> tuple[list, list]:
-    """Subtract the unique pivot combination of echelon rows from vec.
-
-    Returns (residual, coefficients); residual is zero at every pivot
-    column, and vec = residual + sum coefficients[i] * rows[i].
-    """
-    vec = list(vec)
-    coeffs = []
-    for col, row in zip(pivots, rows):
-        c = vec[col]
-        coeffs.append(c)
-        if c:
-            vec = [a - c * b for a, b in zip(vec, row)]
-    return vec, coeffs

@@ -23,8 +23,9 @@ import math
 import threading
 from fractions import Fraction
 from math import comb, gcd
+from operator import mul
 
-from .cyclo import Cyclo, descend, euler_phi, in_NZ
+from .cyclo import Cyclo, _reduced, _split_denominator, euler_phi
 from .errors import (
     BadLevelDivisibility,
     IncompatibleParity,
@@ -33,7 +34,7 @@ from .errors import (
     SpanFailure,
     UnsupportedLevel,
 )
-from .linalg import eliminate, rref
+from .linalg import rref
 from .series import QSeries
 
 
@@ -359,17 +360,22 @@ def sturm_bound(N: int, k: int) -> int:
 class ModFormBasis:
     """Certified echelonized q-expansion basis of M_k(Gamma_1(N)).
 
-    Elements are QSeries over the ambient field Q(zeta_L), in reduced row
-    echelon form with pivots at the earliest q-exponents.  ``is_integral``
-    and ``digest`` are computed at their first call and then kept.
+    The basis is in reduced row echelon form with pivots at the earliest
+    q-exponents, and its entries are rational: ``rows[j][c] / den`` is the
+    q^c coefficient of the j-th element, one integer matrix over one
+    common denominator.  ``elements`` gives the same basis as QSeries over
+    the ambient field Q(zeta_L).  ``eliminate`` reduces a series against
+    the basis in integer arithmetic.  ``is_integral`` and ``digest`` are
+    computed at their first call and then kept.
     """
 
     __slots__ = (
         "level", "weight", "prec", "field_level", "elements", "pivots", "certificate",
-        "_integral", "_digest",
+        "rows", "den", "_free", "_integral", "_digest",
     )
 
-    def __init__(self, level, weight, prec, field_level, elements, pivots, certificate):
+    def __init__(self, level, weight, prec, field_level, elements, pivots, certificate,
+                 rows, den):
         self.level = level
         self.weight = weight
         self.prec = prec
@@ -377,17 +383,55 @@ class ModFormBasis:
         self.elements = list(elements)
         self.pivots = list(pivots)
         self.certificate = dict(certificate)
+        self.rows = rows
+        self.den = den
+        # (c, column c of rows) for every q-exponent c off the pivots
+        self._free = [
+            (c, tuple(row[c] for row in rows)) for c in range(prec) if c not in self.pivots
+        ]
         self._integral = None
         self._digest = None
 
+    def eliminate(self, coeffs) -> tuple[list[Cyclo], list[Cyclo]]:
+        """Subtract the unique basis combination from the coefficients s_c.
+
+        coeffs are the prec coefficients of a series over Q(zeta_L).  Returns
+        (residual, coefficients) with residual zero at every pivot and
+        coeffs = residual + sum coefficients[j] * elements[j].  The basis is
+        in reduced echelon form, so coefficients[j] is s at the j-th pivot
+        p_j.  At a free column c, with R = rows, D = den and E the common
+        denominator of the input, each power-basis coordinate of residual[c]
+        is (D * s_c - sum_j R[j][c] * s_{p_j}) / (D * E), with every s scaled
+        by E to integers.
+        """
+        coeffs = list(coeffs)
+        L, D = self.field_level, self.den
+        E = math.lcm(*(x.den for x in coeffs))
+        at_pivots = [coeffs[p] for p in self.pivots]
+        scaled = [[a * (E // x.den) for a in x.num] for x in at_pivots]
+        by_coord = [tuple(row[i] for row in scaled) for i in range(euler_phi(L))]
+        zero = Cyclo(L)
+        residual = [zero] * len(coeffs)
+        for c, column in self._free:
+            x = coeffs[c]
+            scale = D * (E // x.den)
+            num = tuple([
+                a * scale - sum(map(mul, column, pivot_values))
+                for a, pivot_values in zip(x.num, by_coord)
+            ])
+            residual[c] = _reduced(L, num, D * E)
+        return residual, at_pivots
+
     def is_integral(self) -> bool:
-        """True iff every coefficient lies in Z[1/N, zeta_N], N the level."""
+        """True iff every coefficient lies in Z[1/N, zeta_N], N the level.
+
+        The entries are rational, so this asks for Z[1/N]: x / D lies there
+        iff D / gcd(x, D) is N-smooth, and the lcm of those denominators is
+        D / gcd(D, every x).
+        """
         if self._integral is None:
-            self._integral = all(
-                (down := descend(value, self.level)) is not None and in_NZ(down)
-                for e in self.elements
-                for value in e.coeffs
-            )
+            common = math.gcd(self.den, *(x for row in self.rows for x in row))
+            self._integral = _split_denominator(self.den // common, self.level)[1] == 1
         return self._integral
 
     def digest(self) -> str:
@@ -475,16 +519,28 @@ def _build_basis(N: int, k: int, prec: int, candidates) -> ModFormBasis:
                 for f in b1.elements:
                     for g in b2.elements:
                         candidates.append(f * g)
-    rows = [list(c.coeffs) for c in candidates]
-    pivots, reduced = rref(rows)
+    pivots, reduced = rref([list(c.coeffs) for c in candidates])
     rank = len(reduced)
     if rank < dim:
         raise SpanFailure(rank, dim)
     if rank > dim:
         raise RankExceedsDimension(rank, dim)
+    # the echelon form of M_k tensor Q(zeta_L) is Galois-fixed, hence
+    # rational (Shimura 1971, Thm 3.52): an irrational entry proves that
+    # the candidates, though of full rank, do not span M_k
+    if any(x for row in reduced for value in row for x in value.num[1:]):
+        raise SpanFailure(
+            rank, dim,
+            f"the reduced echelon form of the candidates is not rational, so "
+            f"they do not span M_{k}(Gamma_1({N}))",
+        )
+    den = math.lcm(*(value.den for row in reduced for value in row))
+    rows = tuple(
+        tuple(value.num[0] * (den // value.den) for value in row) for row in reduced
+    )
     elements = [QSeries(L, prec, r) for r in reduced]
     certificate = {"dimension": dim, "rank": rank, "sturm": sb}
-    return ModFormBasis(N, k, prec, L, elements, pivots, certificate)
+    return ModFormBasis(N, k, prec, L, elements, pivots, certificate, rows, den)
 
 
 def is_in_span(s: QSeries, basis: ModFormBasis) -> tuple[bool, list[Cyclo]]:
@@ -498,7 +554,5 @@ def is_in_span(s: QSeries, basis: ModFormBasis) -> tuple[bool, list[Cyclo]]:
             f"series precision {s.prec} < basis precision {basis.prec}"
         )
     s = s.lift(basis.field_level).truncate(basis.prec)
-    residual, coeffs = eliminate(
-        list(s.coeffs), basis.pivots, [list(e.coeffs) for e in basis.elements]
-    )
+    residual, coeffs = basis.eliminate(s.coeffs)
     return (not any(residual)), coeffs

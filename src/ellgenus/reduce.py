@@ -9,13 +9,16 @@ and for series in (p, q) the two-variable analogue with modular spans
 removed from the p^0 row (in q) and the q^0 column (in p) and every
 mixed coefficient reduced modulo Z[1/N, zeta_N].
 
-The reduction is exact: the modular span is eliminated by reduced row
-echelon linear algebra over the ambient cyclotomic field Q(zeta_L) with
-pivots at the earliest q-exponents (for inputs with cyclotomic
-coefficients, membership in the complex span coincides with membership
-in the cyclotomic span); the constant summand joins the elimination
-matrix; what remains is mapped coordinatewise through the canonical
-coset representative modulo Z[1/N, zeta_N].
+The reduction is exact: the modular span is eliminated against the
+reduced row echelon basis with pivots at the earliest q-exponents (for
+inputs with cyclotomic coefficients, membership in the complex span
+coincides with membership in the cyclotomic span).  That basis is
+rational, one integer matrix over one denominator, so the elimination
+runs in integers on each power-basis coordinate of the input over the
+ambient field Q(zeta_L) (``ModFormBasis.eliminate``).  The constant
+summand is then decided against the residual of the series 1; what
+remains is mapped coordinatewise through the canonical coset
+representative modulo Z[1/N, zeta_N].
 
 A trivial verdict is a sound certificate of class triviality at the
 stated precision: it always comes with an explicit decomposition into a
@@ -27,7 +30,7 @@ modular basis itself is N-integral with unit pivots -- true for all
 supported levels.  Nontrivial verdicts report the canonical echelon
 residual.
 
-The residual r of the series 1 is rational, so that decision splits
+The residual r of the series 1 is rational too, so that decision splits
 into one congruence system over Z[1/N] per coordinate of Q(zeta_N),
 solved by an integer CRT, and the constant it records depends only on
 the class of the input.  r, the basis coefficients of 1 and the free
@@ -52,7 +55,6 @@ from .cyclo import (
     reduce_mod_NZ,
 )
 from .errors import LevelMismatch, PrecisionInsufficient
-from .linalg import eliminate
 from .modforms import sturm_bound, weight_basis
 from .series import PQSeries, QSeries, project_q0  # noqa: F401  (re-exported)
 
@@ -62,20 +64,23 @@ def _residual_of_one(N: int, weight: int, prec: int) -> tuple[tuple, tuple, tupl
     """(one_res, gamma, free_cols) for weight_basis(N, weight, prec).
 
     ``one_res``/``gamma`` are the residual and basis coefficients of the
-    series 1 eliminated against the basis; ``free_cols`` are the
-    q-exponents off its pivots, the only places a residual can be nonzero.
+    series 1 eliminated against the basis, as Fractions; ``free_cols`` are
+    the q-exponents off its pivots, the only places a residual can be nonzero.
     """
     basis = weight_basis(N, weight, prec)
-    one = QSeries.one(basis.field_level, prec)
-    one_res, gamma = eliminate(
-        list(one.coeffs), basis.pivots, [list(e.coeffs) for e in basis.elements]
-    )
+    one_res, gamma = basis.eliminate(QSeries.one(basis.field_level, prec).coeffs)
+    # the series 1 and the basis are rational, so both results are
+    assert not any(x for value in one_res + gamma for x in value.num[1:])
     pivots = set(basis.pivots)
-    return tuple(one_res), tuple(gamma), tuple(c for c in range(prec) if c not in pivots)
+    return (
+        tuple(value.rational_part() for value in one_res),
+        tuple(value.rational_part() for value in gamma),
+        tuple(c for c in range(prec) if c not in pivots),
+    )
 
 
 def _solve_constant_direction(
-    s_cols: list[Cyclo], r_cols: list[Cyclo], N: int, L: int
+    s_cols: list[Cyclo], r_cols: list[Fraction], N: int, L: int
 ) -> Cyclo | None:
     """Find alpha in Q(zeta_L) with s - alpha*r coefficientwise in Z[1/N, zeta_N].
 
@@ -91,15 +96,15 @@ def _solve_constant_direction(
     r_c * (pi(x_c) - theta) in Z[1/N, zeta_N] for every c: one congruence
     system over Z[1/N] per power-basis coordinate, see ``_congruence_solution``.
     """
-    # the series 1 and the default candidate pool are Galois-stable, so the
-    # reduced echelon form of the basis is Galois-fixed and r is rational
-    # (Shimura 1971, Thm 3.52); the coordinatewise split below needs it
-    assert not any(x for r in r_cols for x in r.num[1:])
+    # the reduced echelon form of the basis is Galois-fixed, so r is rational
+    # (Shimura 1971, Thm 3.52; ``_build_basis`` certifies it); the
+    # coordinatewise split below needs it
+    assert all(isinstance(r, Fraction) for r in r_cols)
     x_cols, r_vals = [], []
     for s, r in zip(s_cols, r_cols):
         if r:
-            r_vals.append(r.rational_part())
-            x_cols.append(s * (1 / r_vals[-1]))
+            r_vals.append(r)
+            x_cols.append(s * (1 / r))
             continue
         down = descend(s, N)
         if down is None or not in_NZ(down):
@@ -236,10 +241,7 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
         raise PrecisionInsufficient(f"prec {prec} < sturm bound {sb}")
     basis = weight_basis(N, weight, prec)
     L = basis.field_level
-    b_rows = [list(e.coeffs) for e in basis.elements]
-    b_pivots = list(basis.pivots)
-    lifted = s.lift(L).truncate(prec)
-    s_res, beta = eliminate(list(lifted.coeffs), b_pivots, b_rows)
+    s_res, beta = basis.eliminate([c.lift(L) for c in s.coeffs[:prec]])
 
     one_res, gamma, free_cols = _residual_of_one(N, weight, prec)
     # the exact constant-direction decision is complete only over an
@@ -254,7 +256,7 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
         # canonical fallback: cancel the earliest nonzero constant-residual
         # coefficient (the combined-echelon choice)
         c_star = next((c for c in range(prec) if one_res[c]), None)
-        alpha_used = s_res[c_star] * one_res[c_star].inv() if c_star is not None \
+        alpha_used = s_res[c_star] * (1 / one_res[c_star]) if c_star is not None \
             else Cyclo(L)
     else:
         c_star = None
@@ -279,7 +281,7 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
     rep = QSeries(N, prec, reps)
     coeffs = [b - alpha_used * g for b, g in zip(beta, gamma)]
     modular_part = {
-        "pivot_columns": b_pivots,
+        "pivot_columns": list(basis.pivots),
         "coefficients": coeffs,
         "constant": alpha_used,
         "sturm": sb,

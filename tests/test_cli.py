@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, report content."""
 
 import functools
+import hashlib
 import json
 
 import pytest
@@ -192,3 +193,80 @@ def test_reduce_w_rejects_ragged_rows_exits_3(tmp_path, capsys):
     code = cli.main(["--level", "5", "--degree", "4", "reduce-w", str(path)])
     assert code == 3
     assert "trivial" not in capsys.readouterr().out
+
+
+# sha256 of the --machine reports on the fixtures above, recorded with the
+# field elimination that the integer kernel replaced: they must not change
+GOLDEN = {
+    "genus": ("2a44f1cf5c35877d237114e73a5148e8ff5d167f562901a4e45a80b829810baa",
+              ["--level", "5", "--prec-q", "6"]),
+    "reduce-u": ("b45d814eb356398510a9852f4b8960d8c24edb08e2d840f459f102952fc1ffa9",
+                 ["--level", "5", "--degree", "6"]),
+    "reduce-w": ("f80ddab94340368842fed41cfaaae805b9ea5e5a6ccedc19a1dd7afd5dff7f0a",
+                 ["--level", "5", "--degree", "4"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_machine_reports_match_the_recorded_digests(command, cp2_file, series_file,
+                                                    rect_file, capsys):
+    digest, options = GOLDEN[command]
+    path = {"genus": cp2_file, "reduce-u": series_file, "reduce-w": rect_file}[command]
+    assert cli.main(options + ["--machine", command, path]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _q_file(tmp_path, value):
+    # q^0 .. q^6 at level 5 (the Sturm floor for degree 6), value at q^5
+    coeffs = [["0/1"] * 4 for _ in range(7)]
+    coeffs[5] = [value, "0/1", "0/1", "0/1"]
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"level": 5, "coeffs": coeffs}))
+    return str(path)
+
+
+def test_reduce_u_rejects_a_float_coefficient_exits_3(tmp_path, capsys):
+    argv = ["--level", "5", "--degree", "6", "reduce-u"]
+    assert cli.main(argv + [_q_file(tmp_path, "1/5")]) == 0
+    assert "trivial: True" in capsys.readouterr().out
+    # the float 0.2 is not 1/5, so it must not be read as some nearby rational
+    assert cli.main(argv + [_q_file(tmp_path, 0.2)]) == 3
+    assert "not an exact number" in capsys.readouterr().err
+
+
+def test_reduce_w_rejects_a_boolean_coefficient_exits_3(tmp_path, capsys):
+    zero = ["0/1"] * 4
+    rows = [[zero] * 3 for _ in range(3)]
+    rows[1][1] = [True, "0/1", "0/1", "0/1"]
+    path = tmp_path / "rect.json"
+    path.write_text(json.dumps({"level": 5, "rows": rows}))
+    assert cli.main(["--level", "5", "--degree", "4", "reduce-w", str(path)]) == 3
+    assert "not an exact number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"dim": 2, "chern": {"1,1": 9.7, "2": 3}},
+    {"dim": 2, "chern": {"1,1": "97/10", "2": 3}},
+    {"dim": 2.0, "chern": {"1,1": 9, "2": 3}},
+    {"dim": True, "chern": {"1,1": 9, "2": 3}},
+], ids=["float", "fraction", "float-dim", "bool-dim"])
+def test_genus_rejects_inexact_or_non_integral_chern_data_exits_3(doc, tmp_path, capsys):
+    path = tmp_path / "chern.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--level", "5", "genus", str(path)]) == 3
+    assert "modular" not in capsys.readouterr().out
+
+
+def test_genus_reads_an_integral_num_den_chern_number(cp2_file, tmp_path, capsys):
+    path = tmp_path / "cp2-fraction.json"
+    path.write_text(json.dumps({"dim": 2, "chern": {"1,1": "18/2", "2": "3"}}))
+    assert cli.main(["--machine", "genus", str(path)]) == 0
+    fraction = capsys.readouterr().out
+    assert cli.main(["--machine", "genus", cp2_file]) == 0
+    assert capsys.readouterr().out == fraction
+
+
+def test_frep_rejects_a_float_chern_number_exits_3(tmp_path, capsys):
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps({"dim0": 1, "dim1": 2, "chern": {"1|2": 6.5, "1|1,1": 18}}))
+    assert cli.main(["f-rep", str(path)]) == 3

@@ -5,8 +5,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ellgenus.cyclo import Cyclo, descend, in_NZ
+from ellgenus.cyclo import Cyclo, descend, euler_phi, in_NZ
 from ellgenus.errors import (
     BadLevelDivisibility,
     PrecisionInsufficient,
@@ -29,6 +31,7 @@ from ellgenus.modforms import (
     weight_basis,
 )
 from ellgenus.series import QSeries
+from oracles import eliminate
 
 
 def test_bernoulli_numbers():
@@ -213,3 +216,92 @@ def test_basis_serialization_shape():
     assert doc["level"] == 4 and doc["weight"] == 2
     assert doc["sturm"] == sturm_bound(4, 2)
     assert len(doc["elements"]) == doc["certificate"]["rank"]
+
+
+def test_a_full_rank_pool_with_an_irrational_echelon_is_not_Mk():
+    basis = weight_basis(5, 2, 8)
+    L = basis.field_level
+    pool = list(basis.elements)
+    # rank and dimension still agree, but the span is no longer Galois-stable
+    pool[1] = pool[1] + QSeries(L, 8, [0] * 7 + [Cyclo.zeta(L)])
+    assert weight_basis(5, 2, 8, candidates=basis.elements).rows == basis.rows
+    with pytest.raises(SpanFailure) as info:
+        weight_basis(5, 2, 8, candidates=pool)
+    assert (info.value.rank, info.value.dimension) == (3, 3)
+    assert "not rational" in str(info.value)
+
+
+def test_integer_rows_reproduce_the_elements():
+    for N, k, prec in ((5, 3, 7), (9, 2, 13), (12, 2, 17)):
+        basis = weight_basis(N, k, prec)
+        L = basis.field_level
+        assert [list(e.coeffs) for e in basis.elements] == [
+            [Cyclo.from_rational(L, Fraction(x, basis.den)) for x in row]
+            for row in basis.rows
+        ]
+
+
+def _basis_with_denominators(at_q6=Fraction(-5, 3), at_q7=Fraction(2, 7)):
+    """A rational basis whose integer rows need a common denominator (21 by default).
+
+    Every default basis at the supported levels has integer entries (D = 1),
+    so this one perturbs the (5, 2, 8) basis by rational multiples of q^6 and
+    q^7; the pool is not M_2, but its echelon form is rational of full rank.
+    """
+    basis = weight_basis(5, 2, 8)
+    L = basis.field_level
+    pool = list(basis.elements)
+    pool[0] = pool[0] + QSeries(L, 8, [0] * 7 + [at_q7])
+    pool[2] = pool[2] + QSeries(L, 8, [0] * 6 + [at_q6])
+    return weight_basis(5, 2, 8, candidates=pool)
+
+
+# (N, weight, prec): the ambient field is Q(zeta_20), Q(zeta_42), Q(zeta_18)
+# and, at N = 12, Q(zeta_N) itself; "denominators" is the D = 21 basis
+ELIMINATION_BASES = {
+    "5-3-7": lambda: weight_basis(5, 3, 7),
+    "7-3-13": lambda: weight_basis(7, 3, 13),
+    "9-2-13": lambda: weight_basis(9, 2, 13),
+    "12-2-17": lambda: weight_basis(12, 2, 17),
+    "denominators": _basis_with_denominators,
+}
+numerators = st.one_of(
+    st.just(0), st.integers(-9, 9), st.integers(-10**30, 10**30)
+)
+denominators = st.one_of(st.integers(1, 30), st.integers(1, 10**20))
+
+
+@st.composite
+def cyclo_vectors(draw, N, L, prec):
+    """prec values at level L, each zero, drawn at level L or drawn at level N and lifted."""
+    out = []
+    for _ in range(prec):
+        kind = draw(st.sampled_from(["zero", "L", "N"]))
+        if kind == "zero":
+            out.append(Cyclo(L))
+            continue
+        level = L if kind == "L" else N
+        coords = draw(st.lists(
+            st.builds(Fraction, numerators, denominators),
+            min_size=euler_phi(level), max_size=euler_phi(level),
+        ))
+        out.append(Cyclo(level, coords).lift(L))
+    return out
+
+
+def test_integrality_reads_the_common_denominator():
+    assert weight_basis(5, 2, 8).den == 1 and weight_basis(5, 2, 8).is_integral()
+    basis = _basis_with_denominators()
+    assert basis.den == 21 and not basis.is_integral()
+    basis = _basis_with_denominators(Fraction(1, 25), Fraction(-3, 5))
+    assert basis.den == 25 and basis.is_integral()
+
+
+@pytest.mark.parametrize("key", sorted(ELIMINATION_BASES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_integer_elimination_matches_the_field_oracle(key, data):
+    basis = ELIMINATION_BASES[key]()
+    vec = data.draw(cyclo_vectors(basis.level, basis.field_level, basis.prec))
+    want = eliminate(vec, basis.pivots, [list(e.coeffs) for e in basis.elements])
+    assert basis.eliminate(vec) == want
