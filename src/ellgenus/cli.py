@@ -25,9 +25,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .cyclo import Cyclo, in_NZ
+from .cyclo import Cyclo, _exact, in_NZ
 from .errors import BadChernData, BadSplitChernData, EllGenusError, \
     PrecisionInsufficient, SpanFailure, UnsupportedLevel
 from .genus import ChernData, SplitChernData, genus, genus_bivariate
@@ -54,17 +53,6 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _exact(value) -> Fraction:
-    """A JSON integer or a "num/den" string as an exact rational.
-
-    JSON floats and booleans are refused: a binary float is not the number
-    its author wrote, and a boolean is not a number.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"{value!r} is not an exact number: use an integer or a 'num/den' string")
-    return Fraction(value)
-
-
 def _integer(value) -> int:
     x = _exact(value)
     if x.denominator != 1:
@@ -75,7 +63,7 @@ def _integer(value) -> int:
 def _coefficient(level: int, value) -> Cyclo:
     if not isinstance(value, list):
         raise ValueError(f"{value!r} is not a list of coordinates")
-    return Cyclo(level, [_exact(x) for x in value])
+    return Cyclo.deserialize(level, value)
 
 
 def _parse_partition(key: str) -> tuple[int, ...]:

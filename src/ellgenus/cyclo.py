@@ -93,6 +93,17 @@ def _power_table(N: int) -> list[tuple[int, ...]]:
     return rows
 
 
+def _exact(value) -> Fraction:
+    """A JSON integer or a "num/den" string as an exact rational.
+
+    JSON floats and booleans are refused with ValueError: a binary float
+    is not the number its author wrote, and a boolean is not a number.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{value!r} is not an exact number: use an integer or a 'num/den' string")
+    return Fraction(value)
+
+
 _new_object = object.__new__
 
 
@@ -313,7 +324,8 @@ class Cyclo:
 
     @classmethod
     def deserialize(cls, level: int, data: list[str]) -> "Cyclo":
-        return cls(level, [Fraction(s) for s in data])
+        """The element with these coordinates, each read by ``_exact``."""
+        return cls(level, [_exact(s) for s in data])
 
     def __repr__(self):
         terms = []

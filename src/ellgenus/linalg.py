@@ -1,11 +1,12 @@
 """Exact Gaussian elimination over Q(zeta_L), Q, or any exact field.
 
-This is the package's one field-elimination routine: modular-form bases
-and descent to subfields reduce through ``rref``.  A finished basis is
-rational, so reductions eliminate against it in integers
-(``ModFormBasis.eliminate``), and the constant-direction solve works on
-the residual coordinate by coordinate; neither runs a field
-elimination.  Rows are lists of field elements supporting +, -, *,
+This is the package's one field-elimination routine: explicit candidate
+pools for a modular-form basis and descent to subfields reduce through
+``rref``.  The default basis pool is reduced over Q in integers
+instead.  A finished basis is rational, so reductions eliminate against
+it in integers (``ModFormBasis.eliminate``), and the constant-direction
+solve works on the residual coordinate by coordinate; none of these runs
+a field elimination.  Rows are lists of field elements supporting +, -, *,
 truthiness, and division via 1/x.  Matrices are small (a handful of
 modular forms by a few dozen q-coefficients), so plain elimination on
 exact entries is fine.

@@ -16,6 +16,7 @@ torsion-free groups Gamma_1(N), N >= 4.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import json
@@ -25,7 +26,7 @@ from fractions import Fraction
 from math import comb, gcd
 from operator import mul
 
-from .cyclo import Cyclo, _reduced, _split_denominator, euler_phi
+from .cyclo import Cyclo, _power_table, _reduced, _split_denominator, euler_phi
 from .errors import (
     BadLevelDivisibility,
     IncompatibleParity,
@@ -271,8 +272,12 @@ def eisenstein(
     if k == 2 and both_trivial:
         if t == 1:
             raise BadLevelDivisibility("E_2 itself is not modular; need t > 1")
-        e2 = _weight2_level1(L, prec)
-        return e2 - e2.shift(t) * t
+        # E_2(q) - t E_2(q^t), with E_2 = -1/24 + sum sigma_1(n) q^n
+        sigma = _sigma1(prec)
+        coeffs = [Fraction(t - 1, 24)] + [
+            sigma[n] - (t * sigma[n // t] if n % t == 0 else 0) for n in range(1, prec)
+        ]
+        return QSeries(L, prec, coeffs)
 
     coeffs = [Cyclo.from_rational(L, 0)]
     if k >= 2:
@@ -283,23 +288,58 @@ def eisenstein(
             coeffs[0] = -gen_bernoulli(phi_char, 1) * Fraction(1, 2)
         elif phi_char.modulus == 1:
             coeffs[0] = -gen_bernoulli(psi, 1) * Fraction(1, 2)
-    for n in range(1, prec):
-        acc = Cyclo.from_rational(L, 0)
-        for d in range(1, n + 1):
-            if n % d == 0:
-                acc = acc + psi.value(n // d) * phi_char.value(d) * d ** (k - 1)
-        coeffs.append(acc)
+    coeffs.extend(_twisted_divisor_sums(psi, phi_char, k, prec))
     return QSeries(L, prec, coeffs).shift(t) if t > 1 else QSeries(L, prec, coeffs)
 
 
-def _weight2_level1(L: int, prec: int) -> QSeries:
-    """E_2 = -1/24 + sum sigma_1(n) q^n (quasi-modular; used via t-twists)."""
-    coeffs = [Cyclo.from_rational(L, Fraction(-1, 24))]
-    for n in range(1, prec):
-        coeffs.append(
-            Cyclo.from_rational(L, sum(d for d in range(1, n + 1) if n % d == 0))
-        )
-    return QSeries(L, prec, coeffs)
+def _exponents(chi: DirichletCharacter, n: int) -> list[int | None]:
+    """chi(a) = zeta_L^e as the exponent e for a = 0 .. n-1; None where chi(a) = 0."""
+    M = chi.modulus
+    return [chi.exponents[a % M] if gcd(a, M) == 1 else None for a in range(n)]
+
+
+def _twisted_divisor_sums(
+    psi: DirichletCharacter, phi_char: DirichletCharacter, k: int, prec: int
+) -> list[Cyclo]:
+    """sum_{d | n} psi(n/d) phi(d) d^(k-1) for n = 1 .. prec-1.
+
+    A sieve over the pairs (d, m) with n = d * m < prec.  Every term is
+    the integer d^(k-1) times zeta_L^e, e the sum of the exponents of
+    phi(d) and psi(m), so each n collects integer weights per exponent
+    and folds them through the power table once.
+    """
+    L = psi.field_level
+    psi_e, phi_e = _exponents(psi, prec), _exponents(phi_char, prec)
+    buckets: list[dict[int, int]] = [{} for _ in range(prec)]
+    for d in range(1, prec):
+        ed = phi_e[d]
+        if ed is None:
+            continue
+        w = d ** (k - 1)
+        for m in range(1, (prec - 1) // d + 1):
+            em = psi_e[m]
+            if em is not None:
+                bucket = buckets[d * m]
+                e = (ed + em) % L
+                bucket[e] = bucket.get(e, 0) + w
+    table = _power_table(L)
+    zero = [0] * euler_phi(L)
+    out = []
+    for bucket in buckets[1:]:
+        num = zero
+        for e, w in bucket.items():
+            num = [x + w * t for x, t in zip(num, table[e])]
+        out.append(_reduced(L, tuple(num), 1))
+    return out
+
+
+def _sigma1(prec: int) -> list[int]:
+    """sigma_1(n) = sum_{d | n} d for n < prec (0 at n = 0), by a divisor sieve."""
+    sigma = [0] * prec
+    for d in range(1, prec):
+        for n in range(d, prec, d):
+            sigma[n] += d
+    return sigma
 
 
 def _gamma1_index(N: int) -> int:
@@ -363,8 +403,10 @@ class ModFormBasis:
     The basis is in reduced row echelon form with pivots at the earliest
     q-exponents, and its entries are rational: ``rows[j][c] / den`` is the
     q^c coefficient of the j-th element, one integer matrix over one
-    common denominator.  ``elements`` gives the same basis as QSeries over
-    the ambient field Q(zeta_L).  ``eliminate`` reduces a series against
+    common denominator with gcd(den, every entry) = 1.  For the default
+    pool this matrix is what the integer echelon computes; ``elements``
+    gives the same basis as QSeries over the ambient field Q(zeta_L),
+    built from it.  ``eliminate`` reduces a series against
     the basis in integer arithmetic.  ``is_integral`` and ``digest`` are
     computed at their first call and then kept.
     """
@@ -490,8 +532,10 @@ def weight_basis(N: int, k: int, prec: int, candidates=None) -> ModFormBasis:
     """Certified basis of M_k(Gamma_1(N)) to q-precision prec.
 
     Candidates default to all admissible Eisenstein series plus products
-    of lower-weight basis elements; passing an explicit candidate list
-    overrides the pool (rank is still certified against the dimension).
+    of lower-weight basis elements, and that pool is reduced over Q in
+    integers; passing an explicit candidate list overrides the pool,
+    which is reduced over Q(zeta_L) (rank is still certified against the
+    dimension, and a non-rational echelon form is refused).
     """
     sb = sturm_bound(N, k)
     if prec < sb:
@@ -502,35 +546,88 @@ def weight_basis(N: int, k: int, prec: int, candidates=None) -> ModFormBasis:
         return _weight_basis_cached(N, k, prec)
 
 
-def _build_basis(N: int, k: int, prec: int, candidates) -> ModFormBasis:
-    L = ambient_field_level(N)
-    sb = sturm_bound(N, k)
-    dim = dim_Mk(N, k)
-    if candidates is None:
-        candidates = []
-        if k == 0:
-            candidates.append(QSeries.one(L, prec))
-        else:
-            candidates.extend(eisenstein_candidates(N, k, prec))
-            for k1 in range(1, k // 2 + 1):
-                k2 = k - k1
-                b1 = _weight_basis_cached(N, k1, prec)
-                b2 = _weight_basis_cached(N, k2, prec)
-                for f in b1.elements:
-                    for g in b2.elements:
-                        candidates.append(f * g)
+def _default_rows(N: int, k: int, prec: int) -> list[list[int]]:
+    """The default candidate pool of weight k as integer rows over Q.
+
+    Each Eisenstein series gives its nonzero power-basis coordinate
+    slices, each over the series' common denominator: the pool is
+    Galois-stable, so the slices span over Q the rational points of its
+    span over Q(zeta_L).  Each product of two lower-weight basis elements
+    is the convolution of their integer rows, truncated at prec.
+    """
+    if k == 0:
+        return [[1] + [0] * (prec - 1)]
+    out = []
+    for f in eisenstein_candidates(N, k, prec):
+        E = math.lcm(*(c.den for c in f.coeffs))
+        scaled = [[x * (E // c.den) for x in c.num] for c in f.coeffs]
+        out.extend(row for row in map(list, zip(*scaled)) if any(row))
+    for k1 in range(1, k // 2 + 1):
+        b2 = _weight_basis_cached(N, k - k1, prec)
+        for f in _weight_basis_cached(N, k1, prec).rows:
+            for g in b2.rows:
+                product = [0] * prec
+                for i, a in enumerate(f):
+                    if a:
+                        product[i:] = [x + a * y for x, y in zip(product[i:], g)]
+                out.append(product)
+    return out
+
+
+def _reduce_at(row: list[int], p: int, by: list[int]) -> list[int]:
+    """The primitive multiple of row - (row[p] / by[p]) * by, which is zero at p."""
+    a, b = row[p], by[p]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    row = [b * x - a * y for x, y in zip(row, by)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _integer_echelon(rows) -> tuple[list[int], tuple[tuple[int, ...], ...], int]:
+    """Reduced row echelon form over Q of integer rows, as (pivots, rows, den).
+
+    Fraction-free: each row is reduced against the echelon rows found so
+    far, in pivot order, and kept primitive with a positive pivot entry.
+    Back-substitution then clears every pivot column but its own, and
+    row j of the result over den is the j-th reduced echelon row, with
+    gcd(den, every entry) = 1.
+    """
+    pivots: list[int] = []
+    echelon: list[list[int]] = []
+    for row in rows:
+        for p, by in zip(pivots, echelon):
+            if row[p]:
+                row = _reduce_at(row, p, by)
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        g = gcd(*row) if row[lead] > 0 else -gcd(*row)
+        i = bisect.bisect(pivots, lead)
+        pivots.insert(i, lead)
+        echelon.insert(i, [x // g for x in row])
+    for j in reversed(range(len(echelon))):
+        row = echelon[j]
+        for p, by in zip(pivots[j + 1:], echelon[j + 1:]):
+            if row[p]:
+                row = _reduce_at(row, p, by)
+        echelon[j] = row
+    den = math.lcm(*(row[p] for p, row in zip(pivots, echelon)))
+    return pivots, tuple(
+        tuple(x * (den // row[p]) for x in row) for p, row in zip(pivots, echelon)
+    ), den
+
+
+def _rational_rref(candidates, N: int, k: int, dim: int):
+    """(pivots, rows, den) of an explicit pool, reduced over Q(zeta_L)."""
     pivots, reduced = rref([list(c.coeffs) for c in candidates])
-    rank = len(reduced)
-    if rank < dim:
-        raise SpanFailure(rank, dim)
-    if rank > dim:
-        raise RankExceedsDimension(rank, dim)
+    _certify_rank(len(reduced), dim)
     # the echelon form of M_k tensor Q(zeta_L) is Galois-fixed, hence
     # rational (Shimura 1971, Thm 3.52): an irrational entry proves that
     # the candidates, though of full rank, do not span M_k
     if any(x for row in reduced for value in row for x in value.num[1:]):
         raise SpanFailure(
-            rank, dim,
+            len(reduced), dim,
             f"the reduced echelon form of the candidates is not rational, so "
             f"they do not span M_{k}(Gamma_1({N}))",
         )
@@ -538,8 +635,36 @@ def _build_basis(N: int, k: int, prec: int, candidates) -> ModFormBasis:
     rows = tuple(
         tuple(value.num[0] * (den // value.den) for value in row) for row in reduced
     )
-    elements = [QSeries(L, prec, r) for r in reduced]
-    certificate = {"dimension": dim, "rank": rank, "sturm": sb}
+    return pivots, rows, den
+
+
+def _certify_rank(rank: int, dim: int) -> None:
+    if rank < dim:
+        raise SpanFailure(rank, dim)
+    if rank > dim:
+        raise RankExceedsDimension(rank, dim)
+
+
+def _build_basis(N: int, k: int, prec: int, candidates) -> ModFormBasis:
+    """The certified basis from the default pool (candidates None) or an explicit one.
+
+    The default pool is reduced over Q by ``_integer_echelon``, every
+    candidate included, so a rank above the dimension is still caught;
+    an explicit pool need not be Galois-stable, so it is reduced over
+    Q(zeta_L) and its echelon form must come out rational.
+    """
+    L = ambient_field_level(N)
+    dim = dim_Mk(N, k)
+    if candidates is None:
+        pivots, rows, den = _integer_echelon(_default_rows(N, k, prec))
+        _certify_rank(len(rows), dim)
+    else:
+        pivots, rows, den = _rational_rref(candidates, N, k, dim)
+    elements = [
+        QSeries(L, prec, [Cyclo.from_rational(L, Fraction(x, den)) for x in row])
+        for row in rows
+    ]
+    certificate = {"dimension": dim, "rank": len(rows), "sturm": sturm_bound(N, k)}
     return ModFormBasis(N, k, prec, L, elements, pivots, certificate, rows, den)
 
 

@@ -1,7 +1,10 @@
 """Dirichlet characters, Eisenstein series, and certified bases."""
 
+import functools
 import hashlib
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +19,9 @@ from ellgenus.errors import (
     SpanFailure,
     UnsupportedLevel,
 )
+from ellgenus import modforms
 from ellgenus.genus import log_phi_series, phi_series
+from ellgenus.linalg import rref
 from ellgenus.modforms import (
     all_characters,
     ambient_field_level,
@@ -31,7 +36,7 @@ from ellgenus.modforms import (
     weight_basis,
 )
 from ellgenus.series import QSeries
-from oracles import eliminate
+from oracles import eisenstein_by_scan, eliminate, field_basis
 
 
 def test_bernoulli_numbers():
@@ -305,3 +310,102 @@ def test_integer_elimination_matches_the_field_oracle(key, data):
     vec = data.draw(cyclo_vectors(basis.level, basis.field_level, basis.prec))
     want = eliminate(vec, basis.pivots, [list(e.coeffs) for e in basis.elements])
     assert basis.eliminate(vec) == want
+
+
+SUPPORTED_LEVELS = (4, 5, 6, 7, 8, 9, 10, 12)
+
+
+def test_eisenstein_sieve_matches_the_divisor_scan(monkeypatch):
+    calls = []
+    real = modforms.eisenstein
+
+    def recorded(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(modforms, "eisenstein", recorded)
+    for N in SUPPORTED_LEVELS:
+        for k in (1, 2, 3, 4):
+            eisenstein_candidates(N, k, sturm_bound(N, k) + 2)
+    assert any(args[3] == 2 and args[0].modulus == args[1].modulus == 1 for args, _ in calls)
+    for args, out in calls:
+        assert out == eisenstein_by_scan(*args), args
+
+
+# (N, k, prec): every supported level and weight k <= 4 at the Sturm bound,
+# and two bases above it
+DIFFERENTIAL_BASES = [
+    (N, k, sturm_bound(N, k)) for N in SUPPORTED_LEVELS for k in (1, 2, 3, 4)
+] + [(5, 2, 8), (7, 3, 13)]
+
+
+@pytest.mark.parametrize("N,k,prec", DIFFERENTIAL_BASES)
+def test_integer_built_basis_matches_the_field_build(N, k, prec):
+    got, want = weight_basis(N, k, prec), field_basis(N, k, prec)
+    assert (got.pivots, got.rows, got.den) == (want.pivots, want.rows, want.den)
+    assert got.elements == want.elements
+    assert got.digest() == want.digest()
+
+
+@pytest.mark.parametrize("N,k,prec", [(5, 3, 7), (7, 3, 13)])
+def test_rank_above_the_dimension_is_caught_on_the_default_path(monkeypatch, N, k, prec):
+    basis = weight_basis(N, k, prec)
+    free = next(c for c in range(prec) if c not in basis.pivots)
+    monomial = QSeries(basis.field_level, prec, [0] * free + [1])
+    real = modforms.eisenstein_candidates
+
+    def with_monomial(*args):
+        out = real(*args)
+        return out + [monomial] if args == (N, k, prec) else out
+
+    monkeypatch.setattr(modforms, "eisenstein_candidates", with_monomial)
+    modforms._weight_basis_cached.cache_clear()
+    try:
+        with pytest.raises(RankExceedsDimension) as info:
+            weight_basis(N, k, prec)
+    finally:
+        modforms._weight_basis_cached.cache_clear()
+    assert (info.value.rank, info.value.dimension) == (dim_Mk(N, k) + 1, dim_Mk(N, k))
+
+
+def test_the_default_path_runs_no_field_elimination_and_no_series_product(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("called on the default path")
+
+    fresh = functools.lru_cache(maxsize=None)(modforms._weight_basis_cached.__wrapped__)
+    monkeypatch.setattr(modforms, "_weight_basis_cached", fresh)
+    monkeypatch.setattr(modforms, "rref", refused)
+    monkeypatch.setattr(QSeries, "__mul__", refused)
+    basis = weight_basis(7, 4, sturm_bound(7, 4))
+    monkeypatch.undo()
+    assert basis.rows == weight_basis(7, 4, sturm_bound(7, 4)).rows
+
+
+def test_integer_echelon_does_not_depend_on_the_candidate_order():
+    N, k, prec = 7, 3, 13
+    rows = modforms._default_rows(N, k, prec)
+    want = modforms._integer_echelon(rows)
+    assert len(want[1]) == dim_Mk(N, k)
+    basis = weight_basis(N, k, prec)
+    free = next(c for c in range(prec) if c not in basis.pivots)
+    outside = rows + [[int(c == free) for c in range(prec)]]
+    for seed in (1, 2):
+        shuffled = random.Random(seed).sample(rows, len(rows))
+        assert modforms._integer_echelon(shuffled) == want
+        shuffled = random.Random(seed).sample(outside, len(outside))
+        assert len(modforms._integer_echelon(shuffled)[1]) == dim_Mk(N, k) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.lists(st.one_of(st.just(0), st.integers(-5, 5), st.integers(-10**12, 10**12)),
+             min_size=6, max_size=6),
+    max_size=7,
+))
+def test_integer_echelon_is_the_reduced_echelon_form_over_Q(matrix):
+    pivots, rows, den = modforms._integer_echelon(matrix)
+    want_pivots, want = rref([[Fraction(x) for x in row] for row in matrix])
+    assert pivots == want_pivots
+    assert [[Fraction(x, den) for x in row] for row in rows] == want
+    assert den > 0 and math.gcd(den, *(x for row in rows for x in row)) == 1

@@ -143,3 +143,21 @@ def test_series_serialize_roundtrip():
     data = s.serialize()
     rebuilt = QSeries(5, 3, [Cyclo.deserialize(5, c) for c in data])
     assert rebuilt == s
+
+
+def test_deserializers_read_numbers_exactly():
+    with pytest.raises(ValueError, match="not an exact number"):
+        QSeries.deserialize(5, [[0.2, 0, 0, 0]])
+    with pytest.raises(ValueError, match="not an exact number"):
+        PQSeries.deserialize(5, [[[0, True, 0, 0]]])
+    with pytest.raises(ValueError, match="not an exact number"):
+        Cyclo.deserialize(5, [Fraction(1, 5), 0, 0, 0])
+    s = QSeries.deserialize(5, [["1/5", 0, 0, 0], [0, "-3/7", 2, 0]])
+    assert s == QSeries(5, 2, [
+        Cyclo.from_rational(5, Fraction(1, 5)),
+        Cyclo(5, [0, Fraction(-3, 7), 2, 0]),
+    ])
+    assert QSeries.deserialize(5, s.serialize()) == s
+    assert QSeries.deserialize(5, s.serialize()).serialize() == s.serialize()
+    F = PQSeries(5, 2, 2, [[s[0], s[1]], [s[1], s[0]]])
+    assert PQSeries.deserialize(5, F.serialize()).serialize() == F.serialize()
