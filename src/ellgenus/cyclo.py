@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import re
 from fractions import Fraction
 from operator import mul
 
@@ -93,13 +94,22 @@ def _power_table(N: int) -> list[tuple[int, ...]]:
     return rows
 
 
+_EXACT_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _exact(value) -> Fraction:
     """A JSON integer or a "num/den" string as an exact rational.
 
-    JSON floats and booleans are refused with ValueError: a binary float
-    is not the number its author wrote, and a boolean is not a number.
+    The string is an optional sign, ASCII digits and an optional "/" with
+    more digits; nothing else is read.  JSON floats and booleans are
+    refused with ValueError: a binary float is not the number its author
+    wrote, and a boolean is not a number.  So are the decimal and exponent
+    forms ``Fraction`` would accept: "1e4000000" would build a
+    13-million-bit integer from nine bytes.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, str) and _EXACT_STRING.fullmatch(value)
+    ):
         raise ValueError(f"{value!r} is not an exact number: use an integer or a 'num/den' string")
     return Fraction(value)
 
@@ -378,20 +388,34 @@ def descend(a: Cyclo, new_level: int) -> Cyclo | None:
 
     Requires new_level | a.level.  a lies in the subfield iff its
     coordinates over the echelon rows (its pivot entries, see
-    ``_subfield_part``) also reproduce every other column.
+    ``_subfield_part``) also reproduce every other column, that is iff
+    ``_complement`` is zero.
     """
     L = a.level
     if new_level == L:
         return a
     if L % new_level != 0:
         raise LevelMismatch(f"{new_level} does not divide {L}")
-    pivots, free, _, scale = _descent_echelon(L, new_level)
+    if any(_complement(a, new_level)):
+        return None
+    return _subfield_part(a, new_level)
+
+
+def _complement(a: Cyclo, n: int) -> tuple[int, ...]:
+    """Integer coordinates of a in Q(zeta_L) off the subfield Q(zeta_n), for n | L.
+
+    One integer per free column of the descent echelon: scale * a.den times
+    the defect of a there against the combination of the echelon rows its
+    pivot entries give (see ``_subfield_part``).  The map is Q-linear up to
+    the factor a.den, and its kernel is Q(zeta_n), so a lies in the subfield
+    iff every entry is zero; at n = a.level there are none.
+    """
+    if n == a.level:
+        return ()
+    pivots, free, _, scale = _descent_echelon(a.level, n)
     num = a.num
     coeffs = [num[p] for p in pivots]
-    for j, column in free:
-        if scale * num[j] != sum(map(mul, coeffs, column)):
-            return None
-    return _subfield_part(a, new_level)
+    return tuple([scale * num[j] - sum(map(mul, coeffs, column)) for j, column in free])
 
 
 def _split_denominator(den: int, N: int) -> tuple[int, int]:

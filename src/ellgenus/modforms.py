@@ -30,6 +30,7 @@ from .cyclo import Cyclo, _power_table, _reduced, _split_denominator, euler_phi
 from .errors import (
     BadLevelDivisibility,
     IncompatibleParity,
+    LevelMismatch,
     PrecisionInsufficient,
     RankExceedsDimension,
     SpanFailure,
@@ -437,22 +438,27 @@ class ModFormBasis:
     def eliminate(self, coeffs) -> tuple[list[Cyclo], list[Cyclo]]:
         """Subtract the unique basis combination from the coefficients s_c.
 
-        coeffs are the prec coefficients of a series over Q(zeta_L).  Returns
-        (residual, coefficients) with residual zero at every pivot and
-        coeffs = residual + sum coefficients[j] * elements[j].  The basis is
-        in reduced echelon form, so coefficients[j] is s at the j-th pivot
-        p_j.  At a free column c, with R = rows, D = den and E the common
-        denominator of the input, each power-basis coordinate of residual[c]
-        is (D * s_c - sum_j R[j][c] * s_{p_j}) / (D * E), with every s scaled
+        coeffs are the prec coefficients of a series, all over one field
+        Q(zeta_M), and the results stay in that field: the basis is
+        rational, so M need not be the ambient level L (any M | L gives the
+        lift of the result at L).  Returns (residual, coefficients) with
+        residual zero at every pivot and coeffs = residual + sum
+        coefficients[j] * elements[j].  The basis is in reduced echelon
+        form, so coefficients[j] is s at the j-th pivot p_j.  At a free
+        column c, with R = rows, D = den and E the common denominator of
+        the input, each power-basis coordinate of residual[c] is
+        (D * s_c - sum_j R[j][c] * s_{p_j}) / (D * E), with every s scaled
         by E to integers.
         """
         coeffs = list(coeffs)
-        L, D = self.field_level, self.den
+        M, D = coeffs[0].level, self.den
+        if any(x.level != M for x in coeffs):
+            raise LevelMismatch("the coefficients lie in different fields")
         E = math.lcm(*(x.den for x in coeffs))
         at_pivots = [coeffs[p] for p in self.pivots]
         scaled = [[a * (E // x.den) for a in x.num] for x in at_pivots]
-        by_coord = [tuple(row[i] for row in scaled) for i in range(euler_phi(L))]
-        zero = Cyclo(L)
+        by_coord = [tuple(row[i] for row in scaled) for i in range(euler_phi(M))]
+        zero = Cyclo(M)
         residual = [zero] * len(coeffs)
         for c, column in self._free:
             x = coeffs[c]
@@ -461,7 +467,7 @@ class ModFormBasis:
                 a * scale - sum(map(mul, column, pivot_values))
                 for a, pivot_values in zip(x.num, by_coord)
             ])
-            residual[c] = _reduced(L, num, D * E)
+            residual[c] = _reduced(M, num, D * E)
         return residual, at_pivots
 
     def is_integral(self) -> bool:
@@ -672,12 +678,16 @@ def is_in_span(s: QSeries, basis: ModFormBasis) -> tuple[bool, list[Cyclo]]:
     """Membership of s in the span of the basis, with coefficients.
 
     Agreement on prec >= sturm bound coefficients plus exact linear
-    consistency certifies membership at the stated precision.
+    consistency certifies membership at the stated precision.  The level
+    of s must divide the ambient level L of the basis; s is eliminated in
+    its own field, and the coefficients are returned in Q(zeta_L).
     """
     if s.prec < basis.prec:
         raise PrecisionInsufficient(
             f"series precision {s.prec} < basis precision {basis.prec}"
         )
-    s = s.lift(basis.field_level).truncate(basis.prec)
-    residual, coeffs = basis.eliminate(s.coeffs)
-    return (not any(residual)), coeffs
+    L = basis.field_level
+    if L % s.level:
+        raise LevelMismatch(f"{s.level} does not divide {L}")
+    residual, coeffs = basis.eliminate(s.coeffs[:basis.prec])
+    return (not any(residual)), [c.lift(L) for c in coeffs]

@@ -14,11 +14,13 @@ reduced row echelon basis with pivots at the earliest q-exponents (for
 inputs with cyclotomic coefficients, membership in the complex span
 coincides with membership in the cyclotomic span).  That basis is
 rational, one integer matrix over one denominator, so the elimination
-runs in integers on each power-basis coordinate of the input over the
-ambient field Q(zeta_L) (``ModFormBasis.eliminate``).  The constant
-summand is then decided against the residual of the series 1; what
-remains is mapped coordinatewise through the canonical coset
-representative modulo Z[1/N, zeta_N].
+runs in integers on each power-basis coordinate of the input, in the
+input's own field (``ModFormBasis.eliminate``): Q(zeta_N) when the
+input's level divides N, else the ambient field Q(zeta_L) of the basis.
+The constant summand is then decided against the residual of the series
+1; what remains is mapped coordinatewise through the canonical coset
+representative modulo Z[1/N, zeta_N].  Only the recorded basis
+coefficients and constant are lifted to Q(zeta_L).
 
 A trivial verdict is a sound certificate of class triviality at the
 stated precision: it always comes with an explicit decomposition into a
@@ -27,8 +29,10 @@ constant-direction coefficient is not forced to the echelon pivot ratio
 (whose pivot need not be a unit in Z[1/N, zeta_N]); instead its exact
 solvability is decided, which makes the verdict complete whenever the
 modular basis itself is N-integral with unit pivots -- true for all
-supported levels.  Nontrivial verdicts report the canonical echelon
-residual.
+supported levels.  A nontrivial verdict reports the cosets of the
+residual left after a fallback constant that cancels the earliest
+nonzero coefficient of the residual of 1; that constant, and so the
+``rep``, depend on the input series and not only on its class.
 
 The residual r of the series 1 is rational too, so that decision splits
 into one congruence system over Z[1/N] per coordinate of Q(zeta_N),
@@ -46,6 +50,7 @@ from fractions import Fraction
 from .cyclo import (
     Cyclo,
     NZCoset,
+    _complement,
     _reduced,
     _split_denominator,
     _subfield_part,
@@ -80,21 +85,24 @@ def _residual_of_one(N: int, weight: int, prec: int) -> tuple[tuple, tuple, tupl
 
 
 def _solve_constant_direction(
-    s_cols: list[Cyclo], r_cols: list[Fraction], N: int, L: int
+    s_cols: list[Cyclo], r_cols: list[Fraction], N: int, K: int
 ) -> Cyclo | None:
-    """Find alpha in Q(zeta_L) with s - alpha*r coefficientwise in Z[1/N, zeta_N].
+    """Find alpha in Q(zeta_K) with s - alpha*r coefficientwise in Z[1/N, zeta_N].
 
-    Returns None when no such alpha exists.  This is an exact decision, and
-    the alpha returned depends only on the set of valid alphas.
+    s_cols lie in Q(zeta_K), N | K.  Returns None when no such alpha
+    exists.  This is an exact decision, and the alpha returned depends
+    only on the set of valid alphas.
 
     r is rational, so the conditions act coordinatewise.  A column with
     r_c = 0 needs s_c in Z[1/N, zeta_N].  On the others, with x_c = s_c/r_c,
     r_c * (x_c - alpha) in Z[1/N, zeta_N] needs x_c - alpha in Q(zeta_N),
-    so every x_c - x_c0 must lie in Q(zeta_N), and then the valid alphas
-    are x_c0 - pi(x_c0) + theta, for pi the Q(zeta_N) part
-    (``cyclo._subfield_part``) and theta in Q(zeta_N) with
-    r_c * (pi(x_c) - theta) in Z[1/N, zeta_N] for every c: one congruence
-    system over Z[1/N] per power-basis coordinate, see ``_congruence_solution``.
+    so every x_c - x_c0 must lie in Q(zeta_N): x_c and x_c0 have the same
+    coordinates off Q(zeta_N) (``cyclo._complement``, empty at K = N),
+    compared in integers.  Then the valid alphas are x_c0 - pi(x_c0) +
+    theta, for pi the Q(zeta_N) part (``cyclo._subfield_part``) and theta
+    in Q(zeta_N) with r_c * (pi(x_c) - theta) in Z[1/N, zeta_N] for every
+    c: one congruence system over Z[1/N] per power-basis coordinate, see
+    ``_congruence_solution``.
     """
     # the reduced echelon form of the basis is Galois-fixed, so r is rational
     # (Shimura 1971, Thm 3.52; ``_build_basis`` certifies it); the
@@ -105,20 +113,21 @@ def _solve_constant_direction(
         if r:
             r_vals.append(r)
             x_cols.append(s * (1 / r))
-            continue
-        down = descend(s, N)
-        if down is None or not in_NZ(down):
+        elif any(_complement(s, N)) or not in_NZ(_subfield_part(s, N)):
             return None
     if not x_cols:
-        return Cyclo(L)
+        return Cyclo(K)
+    # the complement of x is _complement(x, N) / x.den, up to a shared scale
     x0 = x_cols[0]
-    if any(descend(x - x0, N) is None for x in x_cols[1:]):
-        return None
+    off0 = _complement(x0, N)
+    for x in x_cols[1:]:
+        if any(a * x0.den != b * x.den for a, b in zip(_complement(x, N), off0)):
+            return None
     parts = [_subfield_part(x, N) for x in x_cols]
     theta = _congruence_solution(parts, r_vals, N)
     if theta is None:
         return None
-    return x0 - parts[0].lift(L) + theta.lift(L)
+    return x0 - parts[0].lift(K) + theta.lift(K)
 
 
 def _congruence_solution(parts: list[Cyclo], r_vals: list[Fraction], N: int) -> Cyclo | None:
@@ -176,7 +185,9 @@ class UqClass:
     ``reduce_mod_NZ``).  It depends only on the set of valid alphas, so it
     does not change when s moves by an N-integral series or by a modular
     combination.  On a nontrivial verdict alpha cancels the earliest
-    nonzero coefficient of the residual of 1.
+    nonzero coefficient of the residual of 1, so there alpha, the cosets
+    and ``rep`` depend on s itself, not only on its class.  The constant
+    and ``coefficients`` lie in the ambient field Q(zeta_L) of the basis.
     """
 
     __slots__ = (
@@ -227,7 +238,9 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
         s = sum(coefficients[i] * basis[i]) + constant * 1 + residual,
 
     and the verdict is trivial exactly when the residual is coefficientwise
-    in Z[1/N, zeta_N] (equivalently, the rep is the zero series).
+    in Z[1/N, zeta_N] (equivalently, the rep is the zero series).  The
+    level of s must divide the ambient level L of the basis; s is reduced
+    in Q(zeta_N) when its level divides N, else in Q(zeta_L).
     """
     if degree % 2 != 0:
         raise ValueError("degree must be even")
@@ -241,7 +254,10 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
         raise PrecisionInsufficient(f"prec {prec} < sturm bound {sb}")
     basis = weight_basis(N, weight, prec)
     L = basis.field_level
-    s_res, beta = basis.eliminate([c.lift(L) for c in s.coeffs[:prec]])
+    # decide in Q(zeta_N) when s lies there, else in Q(zeta_L) (the lift
+    # raises LevelMismatch when the level of s does not divide L)
+    K = N if N % s.level == 0 else L
+    s_res, beta = basis.eliminate([c.lift(K) for c in s.coeffs[:prec]])
 
     one_res, gamma, free_cols = _residual_of_one(N, weight, prec)
     # the exact constant-direction decision is complete only over an
@@ -250,23 +266,22 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
     alpha = None
     if integral_basis:
         alpha = _solve_constant_direction(
-            [s_res[c] for c in free_cols], [one_res[c] for c in free_cols], N, L
+            [s_res[c] for c in free_cols], [one_res[c] for c in free_cols], N, K
         )
     if alpha is None:
         # canonical fallback: cancel the earliest nonzero constant-residual
         # coefficient (the combined-echelon choice)
         c_star = next((c for c in range(prec) if one_res[c]), None)
         alpha_used = s_res[c_star] * (1 / one_res[c_star]) if c_star is not None \
-            else Cyclo(L)
+            else Cyclo(K)
     else:
-        c_star = None
         alpha_used = alpha
     residual = [a - alpha_used * b for a, b in zip(s_res, one_res)]
     cosets: list[NZCoset | None] = []
     reps = []
     trivial = alpha is not None
     for value in residual:
-        down = descend(value, N)
+        down = value if K == N else descend(value, N)
         if down is None:
             cosets.append(None)
             reps.append(Cyclo(N))
@@ -279,11 +294,11 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
     elif not integral_basis and all(c is not None and c.is_zero() for c in cosets):
         trivial = True
     rep = QSeries(N, prec, reps)
-    coeffs = [b - alpha_used * g for b, g in zip(beta, gamma)]
+    coeffs = [(b - alpha_used * g).lift(L) for b, g in zip(beta, gamma)]
     modular_part = {
         "pivot_columns": list(basis.pivots),
         "coefficients": coeffs,
-        "constant": alpha_used,
+        "constant": alpha_used.lift(L),
         "sturm": sb,
         "basis_hash": basis.digest(),
     }

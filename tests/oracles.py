@@ -4,10 +4,19 @@ import functools
 import math
 from fractions import Fraction
 
-from ellgenus.cyclo import Cyclo
+from ellgenus.cyclo import (
+    Cyclo,
+    NZCoset,
+    _subfield_part,
+    descend,
+    in_NZ,
+    reduce_mod_NZ,
+)
 from ellgenus.errors import (
     BadLevelDivisibility,
     IncompatibleParity,
+    LevelMismatch,
+    PrecisionInsufficient,
     RankExceedsDimension,
     SpanFailure,
 )
@@ -19,8 +28,15 @@ from ellgenus.modforms import (
     eisenstein_candidates,
     gen_bernoulli,
     sturm_bound,
+    weight_basis,
 )
-from ellgenus.series import QSeries
+from ellgenus.reduce import (
+    UqClass,
+    WtClass,
+    _congruence_solution,
+    _residual_of_one,
+)
+from ellgenus.series import PQSeries, QSeries
 
 
 def eliminate(vec: list, pivots: list[int], rows: list[list]) -> tuple[list, list]:
@@ -123,3 +139,149 @@ def field_basis(N: int, k: int, prec: int) -> ModFormBasis:
     elements = [QSeries(L, prec, r) for r in reduced]
     certificate = {"dimension": dim, "rank": rank, "sturm": sb}
     return ModFormBasis(N, k, prec, L, elements, pivots, certificate, rows, den)
+
+
+# The quotient reductions as they ran before the decision moved into
+# Q(zeta_N): every input is lifted to Q(zeta_L), eliminated there, and every
+# residual coefficient is descended back.
+
+
+def field_solve_constant_direction(
+    s_cols: list[Cyclo], r_cols: list[Fraction], N: int, L: int
+) -> Cyclo | None:
+    """Find alpha in Q(zeta_L) with s - alpha*r coefficientwise in Z[1/N, zeta_N].
+
+    Returns None when no such alpha exists.  This is an exact decision, and
+    the alpha returned depends only on the set of valid alphas.
+
+    r is rational, so the conditions act coordinatewise.  A column with
+    r_c = 0 needs s_c in Z[1/N, zeta_N].  On the others, with x_c = s_c/r_c,
+    r_c * (x_c - alpha) in Z[1/N, zeta_N] needs x_c - alpha in Q(zeta_N),
+    so every x_c - x_c0 must lie in Q(zeta_N), and then the valid alphas
+    are x_c0 - pi(x_c0) + theta, for pi the Q(zeta_N) part
+    (``cyclo._subfield_part``) and theta in Q(zeta_N) with
+    r_c * (pi(x_c) - theta) in Z[1/N, zeta_N] for every c: one congruence
+    system over Z[1/N] per power-basis coordinate, see ``_congruence_solution``.
+    """
+    # the reduced echelon form of the basis is Galois-fixed, so r is rational
+    # (Shimura 1971, Thm 3.52; ``_build_basis`` certifies it); the
+    # coordinatewise split below needs it
+    assert all(isinstance(r, Fraction) for r in r_cols)
+    x_cols, r_vals = [], []
+    for s, r in zip(s_cols, r_cols):
+        if r:
+            r_vals.append(r)
+            x_cols.append(s * (1 / r))
+            continue
+        down = descend(s, N)
+        if down is None or not in_NZ(down):
+            return None
+    if not x_cols:
+        return Cyclo(L)
+    x0 = x_cols[0]
+    if any(descend(x - x0, N) is None for x in x_cols[1:]):
+        return None
+    parts = [_subfield_part(x, N) for x in x_cols]
+    theta = _congruence_solution(parts, r_vals, N)
+    if theta is None:
+        return None
+    return x0 - parts[0].lift(L) + theta.lift(L)
+
+
+def field_reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqClass:
+    """Canonical representative of s in the one-variable quotient.
+
+    degree is the topological degree m+2; the modular span removed is the
+    weight-(degree/2) expansion space.  The recorded decomposition is
+
+        s = sum(coefficients[i] * basis[i]) + constant * 1 + residual,
+
+    and the verdict is trivial exactly when the residual is coefficientwise
+    in Z[1/N, zeta_N] (equivalently, the rep is the zero series).
+    """
+    if degree % 2 != 0:
+        raise ValueError("degree must be even")
+    weight = degree // 2
+    if prec is None:
+        prec = s.prec
+    if prec > s.prec:
+        raise PrecisionInsufficient(f"series has only {s.prec} coefficients")
+    sb = sturm_bound(N, weight)
+    if prec < sb:
+        raise PrecisionInsufficient(f"prec {prec} < sturm bound {sb}")
+    basis = weight_basis(N, weight, prec)
+    L = basis.field_level
+    s_res, beta = basis.eliminate([c.lift(L) for c in s.coeffs[:prec]])
+
+    one_res, gamma, free_cols = _residual_of_one(N, weight, prec)
+    # the exact constant-direction decision is complete only over an
+    # N-integral echelon basis (unit pivots); check that precondition
+    integral_basis = basis.is_integral()
+    alpha = None
+    if integral_basis:
+        alpha = field_solve_constant_direction(
+            [s_res[c] for c in free_cols], [one_res[c] for c in free_cols], N, L
+        )
+    if alpha is None:
+        # canonical fallback: cancel the earliest nonzero constant-residual
+        # coefficient (the combined-echelon choice)
+        c_star = next((c for c in range(prec) if one_res[c]), None)
+        alpha_used = s_res[c_star] * (1 / one_res[c_star]) if c_star is not None \
+            else Cyclo(L)
+    else:
+        c_star = None
+        alpha_used = alpha
+    residual = [a - alpha_used * b for a, b in zip(s_res, one_res)]
+    cosets: list[NZCoset | None] = []
+    reps = []
+    trivial = alpha is not None
+    for value in residual:
+        down = descend(value, N)
+        if down is None:
+            cosets.append(None)
+            reps.append(Cyclo(N))
+            continue
+        coset = reduce_mod_NZ(down)
+        cosets.append(coset)
+        reps.append(coset.rep)
+    if trivial:
+        assert all(c is not None and c.is_zero() for c in cosets)
+    elif not integral_basis and all(c is not None and c.is_zero() for c in cosets):
+        trivial = True
+    rep = QSeries(N, prec, reps)
+    coeffs = [b - alpha_used * g for b, g in zip(beta, gamma)]
+    modular_part = {
+        "pivot_columns": list(basis.pivots),
+        "coefficients": coeffs,
+        "constant": alpha_used,
+        "sturm": sb,
+        "basis_hash": basis.digest(),
+    }
+    return UqClass(N, degree, prec, cosets, rep, modular_part, trivial)
+
+
+def field_reduce_Wtilde(s: PQSeries, N: int, degree: int) -> WtClass:
+    """Canonical reduction in the two-variable quotient.
+
+    The p^0 row is reduced as a q-series, the q^0 column as a p-series
+    (the shared constant cell is absorbed by the constants summand in
+    both), and every mixed coefficient is reduced modulo Z[1/N, zeta_N].
+    The carrier level of s must divide N; s is read at level N.
+    """
+    if N % s.level:
+        raise LevelMismatch(f"carrier level {s.level} does not divide {N}")
+    row_class = field_reduce_Uq(s.p_row(0), N, degree)
+    column_class = field_reduce_Uq(s.q_column(0), N, degree)
+    trivial = row_class.trivial and column_class.trivial
+    mixed = []
+    for i in range(1, s.prec_p):
+        row = []
+        for j in range(1, s.prec_q):
+            coset = reduce_mod_NZ(s[i, j].lift(N))
+            if not coset.is_zero():
+                trivial = False
+            row.append(coset)
+        mixed.append(row)
+    return WtClass(
+        N, degree, s.prec_p, s.prec_q, row_class, column_class, mixed, trivial
+    )

@@ -270,3 +270,21 @@ def test_frep_rejects_a_float_chern_number_exits_3(tmp_path, capsys):
     path = tmp_path / "split.json"
     path.write_text(json.dumps({"dim0": 1, "dim1": 2, "chern": {"1|2": 6.5, "1|1,1": 18}}))
     assert cli.main(["f-rep", str(path)]) == 3
+
+
+# Fraction reads a decimal exponent: these nine bytes would make a
+# 13-million-bit integer before any check ran
+HUGE = "1e4000000"
+
+
+def test_reduce_u_rejects_an_exponent_coefficient_exits_3(tmp_path, capsys):
+    argv = ["--level", "5", "--degree", "6", "reduce-u", _q_file(tmp_path, HUGE)]
+    assert cli.main(argv) == 3
+    assert "not an exact number" in capsys.readouterr().err
+
+
+def test_genus_rejects_an_exponent_chern_number_exits_3(tmp_path, capsys):
+    path = tmp_path / "chern.json"
+    path.write_text(json.dumps({"dim": 2, "chern": {"1,1": HUGE, "2": 3}}))
+    assert cli.main(["--level", "5", "genus", str(path)]) == 3
+    assert "modular" not in capsys.readouterr().out

@@ -11,7 +11,7 @@ from ellgenus.cyclo import Cyclo, _split_denominator, descend, euler_phi, in_NZ
 from ellgenus.linalg import rref_tracked
 from ellgenus.modforms import weight_basis
 from ellgenus.reduce import _residual_of_one, _solve_constant_direction
-from oracles import eliminate
+from oracles import eliminate, field_solve_constant_direction
 
 
 def _z_echelon_tracked(rows: list[list[int]], width: int):
@@ -180,3 +180,25 @@ def test_integer_solve_matches_the_fraction_oracle(basis, data):
         # got is a witness, and it differs from the oracle's by a period
         assert all(_n_integral(s - got * r, N) for s, r in zip(s_cols, r_cols))
         assert all(_n_integral((got - want) * r, N) for r in r_cols)
+
+
+# rational r with zeros and denominators on both sides of N; every
+# supported basis has an integral r, so only these reach those branches
+RATIONAL_R = st.lists(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-3), Fraction(2, 7),
+                     Fraction(-5, 6), Fraction(9, 25), Fraction(-14, 3)]),
+    min_size=1, max_size=4,
+)
+
+
+@pytest.mark.parametrize("N, K, L", ((5, 5, 20), (5, 20, 20), (7, 7, 42), (7, 42, 42)))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_solve_in_the_input_field_matches_the_field_solve(N, K, L, data):
+    r_cols = data.draw(RATIONAL_R)
+    s_cols = data.draw(free_columns(N, K, r_cols))
+    want = field_solve_constant_direction([s.lift(L) for s in s_cols], r_cols, N, L)
+    got = _solve_constant_direction(s_cols, r_cols, N, K)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.level == K and got.lift(L) == want

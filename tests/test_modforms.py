@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 from ellgenus.cyclo import Cyclo, descend, euler_phi, in_NZ
 from ellgenus.errors import (
     BadLevelDivisibility,
+    LevelMismatch,
     PrecisionInsufficient,
     RankExceedsDimension,
     SpanFailure,
     UnsupportedLevel,
 )
 from ellgenus import modforms
-from ellgenus.genus import log_phi_series, phi_series
+from ellgenus.genus import cp_chern, genus, log_phi_series, phi_series
 from ellgenus.linalg import rref
 from ellgenus.modforms import (
     all_characters,
@@ -184,6 +185,20 @@ def test_log_phi_coefficients_are_modular():
             assert ok, (N, k)
 
 
+def test_is_in_span_returns_coefficients_in_the_ambient_field():
+    # the series is eliminated at its own level; the coefficients are lifted
+    basis = weight_basis(5, 3, 7)
+    g = genus(cp_chern(2), 5, 7)
+    probe = QSeries(5, 7, [0] * 4 + [Fraction(1, 7)])
+    for s in (basis.elements[1], g, probe, g + probe):
+        ok, coeffs = is_in_span(s, basis)
+        lifted = is_in_span(s.lift(basis.field_level), basis)
+        assert (ok, coeffs) == lifted
+        assert all(c.level == basis.field_level for c in coeffs)
+    with pytest.raises(LevelMismatch):
+        is_in_span(QSeries(3, 7), basis)
+
+
 def test_is_in_span_rejects_non_members():
     basis = weight_basis(5, 2, 8)
     coeffs = [Cyclo(5)] * 8
@@ -307,9 +322,19 @@ def test_integrality_reads_the_common_denominator():
 @given(data=st.data())
 def test_integer_elimination_matches_the_field_oracle(key, data):
     basis = ELIMINATION_BASES[key]()
-    vec = data.draw(cyclo_vectors(basis.level, basis.field_level, basis.prec))
-    want = eliminate(vec, basis.pivots, [list(e.coeffs) for e in basis.elements])
+    L = basis.field_level
+    field_rows = [list(e.coeffs) for e in basis.elements]
+    vec = data.draw(cyclo_vectors(basis.level, L, basis.prec))
+    want = eliminate(vec, basis.pivots, field_rows)
     assert basis.eliminate(vec) == want
+    # an input left in its own field Q(zeta_M), M | L, is eliminated there,
+    # and lifting the results gives the elimination of its lift
+    M = data.draw(st.sampled_from([d for d in range(1, L + 1) if L % d == 0]))
+    vec = data.draw(cyclo_vectors(M, M, basis.prec))
+    want = eliminate([x.lift(L) for x in vec], basis.pivots, field_rows)
+    residual, coefficients = basis.eliminate(vec)
+    assert all(x.level == M for x in residual + coefficients)
+    assert ([x.lift(L) for x in residual], [x.lift(L) for x in coefficients]) == want
 
 
 SUPPORTED_LEVELS = (4, 5, 6, 7, 8, 9, 10, 12)

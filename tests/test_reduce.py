@@ -260,3 +260,7 @@ def test_mixed_cells_reduce_at_level_N_whatever_the_carrier():
 def test_carrier_level_must_divide_N():
     with pytest.raises(LevelMismatch):
         reduce_Wtilde(PQSeries(4, 14, 14), 10, 4)
+    # a q-series may come in any field inside Q(zeta_L), L = 20 at N = 5
+    assert reduce_Uq(QSeries(4, 7), 5, 6).trivial
+    with pytest.raises(LevelMismatch, match="3 does not divide 20"):
+        reduce_Uq(QSeries(3, 7), 5, 6)

@@ -1,0 +1,117 @@
+"""The quotient reductions in Q(zeta_N) against the Q(zeta_L) reductions they replaced.
+
+``reduce_Uq`` eliminates an input whose level divides N in Q(zeta_N) and
+lifts only the recorded coefficients and constant to Q(zeta_L); the oracle
+lifts every input to Q(zeta_L) first.  Both must serialize to the same bytes.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ellgenus.cyclo import Cyclo, euler_phi
+from ellgenus.modforms import ModFormBasis, weight_basis
+from ellgenus.reduce import _residual_of_one, reduce_Uq, reduce_Wtilde
+from ellgenus.series import PQSeries, QSeries
+from oracles import field_reduce_Uq, field_reduce_Wtilde
+
+# (N, weight, prec); the ambient level L is 20, 42 and, at N = 12, N itself
+BASES = ((5, 3, 7), (7, 3, 13), (12, 2, 17))
+numerators = st.integers(-9, 9)
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def element(data, level, dens):
+    coords = [Fraction(data.draw(numerators), data.draw(st.sampled_from(dens)))
+              for _ in range(euler_phi(level))]
+    return Cyclo(level, coords)
+
+
+def draw_series(data, N, basis, level):
+    """A series at level, trivial by construction or (bumped) perhaps not.
+
+    A trivial one is a basis combination, a constant and an N-integral
+    series, each with coefficients in Q(zeta_level); the N-integral part is
+    drawn in Q(zeta_gcd(level, N)), whose N-integral elements lie in
+    Z[1/N, zeta_N].  Half the draws are arbitrary series instead.
+    """
+    prec = basis.prec
+    if data.draw(st.booleans()):
+        return QSeries(level, prec, [element(data, level, (1, 2, 3, 7, 10))
+                                     for _ in range(prec)])
+    coeffs = [Cyclo(level)] * prec
+    for row in basis.rows:
+        c = element(data, level, (1, 2, 3, 7, N))
+        coeffs = [a + c * Fraction(x, basis.den) for a, x in zip(coeffs, row)]
+    coeffs[0] = coeffs[0] + element(data, level, (1, 3, 7))
+    inner = next(d for d in sorted(divisors(level), reverse=True) if N % d == 0)
+    coeffs = [a + element(data, inner, (1, N, N**3)).lift(level) for a in coeffs]
+    if data.draw(st.booleans()):
+        j = data.draw(st.integers(0, prec - 1))
+        bump = Cyclo.zeta(level, data.draw(st.integers(0, level - 1))) * Fraction(
+            data.draw(st.sampled_from((1, -1))), 3)
+        coeffs[j] = coeffs[j] + bump
+    return QSeries(level, prec, coeffs)
+
+
+def as_bytes(cls):
+    return json.dumps(cls.serialize(), sort_keys=True)
+
+
+@pytest.mark.parametrize("integral", (True, False), ids=("exact", "fallback"))
+@pytest.mark.parametrize("key", BASES, ids=lambda b: "-".join(map(str, b)))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_reduce_Uq_matches_the_field_oracle(key, integral, data):
+    N, weight, prec = key
+    basis = weight_basis(*key)
+    L = basis.field_level
+    # every divisor of L: N, its proper divisors, L, and levels between
+    level = data.draw(st.sampled_from(divisors(L)))
+    s = draw_series(data, N, basis, level)
+    with pytest.MonkeyPatch.context() as patch:
+        if not integral:
+            # the c* fallback is reached only on a basis that is not N-integral
+            patch.setattr(ModFormBasis, "is_integral", lambda self: False)
+        got = as_bytes(reduce_Uq(s, N, 2 * weight))
+        assert got == as_bytes(field_reduce_Uq(s, N, 2 * weight))
+        # the field that carries the input does not change the answer
+        assert as_bytes(reduce_Uq(s.lift(L), N, 2 * weight)) == got
+
+
+@pytest.mark.parametrize("key", BASES, ids=lambda b: "-".join(map(str, b)))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_reduce_Wtilde_matches_the_field_oracle(key, data):
+    N, weight, prec = key
+    basis = weight_basis(*key)
+    carrier = data.draw(st.sampled_from(divisors(N)))
+    rows = [[Cyclo(carrier)] * prec for _ in range(prec)]
+    rows[0] = list(draw_series(data, N, basis, carrier).coeffs)
+    for i, c in enumerate(draw_series(data, N, basis, carrier).coeffs[1:], 1):
+        rows[i][0] = c
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = data.draw(st.integers(1, prec - 1)), data.draw(st.integers(1, prec - 1))
+        rows[i][j] = element(data, carrier, (1, 2, N, N**2))
+    F = PQSeries(carrier, prec, prec, rows)
+    assert as_bytes(reduce_Wtilde(F, N, 2 * weight)) == \
+        as_bytes(field_reduce_Wtilde(F, N, 2 * weight))
+
+
+def test_a_column_off_Q_zeta_N_where_r_vanishes_is_nontrivial():
+    # at (5, 4, 9) the residual of 1 vanishes at free columns, and zeta_20 has
+    # Q(zeta_5) part 0: only its complement shows it is not 5-integral
+    one_res, _, free_cols = _residual_of_one(5, 4, 9)
+    c = next(c for c in free_cols if not one_res[c])
+    coeffs = [Cyclo(20)] * 9
+    coeffs[c] = Cyclo.zeta(20)
+    s = QSeries(20, 9, coeffs)
+    cls = reduce_Uq(s, 5, 8)
+    assert not cls.trivial and cls.cosets[c] is None
+    assert as_bytes(cls) == as_bytes(field_reduce_Uq(s, 5, 8))

@@ -152,6 +152,12 @@ def test_deserializers_read_numbers_exactly():
         PQSeries.deserialize(5, [[[0, True, 0, 0]]])
     with pytest.raises(ValueError, match="not an exact number"):
         Cyclo.deserialize(5, [Fraction(1, 5), 0, 0, 0])
+    # only an optional sign, digits and an optional "/digits" are read:
+    # Fraction would also take exponents, decimals, spaces and underscores
+    for text in ("1e4000000", "0.2", "1/5 ", " 7", "1_000", "+-1", "1/-5", "٣"):
+        with pytest.raises(ValueError, match="not an exact number"):
+            Cyclo.deserialize(5, [text, 0, 0, 0])
+    assert Cyclo.deserialize(5, ["+3", "-2/6", "0", 4]) == Cyclo(5, [3, Fraction(-1, 3), 0, 4])
     s = QSeries.deserialize(5, [["1/5", 0, 0, 0], [0, "-3/7", 2, 0]])
     assert s == QSeries(5, 2, [
         Cyclo.from_rational(5, Fraction(1, 5)),
