@@ -6,8 +6,8 @@ floating point enters any result.
 
 Layers
 ------
-linalg     exact Gaussian elimination over a field (reduced row echelon
-           form, optionally tracking the row transform)
+linalg     the one exact elimination: a fraction-free reduced row
+           echelon form over Q of integer rows
 cyclo      cyclotomic field arithmetic and the subring Z[1/N, zeta_N]
 series     truncated power series in q, (p, q), and x over q-series
 genus      characteristic series, multiplicative sequences, Chern-number

@@ -110,10 +110,17 @@ def _load_split(path: str) -> SplitChernData:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _series_level(value) -> int:
+    level = _integer(value)
+    if level < 1:
+        raise ValueError(f"level {level} is not positive")
+    return level
+
+
 def _load_qseries(path: str) -> QSeries:
     doc = _load_json(path)
     try:
-        level = _integer(doc["level"])
+        level = _series_level(doc["level"])
         coeffs = [_coefficient(level, c) for c in doc["coeffs"]]
         return QSeries(level, len(coeffs), coeffs)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -123,7 +130,7 @@ def _load_qseries(path: str) -> QSeries:
 def _load_pqseries(path: str) -> PQSeries:
     doc = _load_json(path)
     try:
-        level = _integer(doc["level"])
+        level = _series_level(doc["level"])
         rows = [[_coefficient(level, c) for c in row] for row in doc["rows"]]
         if any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("rows differ in length")

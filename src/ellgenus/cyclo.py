@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import LevelMismatch
-from .linalg import rref_tracked
+from .linalg import _integer_echelon
 
 
 @functools.lru_cache(maxsize=None)
@@ -353,17 +353,22 @@ def _descent_echelon(L: int, n: int):
     and T their tags over the images of 1, zeta_n, ..., scale * R and
     scale * T are integral; ``free`` holds (j, column j of scale * R) for
     every column j off the pivots, and ``tags`` the columns of scale * T.
+    Both come from one integer echelon of the rows image_i || e_i: the
+    images are independent, so every pivot lies in the first block, the
+    second block carries the row transform, and ``scale`` is the common
+    denominator.
     """
     table = _power_table(L)
-    basis = [[Fraction(x) for x in table[i * (L // n)]] for i in range(euler_phi(n))]
-    pivots, rows, tags = rref_tracked(basis)
-    scale = math.lcm(*(x.denominator for row in rows + tags for x in row))
+    width, m = euler_phi(L), euler_phi(n)
+    pivots, rows, scale = _integer_echelon(
+        [list(table[i * (L // n)]) + [int(j == i) for j in range(m)] for i in range(m)]
+    )
 
-    def column(matrix, j):
-        return tuple(int(row[j] * scale) for row in matrix)
+    def column(j):
+        return tuple(row[j] for row in rows)
 
-    free = [(j, column(rows, j)) for j in range(len(table[0])) if j not in pivots]
-    return pivots, free, [column(tags, i) for i in range(len(tags[0]))], scale
+    free = [(j, column(j)) for j in range(width) if j not in pivots]
+    return pivots, free, [column(width + i) for i in range(m)], scale
 
 
 def _subfield_part(a: Cyclo, n: int) -> Cyclo:

@@ -73,6 +73,8 @@ class ChernData:
     __slots__ = ("dim", "numbers")
 
     def __init__(self, dim: int, numbers: dict):
+        if dim < 0:
+            raise BadChernData(f"dimension {dim} is negative")
         self.dim = dim
         clean = {}
         for key, value in numbers.items():
@@ -103,6 +105,8 @@ class SplitChernData:
     __slots__ = ("dim0", "dim1", "numbers")
 
     def __init__(self, dim0: int, dim1: int, numbers: dict):
+        if dim0 < 0 or dim1 < 0:
+            raise BadSplitChernData(f"dimensions ({dim0}, {dim1}) include a negative one")
         self.dim0 = dim0
         self.dim1 = dim1
         total = dim0 + dim1

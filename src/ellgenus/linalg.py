@@ -1,69 +1,61 @@
-"""Exact Gaussian elimination over Q(zeta_L), Q, or any exact field.
+"""Exact Gaussian elimination over Q, fraction-free on integer rows.
 
-This is the package's one field-elimination routine: explicit candidate
-pools for a modular-form basis and descent to subfields reduce through
-``rref``.  The default basis pool is reduced over Q in integers
-instead.  A finished basis is rational, so reductions eliminate against
-it in integers (``ModFormBasis.eliminate``), and the constant-direction
-solve works on the residual coordinate by coordinate; none of these runs
-a field elimination.  Rows are lists of field elements supporting +, -, *,
-truthiness, and division via 1/x.  Matrices are small (a handful of
-modular forms by a few dozen q-coefficients), so plain elimination on
-exact entries is fine.
+``_integer_echelon`` is the package's one elimination.  It builds every
+Gamma_1(N) basis, the default pool's and an explicit pool's alike (an
+explicit pool over Q(zeta_L) goes in as its power-basis coordinate
+slices, see ``modforms._build_basis``), and the tracked echelon forms
+that descend elements of Q(zeta_L) to subfields (``cyclo._descent_echelon``).
+A finished basis is rational, so reductions eliminate against it in
+integers (``ModFormBasis.eliminate``), and the constant-direction solve
+works on the residual coordinate by coordinate; neither echelons again.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import bisect
+import math
+from math import gcd
 
 
-def rref(rows: list[list], width: int | None = None) -> tuple[list[int], list[list]]:
-    """Reduced row echelon form with pivots at the earliest columns.
+def _reduce_at(row: list[int], p: int, by: list[int]) -> list[int]:
+    """The primitive multiple of row - (row[p] / by[p]) * by, which is zero at p."""
+    a, b = row[p], by[p]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    row = [b * x - a * y for x, y in zip(row, by)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
-    Pivots are searched only among the first `width` columns (default:
-    all of them); later columns are carried along by the row operations.
-    Returns (pivot_columns, nonzero_rows); pivot entries are normalized
-    to 1 and eliminated from every other row.  Rows without a pivot are
-    dropped.
+
+def _integer_echelon(rows) -> tuple[list[int], tuple[tuple[int, ...], ...], int]:
+    """Reduced row echelon form over Q of integer rows, as (pivots, rows, den).
+
+    Fraction-free: each row is reduced against the echelon rows found so
+    far, in pivot order, and kept primitive with a positive pivot entry.
+    Back-substitution then clears every pivot column but its own, and
+    row j of the result over den is the j-th reduced echelon row, with
+    gcd(den, every entry) = 1.
     """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0]) if width is None else width
     pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    echelon: list[list[int]] = []
+    for row in rows:
+        for p, by in zip(pivots, echelon):
+            if row[p]:
+                row = _reduce_at(row, p, by)
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None:
             continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return pivots, rows[:rank]
-
-
-def rref_tracked(rows: list[list]) -> tuple[list[int], list[list], list[list]]:
-    """rref that also records the row transform.
-
-    Returns (pivots, reduced, tags) with reduced[r] = sum_i tags[r][i] *
-    rows[i]: an identity block is appended to the rows and carried along,
-    with pivots searched only among the original columns.
-    """
-    width = len(rows[0]) if rows else 0
-    n = len(rows)
-    augmented = [
-        list(row) + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    pivots, reduced = rref(augmented, width)
-    return pivots, [r[:width] for r in reduced], [r[width:] for r in reduced]
+        g = gcd(*row) if row[lead] > 0 else -gcd(*row)
+        i = bisect.bisect(pivots, lead)
+        pivots.insert(i, lead)
+        echelon.insert(i, [x // g for x in row])
+    for j in reversed(range(len(echelon))):
+        row = echelon[j]
+        for p, by in zip(pivots[j + 1:], echelon[j + 1:]):
+            if row[p]:
+                row = _reduce_at(row, p, by)
+        echelon[j] = row
+    den = math.lcm(*(row[p] for p, row in zip(pivots, echelon)))
+    return pivots, tuple(
+        tuple(x * (den // row[p]) for x in row) for p, row in zip(pivots, echelon)
+    ), den

@@ -11,12 +11,14 @@ Bernoulli numbers B_{k,chi} = M^{k-1} sum_a chi(a) B_k(a/M).
 Character values live in Q(zeta_L) with L = lcm(N, exponent of (Z/N)^*),
 which contains the value fields of every character of modulus dividing N.
 Bases are certified against the standard dimension formulas for the
-torsion-free groups Gamma_1(N), N >= 4.
+torsion-free groups Gamma_1(N), N >= 4.  Every basis is an integer
+echelon over Q (``linalg._integer_echelon``) of integer rows: the power-
+basis coordinate slices of the candidates, and for the default pool the
+integer products of lower-weight bases.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import hashlib
 import json
@@ -36,7 +38,7 @@ from .errors import (
     SpanFailure,
     UnsupportedLevel,
 )
-from .linalg import rref
+from .linalg import _integer_echelon
 from .series import QSeries
 
 
@@ -404,11 +406,11 @@ class ModFormBasis:
     The basis is in reduced row echelon form with pivots at the earliest
     q-exponents, and its entries are rational: ``rows[j][c] / den`` is the
     q^c coefficient of the j-th element, one integer matrix over one
-    common denominator with gcd(den, every entry) = 1.  For the default
-    pool this matrix is what the integer echelon computes; ``elements``
-    gives the same basis as QSeries over the ambient field Q(zeta_L),
-    built from it.  ``eliminate`` reduces a series against
-    the basis in integer arithmetic.  ``is_integral`` and ``digest`` are
+    common denominator with gcd(den, every entry) = 1.  This matrix is
+    what the integer echelon computes, for the default pool and for an
+    explicit one; ``elements`` gives the same basis as QSeries over the
+    ambient field Q(zeta_L), built from it.  ``eliminate`` reduces a
+    series against the basis in integer arithmetic.  ``is_integral`` and ``digest`` are
     computed at their first call and then kept.
     """
 
@@ -538,10 +540,11 @@ def weight_basis(N: int, k: int, prec: int, candidates=None) -> ModFormBasis:
     """Certified basis of M_k(Gamma_1(N)) to q-precision prec.
 
     Candidates default to all admissible Eisenstein series plus products
-    of lower-weight basis elements, and that pool is reduced over Q in
-    integers; passing an explicit candidate list overrides the pool,
-    which is reduced over Q(zeta_L) (rank is still certified against the
-    dimension, and a non-rational echelon form is refused).
+    of lower-weight basis elements.  Passing an explicit candidate list
+    overrides the pool; each candidate's level must divide L, its rank
+    over Q(zeta_L) is certified against the dimension, and a pool whose
+    echelon form is not rational is refused.  Either pool is reduced
+    over Q in integers.
     """
     sb = sturm_bound(N, k)
     if prec < sb:
@@ -550,6 +553,17 @@ def weight_basis(N: int, k: int, prec: int, candidates=None) -> ModFormBasis:
         return _build_basis(N, k, prec, list(candidates))
     with _basis_lock:
         return _weight_basis_cached(N, k, prec)
+
+
+def _scaled(coeffs) -> list[list[int]]:
+    """The numerators of the coefficients over their common denominator."""
+    E = math.lcm(*(c.den for c in coeffs))
+    return [[x * (E // c.den) for x in c.num] for c in coeffs]
+
+
+def _slices(coeffs) -> list[list[int]]:
+    """The nonzero power-basis coordinate slices of a series, as integer rows."""
+    return [row for row in map(list, zip(*_scaled(coeffs))) if any(row)]
 
 
 def _default_rows(N: int, k: int, prec: int) -> list[list[int]]:
@@ -565,9 +579,7 @@ def _default_rows(N: int, k: int, prec: int) -> list[list[int]]:
         return [[1] + [0] * (prec - 1)]
     out = []
     for f in eisenstein_candidates(N, k, prec):
-        E = math.lcm(*(c.den for c in f.coeffs))
-        scaled = [[x * (E // c.den) for x in c.num] for c in f.coeffs]
-        out.extend(row for row in map(list, zip(*scaled)) if any(row))
+        out.extend(_slices(f.coeffs))
     for k1 in range(1, k // 2 + 1):
         b2 = _weight_basis_cached(N, k - k1, prec)
         for f in _weight_basis_cached(N, k1, prec).rows:
@@ -580,67 +592,40 @@ def _default_rows(N: int, k: int, prec: int) -> list[list[int]]:
     return out
 
 
-def _reduce_at(row: list[int], p: int, by: list[int]) -> list[int]:
-    """The primitive multiple of row - (row[p] / by[p]) * by, which is zero at p."""
-    a, b = row[p], by[p]
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    row = [b * x - a * y for x, y in zip(row, by)]
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+def _pool_echelon(candidates, N: int, k: int, dim: int):
+    """(pivots, rows, den) of an explicit pool, whose echelon form must be rational.
 
-
-def _integer_echelon(rows) -> tuple[list[int], tuple[tuple[int, ...], ...], int]:
-    """Reduced row echelon form over Q of integer rows, as (pivots, rows, den).
-
-    Fraction-free: each row is reduced against the echelon rows found so
-    far, in pivot order, and kept primitive with a positive pivot entry.
-    Back-substitution then clears every pivot column but its own, and
-    row j of the result over den is the j-th reduced echelon row, with
-    gcd(den, every entry) = 1.
+    Every candidate is lifted to the ambient level L first.  The pool's
+    rank r over Q(zeta_L) is the Q-rank of the rows zeta_L^i * f,
+    i < phi(L), divided by phi(L), and is certified against the
+    dimension.  The power-basis coordinate slices of the pool span over
+    Q a space S whose Q(zeta_L)-span contains the pool, so dim S >= r,
+    with equality iff the pool's span is S tensor Q(zeta_L), that is iff
+    its reduced echelon form is rational; then it is the echelon form
+    of S.
     """
-    pivots: list[int] = []
-    echelon: list[list[int]] = []
-    for row in rows:
-        for p, by in zip(pivots, echelon):
-            if row[p]:
-                row = _reduce_at(row, p, by)
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        g = gcd(*row) if row[lead] > 0 else -gcd(*row)
-        i = bisect.bisect(pivots, lead)
-        pivots.insert(i, lead)
-        echelon.insert(i, [x // g for x in row])
-    for j in reversed(range(len(echelon))):
-        row = echelon[j]
-        for p, by in zip(pivots[j + 1:], echelon[j + 1:]):
-            if row[p]:
-                row = _reduce_at(row, p, by)
-        echelon[j] = row
-    den = math.lcm(*(row[p] for p, row in zip(pivots, echelon)))
-    return pivots, tuple(
-        tuple(x * (den // row[p]) for x in row) for p, row in zip(pivots, echelon)
-    ), den
-
-
-def _rational_rref(candidates, N: int, k: int, dim: int):
-    """(pivots, rows, den) of an explicit pool, reduced over Q(zeta_L)."""
-    pivots, reduced = rref([list(c.coeffs) for c in candidates])
-    _certify_rank(len(reduced), dim)
+    L = ambient_field_level(N)
+    pool = [f.lift(L) for f in candidates]
+    phi = euler_phi(L)
+    zeta = Cyclo.zeta(L)
+    turns = []
+    for f in pool:
+        coeffs = f.coeffs
+        for _ in range(phi):
+            turns.append([x for row in _scaled(coeffs) for x in row])
+            coeffs = [c * zeta for c in coeffs]
+    rank = len(_integer_echelon(turns)[1]) // phi
+    _certify_rank(rank, dim)
+    pivots, rows, den = _integer_echelon([row for f in pool for row in _slices(f.coeffs)])
     # the echelon form of M_k tensor Q(zeta_L) is Galois-fixed, hence
-    # rational (Shimura 1971, Thm 3.52): an irrational entry proves that
-    # the candidates, though of full rank, do not span M_k
-    if any(x for row in reduced for value in row for x in value.num[1:]):
+    # rational (Shimura 1971, Thm 3.52): slices of a higher rank prove
+    # that the candidates, though of full rank, do not span M_k
+    if len(rows) != rank:
         raise SpanFailure(
-            len(reduced), dim,
+            rank, dim,
             f"the reduced echelon form of the candidates is not rational, so "
             f"they do not span M_{k}(Gamma_1({N}))",
         )
-    den = math.lcm(*(value.den for row in reduced for value in row))
-    rows = tuple(
-        tuple(value.num[0] * (den // value.den) for value in row) for row in reduced
-    )
     return pivots, rows, den
 
 
@@ -654,10 +639,12 @@ def _certify_rank(rank: int, dim: int) -> None:
 def _build_basis(N: int, k: int, prec: int, candidates) -> ModFormBasis:
     """The certified basis from the default pool (candidates None) or an explicit one.
 
-    The default pool is reduced over Q by ``_integer_echelon``, every
-    candidate included, so a rank above the dimension is still caught;
-    an explicit pool need not be Galois-stable, so it is reduced over
-    Q(zeta_L) and its echelon form must come out rational.
+    Both are reduced over Q by ``_integer_echelon``.  The default pool is
+    Galois-stable, so its coordinate slices span the rational points of
+    its span, and every candidate is reduced, so a rank above the
+    dimension is still caught.  An explicit pool need not be
+    Galois-stable: ``_pool_echelon`` certifies its rank over Q(zeta_L)
+    and checks that its slices have that rank.
     """
     L = ambient_field_level(N)
     dim = dim_Mk(N, k)
@@ -665,7 +652,7 @@ def _build_basis(N: int, k: int, prec: int, candidates) -> ModFormBasis:
         pivots, rows, den = _integer_echelon(_default_rows(N, k, prec))
         _certify_rank(len(rows), dim)
     else:
-        pivots, rows, den = _rational_rref(candidates, N, k, dim)
+        pivots, rows, den = _pool_echelon(candidates, N, k, dim)
     elements = [
         QSeries(L, prec, [Cyclo.from_rational(L, Fraction(x, den)) for x in row])
         for row in rows

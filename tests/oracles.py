@@ -7,8 +7,10 @@ from fractions import Fraction
 from ellgenus.cyclo import (
     Cyclo,
     NZCoset,
+    _power_table,
     _subfield_part,
     descend,
+    euler_phi,
     in_NZ,
     reduce_mod_NZ,
 )
@@ -20,7 +22,6 @@ from ellgenus.errors import (
     RankExceedsDimension,
     SpanFailure,
 )
-from ellgenus.linalg import rref
 from ellgenus.modforms import (
     ModFormBasis,
     ambient_field_level,
@@ -37,6 +38,58 @@ from ellgenus.reduce import (
     _residual_of_one,
 )
 from ellgenus.series import PQSeries, QSeries
+
+
+def rref(rows: list[list], width: int | None = None) -> tuple[list[int], list[list]]:
+    """Reduced row echelon form with pivots at the earliest columns.
+
+    Pivots are searched only among the first `width` columns (default:
+    all of them); later columns are carried along by the row operations.
+    Returns (pivot_columns, nonzero_rows); pivot entries are normalized
+    to 1 and eliminated from every other row.  Rows without a pivot are
+    dropped.
+    """
+    rows = [list(r) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0]) if width is None else width
+    pivots: list[int] = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(rank, len(rows)):
+            if rows[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    return pivots, rows[:rank]
+
+
+def rref_tracked(rows: list[list]) -> tuple[list[int], list[list], list[list]]:
+    """rref that also records the row transform.
+
+    Returns (pivots, reduced, tags) with reduced[r] = sum_i tags[r][i] *
+    rows[i]: an identity block is appended to the rows and carried along,
+    with pivots searched only among the original columns.
+    """
+    width = len(rows[0]) if rows else 0
+    n = len(rows)
+    augmented = [
+        list(row) + [Fraction(1 if j == i else 0) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    pivots, reduced = rref(augmented, width)
+    return pivots, [r[:width] for r in reduced], [r[width:] for r in reduced]
 
 
 def eliminate(vec: list, pivots: list[int], rows: list[list]) -> tuple[list, list]:
@@ -139,6 +192,41 @@ def field_basis(N: int, k: int, prec: int) -> ModFormBasis:
     elements = [QSeries(L, prec, r) for r in reduced]
     certificate = {"dimension": dim, "rank": rank, "sturm": sb}
     return ModFormBasis(N, k, prec, L, elements, pivots, certificate, rows, den)
+
+
+def rational_rref(candidates, N: int, k: int, dim: int):
+    """(pivots, rows, den) of an explicit pool, reduced over Q(zeta_L) by ``rref``."""
+    pivots, reduced = rref([list(c.coeffs) for c in candidates])
+    rank = len(reduced)
+    if rank < dim:
+        raise SpanFailure(rank, dim)
+    if rank > dim:
+        raise RankExceedsDimension(rank, dim)
+    if any(x for row in reduced for value in row for x in value.num[1:]):
+        raise SpanFailure(
+            rank, dim,
+            f"the reduced echelon form of the candidates is not rational, so "
+            f"they do not span M_{k}(Gamma_1({N}))",
+        )
+    den = math.lcm(*(value.den for row in reduced for value in row))
+    rows = tuple(
+        tuple(value.num[0] * (den // value.den) for value in row) for row in reduced
+    )
+    return pivots, rows, den
+
+
+def descent_echelon(L: int, n: int):
+    """The (pivots, free, tags, scale) descent table built by ``rref_tracked``."""
+    table = _power_table(L)
+    basis = [[Fraction(x) for x in table[i * (L // n)]] for i in range(euler_phi(n))]
+    pivots, rows, tags = rref_tracked(basis)
+    scale = math.lcm(*(x.denominator for row in rows + tags for x in row))
+
+    def column(matrix, j):
+        return tuple(int(row[j] * scale) for row in matrix)
+
+    free = [(j, column(rows, j)) for j in range(len(table[0])) if j not in pivots]
+    return pivots, free, [column(tags, i) for i in range(len(tags[0]))], scale
 
 
 # The quotient reductions as they ran before the decision moved into

@@ -288,3 +288,26 @@ def test_genus_rejects_an_exponent_chern_number_exits_3(tmp_path, capsys):
     path.write_text(json.dumps({"dim": 2, "chern": {"1,1": HUGE, "2": 3}}))
     assert cli.main(["--level", "5", "genus", str(path)]) == 3
     assert "modular" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("level", [0, -5])
+def test_reduce_commands_refuse_a_series_level_below_1_exits_3(level, tmp_path, capsys):
+    u = tmp_path / "u.json"
+    u.write_text(json.dumps({"level": level, "coeffs": [[]] * 8}))
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({"level": level, "rows": [[[]]]}))
+    assert cli.main(["--degree", "6", "reduce-u", str(u)]) == 3
+    assert cli.main(["--degree", "4", "reduce-w", str(w)]) == 3
+    assert capsys.readouterr().err.count(f"level {level} is not positive") == 2
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("f-rep", {"dim0": -1, "dim1": 3, "chern": {"|2": 5}}),
+    ("genus", {"dim": -1, "chern": {}}),
+])
+def test_negative_dimensions_exit_3(command, doc, tmp_path, capsys):
+    path = tmp_path / "chern.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--machine", command, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "negative" in captured.err

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellgenus.cyclo import Cyclo, _split_denominator, descend, euler_phi, in_NZ
-from ellgenus.linalg import rref_tracked
 from ellgenus.modforms import weight_basis
 from ellgenus.reduce import _residual_of_one, _solve_constant_direction
-from oracles import eliminate, field_solve_constant_direction
+from oracles import eliminate, field_solve_constant_direction, rref_tracked
 
 
 def _z_echelon_tracked(rows: list[list[int]], width: int):

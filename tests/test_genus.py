@@ -7,9 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellgenus.cyclo import Cyclo, in_NZ
-from ellgenus.errors import BadChernData, InsufficientXPrecision, NonUnitConstantTerm
+from ellgenus.errors import (
+    BadChernData,
+    BadSplitChernData,
+    InsufficientXPrecision,
+    NonUnitConstantTerm,
+)
 from ellgenus.genus import (
     ChernData,
+    SplitChernData,
     chern_product,
     chi_y_cp,
     cp_chern,
@@ -40,6 +46,15 @@ def test_projective_space_chern_numbers():
 def test_chern_data_rejects_wrong_degree():
     with pytest.raises(BadChernData):
         ChernData(2, {(1,): 1})
+
+
+def test_chern_data_rejects_negative_dimensions():
+    with pytest.raises(BadChernData):
+        ChernData(-1, {})
+    for dims in ((-1, 3), (3, -1)):
+        with pytest.raises(BadSplitChernData):
+            SplitChernData(*dims, {((2,), ()): 5})
+    assert SplitChernData(0, 2, {((), (2,)): 5}).numbers == {((), (2,)): 5}
 
 
 def test_whitney_product_of_two_cp1():

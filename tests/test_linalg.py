@@ -1,13 +1,16 @@
-"""Exact elimination: rref, its tracked form, eliminate, and descent."""
+"""Exact elimination: the field rref oracle and its tracked form, eliminate,
+and descent, whose tables the integer echelon builds."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellgenus import cyclo
 from ellgenus.cyclo import Cyclo, descend, euler_phi
-from ellgenus.linalg import rref, rref_tracked
-from oracles import eliminate
+from ellgenus.modforms import ambient_field_level
+from oracles import descent_echelon, eliminate, rref, rref_tracked
 
 entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 # sparse entries, so that rank-deficient matrices come up often
@@ -80,3 +83,11 @@ def test_descend_rejects_elements_outside_the_subfield():
     for L, n in DESCENT_PAIRS:
         assert descend(Cyclo.zeta(L), n) is None
         assert descend(Cyclo.zeta(n).lift(L) + Cyclo.zeta(L), n) is None
+
+
+@pytest.mark.parametrize("N", [4, 5, 6, 7, 8, 9, 10, 12])
+def test_descent_tables_match_the_tracked_rref_build(N):
+    L = ambient_field_level(N)
+    for n in range(1, L + 1):
+        if L % n == 0:
+            assert cyclo._descent_echelon(L, n) == descent_echelon(L, n), (L, n)

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -20,9 +21,8 @@ from ellgenus.errors import (
     SpanFailure,
     UnsupportedLevel,
 )
-from ellgenus import modforms
+from ellgenus import linalg, modforms
 from ellgenus.genus import cp_chern, genus, log_phi_series, phi_series
-from ellgenus.linalg import rref
 from ellgenus.modforms import (
     all_characters,
     ambient_field_level,
@@ -37,7 +37,7 @@ from ellgenus.modforms import (
     weight_basis,
 )
 from ellgenus.series import QSeries
-from oracles import eisenstein_by_scan, eliminate, field_basis
+from oracles import eisenstein_by_scan, eliminate, field_basis, rational_rref, rref
 
 
 def test_bernoulli_numbers():
@@ -398,9 +398,10 @@ def test_the_default_path_runs_no_field_elimination_and_no_series_product(monkey
     def refused(*args, **kwargs):
         raise AssertionError("called on the default path")
 
+    # the integer echelon is the package's one elimination
+    assert not hasattr(linalg, "rref") and not hasattr(linalg, "rref_tracked")
     fresh = functools.lru_cache(maxsize=None)(modforms._weight_basis_cached.__wrapped__)
     monkeypatch.setattr(modforms, "_weight_basis_cached", fresh)
-    monkeypatch.setattr(modforms, "rref", refused)
     monkeypatch.setattr(QSeries, "__mul__", refused)
     basis = weight_basis(7, 4, sturm_bound(7, 4))
     monkeypatch.undo()
@@ -410,16 +411,16 @@ def test_the_default_path_runs_no_field_elimination_and_no_series_product(monkey
 def test_integer_echelon_does_not_depend_on_the_candidate_order():
     N, k, prec = 7, 3, 13
     rows = modforms._default_rows(N, k, prec)
-    want = modforms._integer_echelon(rows)
+    want = linalg._integer_echelon(rows)
     assert len(want[1]) == dim_Mk(N, k)
     basis = weight_basis(N, k, prec)
     free = next(c for c in range(prec) if c not in basis.pivots)
     outside = rows + [[int(c == free) for c in range(prec)]]
     for seed in (1, 2):
         shuffled = random.Random(seed).sample(rows, len(rows))
-        assert modforms._integer_echelon(shuffled) == want
+        assert linalg._integer_echelon(shuffled) == want
         shuffled = random.Random(seed).sample(outside, len(outside))
-        assert len(modforms._integer_echelon(shuffled)[1]) == dim_Mk(N, k) + 1
+        assert len(linalg._integer_echelon(shuffled)[1]) == dim_Mk(N, k) + 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -429,8 +430,80 @@ def test_integer_echelon_does_not_depend_on_the_candidate_order():
     max_size=7,
 ))
 def test_integer_echelon_is_the_reduced_echelon_form_over_Q(matrix):
-    pivots, rows, den = modforms._integer_echelon(matrix)
+    pivots, rows, den = linalg._integer_echelon(matrix)
     want_pivots, want = rref([[Fraction(x) for x in row] for row in matrix])
     assert pivots == want_pivots
     assert [[Fraction(x, den) for x in row] for row in rows] == want
     assert den > 0 and math.gcd(den, *(x for row in rows for x in row)) == 1
+
+
+def test_a_mixed_level_pool_gives_one_basis_in_every_order():
+    # the (5, 2, 8) basis is rational, so its elements also live at level 5
+    basis = weight_basis(5, 2, 8)
+    at_5 = [QSeries(5, 8, [descend(c, 5) for c in e.coeffs]) for e in basis.elements]
+    pool = at_5[:2] + basis.elements[1:]
+    for order in itertools.permutations(pool):
+        got = weight_basis(5, 2, 8, candidates=order)
+        assert (got.pivots, got.rows, got.den) == (basis.pivots, basis.rows, basis.den)
+    with pytest.raises(LevelMismatch):
+        weight_basis(5, 2, 8, candidates=pool + [QSeries(3, 8, [1])])
+
+
+@st.composite
+def field_elements(draw, L):
+    """A sum of one or two rational multiples of powers of zeta_L."""
+    out = Cyclo(L)
+    for _ in range(draw(st.integers(1, 2))):
+        r = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        out = out + Cyclo.zeta(L, draw(st.integers(0, L - 1))) * r
+    return out
+
+
+@st.composite
+def perturbed_pools(draw, basis):
+    """Q(zeta_L) or Q combinations of the basis elements, one of them perturbed
+    at one q-exponent by zeta_L or a rational, or a monomial q^j added."""
+    L, prec, dim = basis.field_level, basis.prec, len(basis.elements)
+    scalars = draw(st.sampled_from([
+        field_elements(L), st.fractions(-3, 3, max_denominator=4)
+    ]))
+    pool = []
+    for _ in range(draw(st.one_of(st.just(dim), st.integers(0, dim + 1)))):
+        coeffs = [Cyclo(L)] * prec
+        for e in basis.elements:
+            c = draw(scalars)
+            coeffs = [a + c * b for a, b in zip(coeffs, e.coeffs)]
+        pool.append(coeffs)
+    kind = draw(st.sampled_from(["none", "irrational", "rational", "monomial"]))
+    j = draw(st.integers(0, prec - 1))
+    if kind == "monomial":
+        pool.append([0] * j + [1] + [0] * (prec - j - 1))
+    elif kind != "none" and pool:
+        coeffs = pool[draw(st.integers(0, len(pool) - 1))]
+        x = Cyclo.zeta(L) if kind == "irrational" else draw(
+            st.fractions(-3, 3, max_denominator=7).filter(bool)
+        )
+        coeffs[j] = coeffs[j] + x
+    return [QSeries(L, prec, coeffs) for coeffs in draw(st.permutations(pool))]
+
+
+def _echelon_or_failure(build):
+    """(pivots, rows, den), or the failure's (type, rank, dimension)."""
+    try:
+        return build()
+    except SpanFailure as exc:
+        return type(exc), exc.rank, exc.dimension
+
+
+@pytest.mark.parametrize("N,k,prec", [(5, 2, 8), (9, 2, 13), (12, 2, 17), (7, 3, 13)])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_explicit_pools_match_the_field_rref_oracle(N, k, prec, data):
+    pool = data.draw(perturbed_pools(weight_basis(N, k, prec)))
+
+    def built():
+        basis = weight_basis(N, k, prec, candidates=pool)
+        return basis.pivots, basis.rows, basis.den
+
+    want = _echelon_or_failure(lambda: rational_rref(pool, N, k, dim_Mk(N, k)))
+    assert _echelon_or_failure(built) == want
