@@ -29,7 +29,9 @@ from .linalg import _integer_echelon
 
 @functools.lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    """Euler totient of n."""
+    """Euler totient of n; every level reaches it, so a level below 1 is refused here."""
+    if n < 1:
+        raise ValueError(f"level {n} is not positive")
     result = n
     m = n
     p = 2

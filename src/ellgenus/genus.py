@@ -14,11 +14,13 @@ The genus needs only log phi.  The logarithm of the product is a sum of
 logarithms, so each x^k coefficient of log phi is a twisted divisor sum in
 q (an Eisenstein series), and `log_phi_series` writes it down in closed
 form, with no series product or inversion.  Genus values are computed from
-Chern numbers: the degree-n multiplicative class exp(sum_k l_k p_k), with
-l = log phi, is expanded in elementary symmetric polynomials (= Chern
-classes) via power sums and Newton's identities, then paired against the
-Chern-number data.  `phi_series` = exp(log phi) and the product formula in
-`verify_Q_identity` serve as checks.
+Chern numbers: the degree-n multiplicative class F = exp(sum_k l_k p_k),
+with l = log phi and the power sums p_k written in elementary symmetric
+polynomials (= Chern classes) by Newton's identities, is built degree by
+degree from the recurrence d F_d = sum_{i<=d} i l_i p_i F_{d-i} that
+F' = A' F gives for F = exp(A) (Brent and Kung 1978), then paired against
+the Chern-number data.  `phi_series` = exp(log phi) and the product formula
+in `verify_Q_identity` serve as checks.
 """
 
 from __future__ import annotations
@@ -264,50 +266,36 @@ def _newton_power_sum(k: int) -> dict[Partition, int]:
     return ps[k]
 
 
-def _sym_mul(a: dict, b: dict, cutoff: int) -> dict:
-    out: dict[Partition, QSeries] = {}
-    for la, ca in a.items():
-        for lb, cb in b.items():
-            if sum(la) + sum(lb) > cutoff:
-                continue
-            key = tuple(sorted(la + lb, reverse=True))
-            prev = out.get(key)
-            prod = ca * cb
-            out[key] = prod if prev is None else prev + prod
-    return out
-
-
 def multiplicative_class(ell: XQSeries, n: int) -> GradedSymPoly:
     """Degree-n piece of prod_i phi(x_i), in elementary symmetric basis.
 
-    ``ell`` is l = log(phi), whose x^0 coefficient is 0.  Computed as
-    exp(sum_k l_k p_k), truncated at symmetric-function weight n.
+    ``ell`` is l = log(phi), whose x^0 coefficient is 0.  The class is
+    F = exp(A) with A = sum_k l_k p_k, and its pieces F_d of weight d
+    follow from F' = A' F: d F_d = sum_{i=1}^{d} i l_i p_i F_{d-i}, with
+    F_0 = 1, one q-series product l_i g per monomial g of F_{d-i}.
     """
     if n == 0:
         return GradedSymPoly(0, {(): QSeries.one(ell.level, ell.prec_q)})
     if ell.prec_x <= n:
         raise InsufficientXPrecision(f"prec_x {ell.prec_x} <= degree {n}")
-    one = QSeries.one(ell.level, ell.prec_q)
-    # A = sum_k l_k p_k as a symmetric polynomial with QSeries coefficients
-    A: dict[Partition, QSeries] = {}
-    for k in range(1, n + 1):
-        lk = ell[k]
-        if lk.is_zero():
-            continue
-        for part, c in _newton_power_sum(k).items():
-            prev = A.get(part)
-            contrib = lk * c
-            A[part] = contrib if prev is None else prev + contrib
-    result: dict[Partition, QSeries] = {(): one}
-    term: dict[Partition, QSeries] = {(): one}
-    for j in range(1, n + 1):
-        term = _sym_mul(term, A, n)
-        term = {k: v * Fraction(1, j) for k, v in term.items()}
-        for key, v in term.items():
-            prev = result.get(key)
-            result[key] = v if prev is None else prev + v
-    top = {k: v for k, v in result.items() if sum(k) == n}
-    return GradedSymPoly(n, top)
+    power_sums = [
+        (i, ell[i], _newton_power_sum(i)) for i in range(1, n + 1) if not ell[i].is_zero()
+    ]
+    K: list[dict[Partition, QSeries]] = [{(): QSeries.one(ell.level, ell.prec_q)}]
+    for d in range(1, n + 1):
+        Kd: dict[Partition, QSeries] = {}
+        for i, li, p_i in power_sums:
+            if i > d:
+                break
+            for mu, g in K[d - i].items():
+                lg = li * g
+                for nu, c in p_i.items():
+                    key = tuple(sorted(mu + nu, reverse=True))
+                    term = lg * Fraction(i * c, d)
+                    prev = Kd.get(key)
+                    Kd[key] = term if prev is None else prev + term
+        K.append(Kd)
+    return GradedSymPoly(n, K[n])
 
 
 @functools.lru_cache(maxsize=None)

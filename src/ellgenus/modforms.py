@@ -595,28 +595,28 @@ def _default_rows(N: int, k: int, prec: int) -> list[list[int]]:
 def _pool_echelon(candidates, N: int, k: int, dim: int):
     """(pivots, rows, den) of an explicit pool, whose echelon form must be rational.
 
-    Every candidate is lifted to the ambient level L first.  The pool's
-    rank r over Q(zeta_L) is the Q-rank of the rows zeta_L^i * f,
-    i < phi(L), divided by phi(L), and is certified against the
-    dimension.  The power-basis coordinate slices of the pool span over
-    Q a space S whose Q(zeta_L)-span contains the pool, so dim S >= r,
-    with equality iff the pool's span is S tensor Q(zeta_L), that is iff
-    its reduced echelon form is rational; then it is the echelon form
-    of S.
+    Every candidate is lifted to the ambient level L first.  The
+    power-basis coordinate slices of the pool span over Q a space S whose
+    Q(zeta_L)-span contains the pool, so a candidate is determined by its
+    values at the pivots of the echelon form of S.  The pool's rank r over
+    Q(zeta_L) is then the Q-rank of the rows zeta_L^i * f, i < phi(L),
+    read at those pivots, divided by phi(L), and is certified against the
+    dimension.  dim S >= r, with equality iff the pool's span is S tensor
+    Q(zeta_L), that is iff its echelon form is rational: that of S.
     """
     L = ambient_field_level(N)
     pool = [f.lift(L) for f in candidates]
+    pivots, rows, den = _integer_echelon([row for f in pool for row in _slices(f.coeffs)])
     phi = euler_phi(L)
     zeta = Cyclo.zeta(L)
     turns = []
     for f in pool:
-        coeffs = f.coeffs
+        values = [f[p] for p in pivots]
         for _ in range(phi):
-            turns.append([x for row in _scaled(coeffs) for x in row])
-            coeffs = [c * zeta for c in coeffs]
+            turns.append([x for row in _scaled(values) for x in row])
+            values = [c * zeta for c in values]
     rank = len(_integer_echelon(turns)[1]) // phi
     _certify_rank(rank, dim)
-    pivots, rows, den = _integer_echelon([row for f in pool for row in _slices(f.coeffs)])
     # the echelon form of M_k tensor Q(zeta_L) is Galois-fixed, hence
     # rational (Shimura 1971, Thm 3.52): slices of a higher rank prove
     # that the candidates, though of full rank, do not span M_k

@@ -458,28 +458,35 @@ class XQSeries:
         return XQSeries(out, self.prec_x)
 
     def exp(self) -> "XQSeries":
-        """exp of an element with zero x^0 coefficient."""
+        """exp of an element with zero x^0 coefficient: d F_d = sum_{i<=d} i A_i F_{d-i}."""
         if not self.coeffs[0].is_zero():
             raise BadConstantTerm("exp needs x^0 coefficient 0")
-        result = XQSeries.one(self.level, self.prec_x, self.prec_q)
-        term = XQSeries.one(self.level, self.prec_x, self.prec_q)
-        for k in range(1, self.prec_x):
-            term = term * self * Fraction(1, k)
-            result = result + term
-        return result
+        dA = [a * i for i, a in enumerate(self.coeffs)]
+        F = [QSeries.one(self.level, self.prec_q)]
+        for d in range(1, self.prec_x):
+            acc = QSeries.zero(self.level, self.prec_q)
+            for i in range(1, d + 1):
+                if not dA[i].is_zero():
+                    acc = acc + dA[i] * F[d - i]
+            F.append(acc * Fraction(1, d))
+        return XQSeries(F, self.prec_x)
 
     def log(self) -> "XQSeries":
-        """log of an element with x^0 coefficient 1."""
+        """log of an element with x^0 coefficient 1: the recurrence of ``exp`` solved for A."""
         one = QSeries.one(self.level, self.prec_q)
         if self.coeffs[0] != one:
             raise BadConstantTerm("log needs x^0 coefficient 1")
-        u = self - XQSeries.one(self.level, self.prec_x, self.prec_q)
-        result = XQSeries.zero(self.level, self.prec_x, self.prec_q)
-        term = XQSeries.one(self.level, self.prec_x, self.prec_q)
-        for k in range(1, self.prec_x):
-            term = term * u
-            result = result + term * Fraction((-1) ** (k + 1), k)
-        return result
+        F = self.coeffs
+        A = [QSeries.zero(self.level, self.prec_q)]
+        dA = A[:]
+        for d in range(1, self.prec_x):
+            acc = F[d] * d
+            for i in range(1, d):
+                if not dA[i].is_zero():
+                    acc = acc - dA[i] * F[d - i]
+            dA.append(acc)
+            A.append(acc * Fraction(1, d))
+        return XQSeries(A, self.prec_x)
 
     def __eq__(self, other):
         if not isinstance(other, XQSeries):

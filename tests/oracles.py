@@ -15,13 +15,16 @@ from ellgenus.cyclo import (
     reduce_mod_NZ,
 )
 from ellgenus.errors import (
+    BadConstantTerm,
     BadLevelDivisibility,
     IncompatibleParity,
+    InsufficientXPrecision,
     LevelMismatch,
     PrecisionInsufficient,
     RankExceedsDimension,
     SpanFailure,
 )
+from ellgenus.genus import GradedSymPoly, Partition, _newton_power_sum
 from ellgenus.modforms import (
     ModFormBasis,
     ambient_field_level,
@@ -37,7 +40,7 @@ from ellgenus.reduce import (
     _congruence_solution,
     _residual_of_one,
 )
-from ellgenus.series import PQSeries, QSeries
+from ellgenus.series import PQSeries, QSeries, XQSeries
 
 
 def rref(rows: list[list], width: int | None = None) -> tuple[list[int], list[list]]:
@@ -373,3 +376,75 @@ def field_reduce_Wtilde(s: PQSeries, N: int, degree: int) -> WtClass:
     return WtClass(
         N, degree, s.prec_p, s.prec_q, row_class, column_class, mixed, trivial
     )
+
+
+def _sym_mul(a: dict, b: dict, cutoff: int) -> dict:
+    out: dict[Partition, QSeries] = {}
+    for la, ca in a.items():
+        for lb, cb in b.items():
+            if sum(la) + sum(lb) > cutoff:
+                continue
+            key = tuple(sorted(la + lb, reverse=True))
+            prev = out.get(key)
+            prod = ca * cb
+            out[key] = prod if prev is None else prev + prod
+    return out
+
+
+def multiplicative_class_by_powers(ell: XQSeries, n: int) -> GradedSymPoly:
+    """Degree-n piece of prod_i phi(x_i), in elementary symmetric basis.
+
+    ``ell`` is l = log(phi), whose x^0 coefficient is 0.  Computed as
+    exp(sum_k l_k p_k), truncated at symmetric-function weight n.
+    """
+    if n == 0:
+        return GradedSymPoly(0, {(): QSeries.one(ell.level, ell.prec_q)})
+    if ell.prec_x <= n:
+        raise InsufficientXPrecision(f"prec_x {ell.prec_x} <= degree {n}")
+    one = QSeries.one(ell.level, ell.prec_q)
+    # A = sum_k l_k p_k as a symmetric polynomial with QSeries coefficients
+    A: dict[Partition, QSeries] = {}
+    for k in range(1, n + 1):
+        lk = ell[k]
+        if lk.is_zero():
+            continue
+        for part, c in _newton_power_sum(k).items():
+            prev = A.get(part)
+            contrib = lk * c
+            A[part] = contrib if prev is None else prev + contrib
+    result: dict[Partition, QSeries] = {(): one}
+    term: dict[Partition, QSeries] = {(): one}
+    for j in range(1, n + 1):
+        term = _sym_mul(term, A, n)
+        term = {k: v * Fraction(1, j) for k, v in term.items()}
+        for key, v in term.items():
+            prev = result.get(key)
+            result[key] = v if prev is None else prev + v
+    top = {k: v for k, v in result.items() if sum(k) == n}
+    return GradedSymPoly(n, top)
+
+
+def xq_exp_by_powers(self: XQSeries) -> XQSeries:
+    """exp of an element with zero x^0 coefficient."""
+    if not self.coeffs[0].is_zero():
+        raise BadConstantTerm("exp needs x^0 coefficient 0")
+    result = XQSeries.one(self.level, self.prec_x, self.prec_q)
+    term = XQSeries.one(self.level, self.prec_x, self.prec_q)
+    for k in range(1, self.prec_x):
+        term = term * self * Fraction(1, k)
+        result = result + term
+    return result
+
+
+def xq_log_by_powers(self: XQSeries) -> XQSeries:
+    """log of an element with x^0 coefficient 1."""
+    one = QSeries.one(self.level, self.prec_q)
+    if self.coeffs[0] != one:
+        raise BadConstantTerm("log needs x^0 coefficient 1")
+    u = self - XQSeries.one(self.level, self.prec_x, self.prec_q)
+    result = XQSeries.zero(self.level, self.prec_x, self.prec_q)
+    term = XQSeries.one(self.level, self.prec_x, self.prec_q)
+    for k in range(1, self.prec_x):
+        term = term * u
+        result = result + term * Fraction((-1) ** (k + 1), k)
+    return result

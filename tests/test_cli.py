@@ -19,11 +19,37 @@ def cp2_file(tmp_path):
 
 
 @pytest.fixture()
+def cp4_file(tmp_path):
+    path = tmp_path / "cp4.json"
+    path.write_text(json.dumps({"dim": 4, "chern": {
+        "4": 5, "3,1": 50, "2,2": 100, "2,1,1": 250, "1,1,1,1": 625,
+    }}))
+    return str(path)
+
+
+@pytest.fixture()
+def cp5_file(tmp_path):
+    chern = {",".join(map(str, part)): v for part, v in cp_chern(5).numbers.items()}
+    path = tmp_path / "cp5.json"
+    path.write_text(json.dumps({"dim": 5, "chern": chern}))
+    return str(path)
+
+
+@pytest.fixture()
 def split_file(tmp_path):
     path = tmp_path / "split.json"
     path.write_text(
         json.dumps({"dim0": 1, "dim1": 2, "chern": {"1|2": 6, "1|1,1": 18}})
     )
+    return str(path)
+
+
+@pytest.fixture()
+def split22_file(tmp_path):
+    path = tmp_path / "split22.json"
+    path.write_text(json.dumps({"dim0": 2, "dim1": 2, "chern": {
+        "2|2": 9, "1,1|2": 27, "2|1,1": 27, "1,1|1,1": 81,
+    }}))
     return str(path)
 
 
@@ -195,24 +221,31 @@ def test_reduce_w_rejects_ragged_rows_exits_3(tmp_path, capsys):
     assert "trivial" not in capsys.readouterr().out
 
 
-# sha256 of the --machine reports on the fixtures above, recorded with the
-# field elimination that the integer kernel replaced: they must not change
+# sha256 of the --machine reports on the fixtures above: the first three
+# were recorded with the field elimination that the integer kernel
+# replaced, the degree-4 and degree-5 ones with the power-series
+# exponential that the recurrence replaced; none of them may change
 GOLDEN = {
     "genus": ("2a44f1cf5c35877d237114e73a5148e8ff5d167f562901a4e45a80b829810baa",
-              ["--level", "5", "--prec-q", "6"]),
+              "cp2_file", ["--level", "5", "--prec-q", "6", "--machine", "genus"]),
+    "genus-cp4": ("c542f528250b93c0b9fe2a48a969034b8b23bd763c3779aed9ff7de3fafd96a1",
+                  "cp4_file", ["--level", "7", "--prec-q", "30", "--machine", "genus"]),
+    "genus-cp5": ("1972e174ad3e333c6ff75aeff754902221c7a0abe511bf8d597272e7d5a0d890",
+                  "cp5_file", ["--level", "5", "--prec-q", "30", "--machine", "genus"]),
+    "f-rep-2-2": ("c30715f020cecc7fa2c6ae7e0620ac69c8e32e24774c6e4d0dca76ec2a0d9ee2",
+                  "split22_file",
+                  ["--level", "7", "--prec-p", "12", "--prec-q", "12", "--machine", "f-rep"]),
     "reduce-u": ("b45d814eb356398510a9852f4b8960d8c24edb08e2d840f459f102952fc1ffa9",
-                 ["--level", "5", "--degree", "6"]),
+                 "series_file", ["--level", "5", "--degree", "6", "--machine", "reduce-u"]),
     "reduce-w": ("f80ddab94340368842fed41cfaaae805b9ea5e5a6ccedc19a1dd7afd5dff7f0a",
-                 ["--level", "5", "--degree", "4"]),
+                 "rect_file", ["--level", "5", "--degree", "4", "--machine", "reduce-w"]),
 }
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_machine_reports_match_the_recorded_digests(command, cp2_file, series_file,
-                                                    rect_file, capsys):
-    digest, options = GOLDEN[command]
-    path = {"genus": cp2_file, "reduce-u": series_file, "reduce-w": rect_file}[command]
-    assert cli.main(options + ["--machine", command, path]) == 0
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_machine_reports_match_the_recorded_digests(case, request, capsys):
+    digest, fixture, options = GOLDEN[case]
+    assert cli.main(options + [request.getfixturevalue(fixture)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 

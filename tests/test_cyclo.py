@@ -15,10 +15,22 @@ from ellgenus.cyclo import (
     in_NZ,
     reduce_mod_NZ,
 )
+from ellgenus.series import QSeries
 
 
 def test_euler_phi_small_values():
     assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Cyclo(0),
+    lambda: Cyclo(-5),
+    lambda: Cyclo.from_rational(0, 1),
+    lambda: QSeries(0, 8),
+], ids=["Cyclo(0)", "Cyclo(-5)", "from_rational(0)", "QSeries(0)"])
+def test_levels_below_1_are_refused(build):
+    with pytest.raises(ValueError, match="level -?[0-9]+ is not positive"):
+        build()
 
 
 def test_cyclotomic_polynomials():

@@ -21,6 +21,7 @@ from ellgenus.genus import (
     cp_chern,
     genus,
     genus_bivariate,
+    log_phi_series,
     multiplicative_class,
     partitions_of,
     phi_series,
@@ -28,6 +29,8 @@ from ellgenus.genus import (
     verify_Q_identity,
 )
 from ellgenus.series import QSeries, XQSeries
+
+from oracles import multiplicative_class_by_powers
 
 
 def test_partitions_of_small_n():
@@ -90,6 +93,15 @@ def test_multiplicative_class_of_quadratic_series():
     one = QSeries.one(5, 2)
     assert k2.terms[(1, 1)] == one
     assert k2.terms[(2,)] == -one
+
+
+@pytest.mark.parametrize("N", [4, 5, 7, 12])
+def test_multiplicative_class_matches_the_power_series_oracle(N):
+    # the recurrence keeps every monomial the powers of A produce, zero or not
+    for n in range(7):
+        ell = log_phi_series(N, n + 2, 6)
+        got = multiplicative_class(ell, n).terms
+        assert got == multiplicative_class_by_powers(ell, n).terms
 
 
 def test_multiplicative_class_needs_x_precision():

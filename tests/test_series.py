@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellgenus.cyclo import Cyclo
+from ellgenus.cyclo import Cyclo, euler_phi
 from ellgenus.errors import (
     BadConstantTerm,
     LevelMismatch,
@@ -22,6 +22,8 @@ from ellgenus.series import (
     todd_coefficients,
     todd_series,
 )
+
+from oracles import xq_exp_by_powers, xq_log_by_powers
 
 
 def qs(level, *vals):
@@ -110,6 +112,33 @@ def test_xqseries_exp_log_roundtrip():
     zero = QSeries.zero(5, 4)
     ell = XQSeries([zero, qs(5, 1, 2, 0, 1), qs(5, Fraction(-1, 2), 0, 3, 0)])
     assert ell.exp().log() == ell
+
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def xq_without_constant_term(draw):
+    """An XQSeries with x^0 coefficient 0, over Q or over Q(zeta_N)."""
+    N = draw(st.sampled_from([4, 5, 7]))
+    width = draw(st.sampled_from([1, euler_phi(N)]))
+    prec_x, prec_q = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+
+    def coefficient():
+        return Cyclo(N, draw(st.lists(small_fractions, min_size=width, max_size=width)))
+
+    rows = [QSeries.zero(N, prec_q)] + [
+        QSeries(N, prec_q, [coefficient() for _ in range(prec_q)]) for _ in range(1, prec_x)
+    ]
+    return XQSeries(rows, prec_x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=xq_without_constant_term())
+def test_xqseries_exp_and_log_match_the_power_series_oracle(a):
+    e = a.exp()
+    assert e == xq_exp_by_powers(a)
+    assert e.log() == xq_log_by_powers(e) == a
 
 
 def test_pqseries_outer_and_projections():
