@@ -274,6 +274,8 @@ def multiplicative_class(ell: XQSeries, n: int) -> GradedSymPoly:
     follow from F' = A' F: d F_d = sum_{i=1}^{d} i l_i p_i F_{d-i}, with
     F_0 = 1, one q-series product l_i g per monomial g of F_{d-i}.
     """
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
     if n == 0:
         return GradedSymPoly(0, {(): QSeries.one(ell.level, ell.prec_q)})
     if ell.prec_x <= n:

@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedLevel,
 )
 from .linalg import _integer_echelon
-from .series import QSeries
+from .series import QSeries, _product
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -271,16 +271,9 @@ def eisenstein(
     if psi.parity() * phi_char.parity() != (-1) ** k:
         raise IncompatibleParity(f"character parity incompatible with weight {k}")
 
-    both_trivial = psi.modulus == 1 and phi_char.modulus == 1
-    if k == 2 and both_trivial:
-        if t == 1:
-            raise BadLevelDivisibility("E_2 itself is not modular; need t > 1")
-        # E_2(q) - t E_2(q^t), with E_2 = -1/24 + sum sigma_1(n) q^n
-        sigma = _sigma1(prec)
-        coeffs = [Fraction(t - 1, 24)] + [
-            sigma[n] - (t * sigma[n // t] if n % t == 0 else 0) for n in range(1, prec)
-        ]
-        return QSeries(L, prec, coeffs)
+    quasimodular = k == 2 and psi.modulus == 1 and phi_char.modulus == 1
+    if quasimodular and t == 1:
+        raise BadLevelDivisibility("E_2 itself is not modular; need t > 1")
 
     coeffs = [Cyclo.from_rational(L, 0)]
     if k >= 2:
@@ -292,7 +285,11 @@ def eisenstein(
         elif phi_char.modulus == 1:
             coeffs[0] = -gen_bernoulli(psi, 1) * Fraction(1, 2)
     coeffs.extend(_twisted_divisor_sums(psi, phi_char, k, prec))
-    return QSeries(L, prec, coeffs).shift(t) if t > 1 else QSeries(L, prec, coeffs)
+    e = QSeries(L, prec, coeffs).shift(t)
+    if quasimodular:
+        # E_2 = -1/24 + sum sigma_1(n) q^n is quasimodular; E_2(q) - t E_2(q^t) is modular
+        return QSeries(L, prec, [a - b * t for a, b in zip(coeffs, e.coeffs)])
+    return e
 
 
 def _exponents(chi: DirichletCharacter, n: int) -> list[int | None]:
@@ -334,15 +331,6 @@ def _twisted_divisor_sums(
             num = [x + w * t for x, t in zip(num, table[e])]
         out.append(_reduced(L, tuple(num), 1))
     return out
-
-
-def _sigma1(prec: int) -> list[int]:
-    """sigma_1(n) = sum_{d | n} d for n < prec (0 at n = 0), by a divisor sieve."""
-    sigma = [0] * prec
-    for d in range(1, prec):
-        for n in range(d, prec, d):
-            sigma[n] += d
-    return sigma
 
 
 def _gamma1_index(N: int) -> int:
@@ -584,11 +572,7 @@ def _default_rows(N: int, k: int, prec: int) -> list[list[int]]:
         b2 = _weight_basis_cached(N, k - k1, prec)
         for f in _weight_basis_cached(N, k1, prec).rows:
             for g in b2.rows:
-                product = [0] * prec
-                for i, a in enumerate(f):
-                    if a:
-                        product[i:] = [x + a * y for x, y in zip(product[i:], g)]
-                out.append(product)
+                out.append(_product(f, g, 0))
     return out
 
 

@@ -9,6 +9,15 @@ Three carriers:
 All values are immutable and all operations are exact up to the stated
 truncation order.  Storage is dense: the series arising here (Eisenstein
 series, genus expansions) are dense in practice.
+
+Two kernels carry the arithmetic for every element type (Cyclo, QSeries,
+Fraction, int).  ``_product`` is the truncated Cauchy product of
+``QSeries``, ``XQSeries``, ``PQSeries`` (over its p-rows) and the integer
+basis rows of ``modforms``.  ``_recurrence`` is out[n] = step(n, acc_n),
+acc_n = sum_{k=1..n} a_k out_{n-k}: inverse, exp and log are all this
+recurrence (Brent and Kung, J. ACM 1978).  The steps: ``QSeries.inv`` and
+``XQSeries.inv`` -c_0^{-1} acc; ``todd_coefficients`` -acc; ``XQSeries.exp``
+acc/n on a_n = n A_n; ``XQSeries.log`` n F_n - acc on a = F, giving n A_n.
 """
 
 from __future__ import annotations
@@ -22,6 +31,27 @@ from .errors import (
     NonUnitConstantTerm,
     PrecMismatch,
 )
+
+
+def _product(a, b, zero) -> list:
+    """out[n] = sum_{i+j=n} a_i b_j for n < len(a); b has at least len(a) terms."""
+    out = [zero] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            out[i:] = [s + x * y if y else s for s, y in zip(out[i:], b)]
+    return out
+
+
+def _recurrence(a, first, step, zero) -> list:
+    """out[0] = first and out[n] = step(n, sum_{k=1..n} a_k out_{n-k}) for n < len(a)."""
+    out = [first]
+    for n in range(1, len(a)):
+        acc = zero
+        for k in range(1, n + 1):
+            if a[k]:
+                acc = acc + a[k] * out[n - k]
+        out.append(step(n, acc))
+    return out
 
 
 def _as_cyclo(level: int, value) -> Cyclo:
@@ -113,15 +143,9 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         self._check(other)
-        out = [Cyclo(self.level) for _ in range(self.prec)]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(self.prec - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return QSeries(self.level, self.prec, out)
+        return QSeries(
+            self.level, self.prec, _product(self.coeffs, other.coeffs, Cyclo(self.level))
+        )
 
     __rmul__ = __mul__
 
@@ -131,13 +155,7 @@ class QSeries:
         if not c0:
             raise NonUnitConstantTerm("constant term is zero")
         c0inv = c0.inv()
-        out = [c0inv] + [Cyclo(self.level)] * (self.prec - 1)
-        for n in range(1, self.prec):
-            acc = Cyclo(self.level)
-            for k in range(1, n + 1):
-                if self.coeffs[k]:
-                    acc = acc + self.coeffs[k] * out[n - k]
-            out[n] = -c0inv * acc
+        out = _recurrence(self.coeffs, c0inv, lambda n, acc: -c0inv * acc, Cyclo(self.level))
         return QSeries(self.level, self.prec, out)
 
     def truncate(self, new_prec: int) -> "QSeries":
@@ -146,13 +164,11 @@ class QSeries:
         return QSeries(self.level, new_prec, self.coeffs[:new_prec])
 
     def shift(self, t: int) -> "QSeries":
-        """Substitute q -> q^t."""
-        out = [Cyclo(self.level) for _ in range(self.prec)]
-        for n, a in enumerate(self.coeffs):
-            if n * t < self.prec:
-                out[n * t] = a
-            else:
-                break
+        """Substitute q -> q^t, for t >= 1."""
+        if t < 1:
+            raise ValueError(f"shift needs t >= 1, got {t}")
+        out = [Cyclo(self.level)] * self.prec
+        out[::t] = self.coeffs[: -(-self.prec // t)]
         return QSeries(self.level, self.prec, out)
 
     def lift(self, new_level: int) -> "QSeries":
@@ -266,19 +282,12 @@ class PQSeries:
         if not isinstance(other, PQSeries):
             return NotImplemented
         self._check(other)
-        zero = Cyclo(self.level)
-        out = [[zero] * self.prec_q for _ in range(self.prec_p)]
-        for i in range(self.prec_p):
-            for j in range(self.prec_q):
-                a = self.rows[i][j]
-                if not a:
-                    continue
-                for k in range(self.prec_p - i):
-                    for l in range(self.prec_q - j):
-                        b = other.rows[k][l]
-                        if b:
-                            out[i + k][j + l] = out[i + k][j + l] + a * b
-        return PQSeries(self.level, self.prec_p, self.prec_q, out)
+        rows = _product(
+            [self.p_row(i) for i in range(self.prec_p)],
+            [other.p_row(i) for i in range(self.prec_p)],
+            QSeries.zero(self.level, self.prec_q),
+        )
+        return PQSeries(self.level, self.prec_p, self.prec_q, [r.coeffs for r in rows])
 
     __rmul__ = __mul__
 
@@ -318,7 +327,7 @@ class PQSeries:
     @classmethod
     def deserialize(cls, level: int, data) -> "PQSeries":
         rows = [[Cyclo.deserialize(level, c) for c in row] for row in data]
-        return cls(level, len(data), len(data[0]), rows)
+        return cls(level, len(data), len(data[0]) if data else 0, rows)
 
     def __repr__(self):
         return f"<PQSeries {self.prec_p}x{self.prec_q} over Q(zeta_{self.level})>"
@@ -341,6 +350,8 @@ class XQSeries:
         level, prec = coeffs[0].level, coeffs[0].prec
         if prec_x is None:
             prec_x = len(coeffs)
+        if prec_x < 1:
+            raise ValueError("prec_x must be >= 1")
         if len(coeffs) > prec_x:
             coeffs = coeffs[:prec_x]
         while len(coeffs) < prec_x:
@@ -431,30 +442,16 @@ class XQSeries:
         if not isinstance(other, XQSeries):
             return NotImplemented
         self._check(other)
-        out = [QSeries.zero(self.level, self.prec_q) for _ in range(self.prec_x)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.prec_x - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return XQSeries(out, self.prec_x)
+        zero = QSeries.zero(self.level, self.prec_q)
+        return XQSeries(_product(self.coeffs, other.coeffs, zero), self.prec_x)
 
     __rmul__ = __mul__
 
     def inv(self) -> "XQSeries":
         """Inverse; needs the x^0 coefficient invertible as a QSeries."""
         c0inv = self.coeffs[0].inv()
-        out = [c0inv] + [
-            QSeries.zero(self.level, self.prec_q) for _ in range(self.prec_x - 1)
-        ]
-        for n in range(1, self.prec_x):
-            acc = QSeries.zero(self.level, self.prec_q)
-            for k in range(1, n + 1):
-                if not self.coeffs[k].is_zero():
-                    acc = acc + self.coeffs[k] * out[n - k]
-            out[n] = -(c0inv * acc)
+        zero = QSeries.zero(self.level, self.prec_q)
+        out = _recurrence(self.coeffs, c0inv, lambda n, acc: -(c0inv * acc), zero)
         return XQSeries(out, self.prec_x)
 
     def exp(self) -> "XQSeries":
@@ -462,13 +459,8 @@ class XQSeries:
         if not self.coeffs[0].is_zero():
             raise BadConstantTerm("exp needs x^0 coefficient 0")
         dA = [a * i for i, a in enumerate(self.coeffs)]
-        F = [QSeries.one(self.level, self.prec_q)]
-        for d in range(1, self.prec_x):
-            acc = QSeries.zero(self.level, self.prec_q)
-            for i in range(1, d + 1):
-                if not dA[i].is_zero():
-                    acc = acc + dA[i] * F[d - i]
-            F.append(acc * Fraction(1, d))
+        one, zero = QSeries.one(self.level, self.prec_q), QSeries.zero(self.level, self.prec_q)
+        F = _recurrence(dA, one, lambda n, acc: acc * Fraction(1, n), zero)
         return XQSeries(F, self.prec_x)
 
     def log(self) -> "XQSeries":
@@ -477,16 +469,11 @@ class XQSeries:
         if self.coeffs[0] != one:
             raise BadConstantTerm("log needs x^0 coefficient 1")
         F = self.coeffs
-        A = [QSeries.zero(self.level, self.prec_q)]
-        dA = A[:]
-        for d in range(1, self.prec_x):
-            acc = F[d] * d
-            for i in range(1, d):
-                if not dA[i].is_zero():
-                    acc = acc - dA[i] * F[d - i]
-            dA.append(acc)
-            A.append(acc * Fraction(1, d))
-        return XQSeries(A, self.prec_x)
+        zero = QSeries.zero(self.level, self.prec_q)
+        dA = _recurrence(F, zero, lambda n, acc: F[n] * n - acc, zero)
+        return XQSeries(
+            [zero] + [dA[n] * Fraction(1, n) for n in range(1, self.prec_x)], self.prec_x
+        )
 
     def __eq__(self, other):
         if not isinstance(other, XQSeries):
@@ -514,10 +501,7 @@ def todd_coefficients(prec_x: int) -> list[Fraction]:
         fact.append(fact[-1] * k)
     g = [Fraction((-1) ** k, 1) / fact[k + 1] for k in range(prec_x)]
     # series inverse of g (g[0] = 1)
-    out = [Fraction(1)] + [Fraction(0)] * (prec_x - 1)
-    for n in range(1, prec_x):
-        out[n] = -sum(g[k] * out[n - k] for k in range(1, n + 1))
-    return out
+    return _recurrence(g, Fraction(1), lambda n, acc: -acc, Fraction(0))
 
 
 def todd_series(level: int, prec_x: int, prec_q: int) -> XQSeries:

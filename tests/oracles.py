@@ -448,3 +448,119 @@ def xq_log_by_powers(self: XQSeries) -> XQSeries:
         term = term * u
         result = result + term * Fraction((-1) ** (k + 1), k)
     return result
+
+
+# The series arithmetic as it ran before the two kernels ``series._product``
+# and ``series._recurrence``: one loop per carrier and operation.
+
+
+def qseries_mul_by_loops(self: QSeries, other: QSeries) -> QSeries:
+    out = [Cyclo(self.level) for _ in range(self.prec)]
+    for i, a in enumerate(self.coeffs):
+        if not a:
+            continue
+        for j in range(self.prec - i):
+            b = other.coeffs[j]
+            if b:
+                out[i + j] = out[i + j] + a * b
+    return QSeries(self.level, self.prec, out)
+
+
+def qseries_inv_by_loops(self: QSeries) -> QSeries:
+    c0inv = self.coeffs[0].inv()
+    out = [c0inv] + [Cyclo(self.level)] * (self.prec - 1)
+    for n in range(1, self.prec):
+        acc = Cyclo(self.level)
+        for k in range(1, n + 1):
+            if self.coeffs[k]:
+                acc = acc + self.coeffs[k] * out[n - k]
+        out[n] = -c0inv * acc
+    return QSeries(self.level, self.prec, out)
+
+
+def pqseries_mul_by_loops(self: PQSeries, other: PQSeries) -> PQSeries:
+    zero = Cyclo(self.level)
+    out = [[zero] * self.prec_q for _ in range(self.prec_p)]
+    for i in range(self.prec_p):
+        for j in range(self.prec_q):
+            a = self.rows[i][j]
+            if not a:
+                continue
+            for k in range(self.prec_p - i):
+                for l in range(self.prec_q - j):
+                    b = other.rows[k][l]
+                    if b:
+                        out[i + k][j + l] = out[i + k][j + l] + a * b
+    return PQSeries(self.level, self.prec_p, self.prec_q, out)
+
+
+def xqseries_mul_by_loops(self: XQSeries, other: XQSeries) -> XQSeries:
+    out = [QSeries.zero(self.level, self.prec_q) for _ in range(self.prec_x)]
+    for i, a in enumerate(self.coeffs):
+        if a.is_zero():
+            continue
+        for j in range(self.prec_x - i):
+            b = other.coeffs[j]
+            if not b.is_zero():
+                out[i + j] = out[i + j] + qseries_mul_by_loops(a, b)
+    return XQSeries(out, self.prec_x)
+
+
+def xqseries_inv_by_loops(self: XQSeries) -> XQSeries:
+    c0inv = qseries_inv_by_loops(self.coeffs[0])
+    out = [c0inv] + [
+        QSeries.zero(self.level, self.prec_q) for _ in range(self.prec_x - 1)
+    ]
+    for n in range(1, self.prec_x):
+        acc = QSeries.zero(self.level, self.prec_q)
+        for k in range(1, n + 1):
+            if not self.coeffs[k].is_zero():
+                acc = acc + qseries_mul_by_loops(self.coeffs[k], out[n - k])
+        out[n] = -qseries_mul_by_loops(c0inv, acc)
+    return XQSeries(out, self.prec_x)
+
+
+def xq_exp_by_loops(self: XQSeries) -> XQSeries:
+    dA = [a * i for i, a in enumerate(self.coeffs)]
+    F = [QSeries.one(self.level, self.prec_q)]
+    for d in range(1, self.prec_x):
+        acc = QSeries.zero(self.level, self.prec_q)
+        for i in range(1, d + 1):
+            if not dA[i].is_zero():
+                acc = acc + qseries_mul_by_loops(dA[i], F[d - i])
+        F.append(acc * Fraction(1, d))
+    return XQSeries(F, self.prec_x)
+
+
+def xq_log_by_loops(self: XQSeries) -> XQSeries:
+    F = self.coeffs
+    A = [QSeries.zero(self.level, self.prec_q)]
+    dA = A[:]
+    for d in range(1, self.prec_x):
+        acc = F[d] * d
+        for i in range(1, d):
+            if not dA[i].is_zero():
+                acc = acc - qseries_mul_by_loops(dA[i], F[d - i])
+        dA.append(acc)
+        A.append(acc * Fraction(1, d))
+    return XQSeries(A, self.prec_x)
+
+
+def todd_coefficients_by_loops(prec_x: int) -> list[Fraction]:
+    fact = [Fraction(1)]
+    for k in range(1, prec_x + 1):
+        fact.append(fact[-1] * k)
+    g = [Fraction((-1) ** k, 1) / fact[k + 1] for k in range(prec_x)]
+    out = [Fraction(1)] + [Fraction(0)] * (prec_x - 1)
+    for n in range(1, prec_x):
+        out[n] = -sum(g[k] * out[n - k] for k in range(1, n + 1))
+    return out
+
+
+def integer_product_by_loops(f: list[int], g: list[int], prec: int) -> list[int]:
+    """The truncated convolution of two integer basis rows, as ``_default_rows`` ran it."""
+    product = [0] * prec
+    for i, a in enumerate(f):
+        if a:
+            product[i:] = [x + a * y for x, y in zip(product[i:], g)]
+    return product

@@ -164,7 +164,7 @@ def _n_integral(value: Cyclo, N: int) -> bool:
 
 
 @pytest.mark.parametrize("basis", BASES, ids=lambda b: "-".join(map(str, b)))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(data=st.data())
 def test_integer_solve_matches_the_fraction_oracle(basis, data):
     N = basis[0]
@@ -191,7 +191,7 @@ RATIONAL_R = st.lists(
 
 
 @pytest.mark.parametrize("N, K, L", ((5, 5, 20), (5, 20, 20), (7, 7, 42), (7, 42, 42)))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(data=st.data())
 def test_solve_in_the_input_field_matches_the_field_solve(N, K, L, data):
     r_cols = data.draw(RATIONAL_R)

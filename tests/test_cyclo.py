@@ -76,7 +76,7 @@ def cyclos(level):
     )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(a=cyclos(5), b=cyclos(5), c=cyclos(5))
 def test_field_axioms_level5(a, b, c):
     assert (a + b) + c == a + (b + c)
@@ -86,7 +86,7 @@ def test_field_axioms_level5(a, b, c):
         assert a * a.inv() == Cyclo.from_rational(5, 1)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(a=cyclos(12), b=cyclos(12))
 def test_ring_axioms_level12(a, b):
     assert a + b == b + a
@@ -148,7 +148,7 @@ def test_coset_representative_is_idempotent():
     assert first == again
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(a=cyclos(5), b=cyclos(5))
 def test_coset_reduction_is_additive_modulo_NZ(a, b):
     # the difference of rep(a+b) and rep(a)+rep(b) lies in the subring
@@ -157,7 +157,7 @@ def test_coset_reduction_is_additive_modulo_NZ(a, b):
     assert in_NZ(left - right)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(a=cyclos(5))
 def test_coset_of_subring_shift_is_stable(a):
     shift = Cyclo.from_rational(5, Fraction(7, 25))
@@ -253,7 +253,7 @@ def _pad(coords: tuple, level: int) -> tuple:
     return tuple(coords) + (Fraction(0),) * (euler_phi(level) - len(coords))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data(), level=st.sampled_from(DIFF_LEVELS))
 def test_integer_kernel_matches_the_fraction_reference(data, level):
     ra = _pad(data.draw(diff_elements(level)), level)
@@ -291,7 +291,7 @@ def test_integer_kernel_matches_the_fraction_reference(data, level):
     assert descend(lifted + Cyclo.zeta(L) * c, level) is None
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(data=st.data(), level=st.sampled_from(DIFF_LEVELS))
 def test_equal_values_built_differently_compare_and_hash_equal(data, level):
     ra = _pad(data.draw(diff_elements(level)), level)

@@ -166,7 +166,7 @@ def test_bundle_identity_for_the_characteristic_series():
     assert verify_Q_identity(4, 3, 5)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     N=st.integers(2, 12),
     prec_x=st.integers(1, 5),

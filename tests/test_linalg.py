@@ -32,7 +32,7 @@ def combine(coeffs, rows, width):
     return out
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(rows=matrices())
 def test_tracked_transform_reproduces_reduced_rows(rows):
     pivots, reduced, tags = rref_tracked(rows)
@@ -42,7 +42,7 @@ def test_tracked_transform_reproduces_reduced_rows(rows):
         assert combine(tag, rows, len(row)) == row
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(rows=matrices(), data=st.data())
 def test_rref_width_restricts_pivot_columns(rows, data):
     width = data.draw(st.integers(0, len(rows[0])))
@@ -56,7 +56,7 @@ def test_rref_width_restricts_pivot_columns(rows, data):
     assert pivots == rref([r[:width] for r in rows])[0]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(rows=matrices(), data=st.data())
 def test_eliminate_reconstructs_vector(rows, data):
     pivots, reduced = rref(rows)
@@ -70,7 +70,7 @@ def test_eliminate_reconstructs_vector(rows, data):
 DESCENT_PAIRS = [(20, 5), (42, 7), (12, 4), (12, 6), (36, 9), (42, 14)]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(pair=st.sampled_from(DESCENT_PAIRS), data=st.data())
 def test_descend_inverts_lift(pair, data):
     L, n = pair

@@ -318,7 +318,7 @@ def test_integrality_reads_the_common_denominator():
 
 
 @pytest.mark.parametrize("key", sorted(ELIMINATION_BASES))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(data=st.data())
 def test_integer_elimination_matches_the_field_oracle(key, data):
     basis = ELIMINATION_BASES[key]()
@@ -423,7 +423,7 @@ def test_integer_echelon_does_not_depend_on_the_candidate_order():
         assert len(linalg._integer_echelon(shuffled)[1]) == dim_Mk(N, k) + 1
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(
     st.lists(st.one_of(st.just(0), st.integers(-5, 5), st.integers(-10**12, 10**12)),
              min_size=6, max_size=6),
@@ -496,7 +496,7 @@ def _echelon_or_failure(build):
 
 
 @pytest.mark.parametrize("N,k,prec", [(5, 2, 8), (9, 2, 13), (12, 2, 17), (7, 3, 13)])
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(data=st.data())
 def test_explicit_pools_match_the_field_rref_oracle(N, k, prec, data):
     pool = data.draw(perturbed_pools(weight_basis(N, k, prec)))

@@ -93,7 +93,7 @@ def test_verdict_stable_under_subgroup_shifts():
 small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(c=small_fractions, d=small_fractions)
 def test_constants_plus_integral_noise_always_trivial(c, d):
     s = const_series(5, 7, c) + single_coeff(5, 7, 3, 5 * d)
@@ -153,7 +153,7 @@ def test_recorded_decomposition_is_exact():
 
 
 @pytest.mark.parametrize("N, prec", ((5, 7), (7, 13)))
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(data=st.data())
 def test_recorded_constant_is_canonical(N, prec, data):
     # the constant depends only on the class: moving s by an N-integral

@@ -66,7 +66,7 @@ def as_bytes(cls):
 
 @pytest.mark.parametrize("integral", (True, False), ids=("exact", "fallback"))
 @pytest.mark.parametrize("key", BASES, ids=lambda b: "-".join(map(str, b)))
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(data=st.data())
 def test_reduce_Uq_matches_the_field_oracle(key, integral, data):
     N, weight, prec = key
@@ -86,7 +86,7 @@ def test_reduce_Uq_matches_the_field_oracle(key, integral, data):
 
 
 @pytest.mark.parametrize("key", BASES, ids=lambda b: "-".join(map(str, b)))
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8)
 @given(data=st.data())
 def test_reduce_Wtilde_matches_the_field_oracle(key, data):
     N, weight, prec = key

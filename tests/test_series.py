@@ -13,17 +13,31 @@ from ellgenus.errors import (
     NonUnitConstantTerm,
     PrecMismatch,
 )
+from ellgenus.genus import log_phi_series, multiplicative_class
 from ellgenus.series import (
     PQSeries,
     QSeries,
     XQSeries,
+    _product,
     exp_x,
     project_q0,
     todd_coefficients,
     todd_series,
 )
 
-from oracles import xq_exp_by_powers, xq_log_by_powers
+from oracles import (
+    integer_product_by_loops,
+    pqseries_mul_by_loops,
+    qseries_inv_by_loops,
+    qseries_mul_by_loops,
+    todd_coefficients_by_loops,
+    xq_exp_by_loops,
+    xq_exp_by_powers,
+    xq_log_by_loops,
+    xq_log_by_powers,
+    xqseries_inv_by_loops,
+    xqseries_mul_by_loops,
+)
 
 
 def qs(level, *vals):
@@ -64,6 +78,25 @@ def test_exp_requires_zero_constant_term():
 def test_shift_substitutes_q_power():
     s = qs(5, 1, 2, 3, 0, 0, 0)
     assert s.shift(2) == qs(5, 1, 0, 2, 0, 3, 0)
+    assert s.shift(1) == s
+    assert s.shift(7) == qs(5, 1, 0, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("t", [0, -1])
+def test_shift_refuses_t_below_one(t):
+    with pytest.raises(ValueError, match="t >= 1"):
+        qs(5, 1, 2, 3, 4, 5).shift(t)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: XQSeries([QSeries.one(5, 3)], 0),
+    lambda: exp_x(5, 0, 3),
+    lambda: PQSeries.deserialize(5, []),
+    lambda: multiplicative_class(log_phi_series(5, 3, 4), -1),
+], ids=["xqseries-prec_x-0", "exp_x-prec_x-0", "pqseries-no-rows", "class-degree-minus-1"])
+def test_empty_truncations_and_negative_degrees_are_refused(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 coeff_lists = st.lists(
@@ -71,7 +104,7 @@ coeff_lists = st.lists(
 )
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(a=coeff_lists, b=coeff_lists, c=coeff_lists)
 def test_qseries_ring_axioms(a, b, c):
     A, B, C = (qs(5, *v) for v in (a, b, c))
@@ -80,7 +113,7 @@ def test_qseries_ring_axioms(a, b, c):
     assert A + B == B + A
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(a=coeff_lists, b=coeff_lists)
 def test_truncation_commutes_with_multiplication(a, b):
     A, B = qs(5, *a), qs(5, *b)
@@ -117,28 +150,41 @@ def test_xqseries_exp_log_roundtrip():
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 
+LEVELS = [4, 5, 7, 12]
+
+
+@st.composite
+def q_series(draw, N, prec):
+    """A QSeries over Q or Q(zeta_N); it, or any coefficient, may be zero."""
+    if draw(st.integers(0, 4)) == 0:
+        return QSeries.zero(N, prec)
+    width = draw(st.sampled_from([1, euler_phi(N)]))
+    return QSeries(N, prec, [
+        Cyclo(N, draw(st.lists(small_fractions, min_size=width, max_size=width)))
+        for _ in range(prec)
+    ])
+
+
+@st.composite
+def xq_series(draw, N, prec_x, prec_q):
+    return XQSeries([draw(q_series(N, prec_q)) for _ in range(prec_x)], prec_x)
+
+
 @st.composite
 def xq_without_constant_term(draw):
     """An XQSeries with x^0 coefficient 0, over Q or over Q(zeta_N)."""
-    N = draw(st.sampled_from([4, 5, 7]))
-    width = draw(st.sampled_from([1, euler_phi(N)]))
-    prec_x, prec_q = draw(st.integers(2, 5)), draw(st.integers(1, 4))
-
-    def coefficient():
-        return Cyclo(N, draw(st.lists(small_fractions, min_size=width, max_size=width)))
-
-    rows = [QSeries.zero(N, prec_q)] + [
-        QSeries(N, prec_q, [coefficient() for _ in range(prec_q)]) for _ in range(1, prec_x)
-    ]
-    return XQSeries(rows, prec_x)
+    N = draw(st.sampled_from(LEVELS))
+    prec_x, prec_q = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    a = draw(xq_series(N, prec_x, prec_q))
+    return XQSeries([QSeries.zero(N, prec_q)] + list(a.coeffs[1:]), prec_x)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(a=xq_without_constant_term())
 def test_xqseries_exp_and_log_match_the_power_series_oracle(a):
     e = a.exp()
-    assert e == xq_exp_by_powers(a)
-    assert e.log() == xq_log_by_powers(e) == a
+    assert e == xq_exp_by_powers(a) == xq_exp_by_loops(a)
+    assert e.log() == xq_log_by_powers(e) == xq_log_by_loops(e) == a
 
 
 def test_pqseries_outer_and_projections():
@@ -196,3 +242,54 @@ def test_deserializers_read_numbers_exactly():
     assert QSeries.deserialize(5, s.serialize()).serialize() == s.serialize()
     F = PQSeries(5, 2, 2, [[s[0], s[1]], [s[1], s[0]]])
     assert PQSeries.deserialize(5, F.serialize()).serialize() == F.serialize()
+
+
+# The kernels against the loops they replaced, over Q and over Q(zeta_N).
+@settings(max_examples=60)
+@given(st.data())
+def test_qseries_product_and_inverse_match_the_loop_oracles(data):
+    N, prec = data.draw(st.sampled_from(LEVELS)), data.draw(st.integers(1, 7))
+    a, b = data.draw(q_series(N, prec)), data.draw(q_series(N, prec))
+    assert a * b == qseries_mul_by_loops(a, b)
+    if a[0]:
+        assert a.inv() == qseries_inv_by_loops(a)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_pqseries_product_matches_the_loop_oracle(data):
+    N = data.draw(st.sampled_from(LEVELS))
+    prec_p, prec_q = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+
+    def rectangle():
+        return PQSeries(N, prec_p, prec_q, [data.draw(q_series(N, prec_q)).coeffs
+                                            for _ in range(prec_p)])
+
+    a, b = rectangle(), rectangle()
+    assert a * b == pqseries_mul_by_loops(a, b)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_xqseries_product_and_inverse_match_the_loop_oracles(data):
+    N = data.draw(st.sampled_from(LEVELS))
+    prec_x, prec_q = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    a = data.draw(xq_series(N, prec_x, prec_q))
+    b = data.draw(xq_series(N, prec_x, prec_q))
+    assert a * b == xqseries_mul_by_loops(a, b)
+    if a[0][0]:
+        assert a.inv() == xqseries_inv_by_loops(a)
+
+
+def test_todd_coefficients_match_the_loop_oracle():
+    for prec_x in range(1, 13):
+        assert todd_coefficients(prec_x) == todd_coefficients_by_loops(prec_x)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_integer_product_matches_the_loop_oracle(data):
+    prec = data.draw(st.integers(1, 9))
+    row = st.lists(st.integers(-50, 50) | st.just(0), min_size=prec, max_size=prec)
+    f, g = data.draw(row), data.draw(row)
+    assert _product(f, g, 0) == integer_product_by_loops(f, g, prec)
