@@ -1,14 +1,11 @@
-"""Hypothesis profiles for the test suite, chosen by HYPOTHESIS_PROFILE.
+"""Hypothesis settings for the test suite.
 
 Exact arithmetic makes example run times vary by orders of magnitude with
-the drawn coefficients, so no profile sets a per-example deadline.  The
-``ci`` profile also prints the reproduction blob of every failure.
+the drawn coefficients, so the profile sets no per-example deadline.  It
+also prints the reproduction blob of every failure.
 """
-
-import os
 
 from hypothesis import settings
 
-settings.register_profile("default", deadline=None)
-settings.register_profile("ci", deadline=None, print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+settings.register_profile("default", deadline=None, print_blob=True)
+settings.load_profile("default")
