@@ -261,6 +261,8 @@ def eisenstein(
     """The Eisenstein series E_k^{psi,phi,t} to the given q-precision."""
     if k < 1:
         raise ValueError("weight must be >= 1")
+    if t < 1:
+        raise ValueError(f"t must be >= 1, got {t}")
     L = psi.field_level
     if phi_char.field_level != L:
         raise BadLevelDivisibility("character field levels differ")

@@ -1,27 +1,29 @@
 """Truncated formal power series over Q(zeta_N).
 
-Three carriers:
+One ring, ``_Series``, holds ``coeffs``, the coefficients of t^0 ... t^(n-1),
+and writes ``+``, ``-``, ``*``, ``inv``, ``==`` and ``hash`` once for three
+carriers:
 
-* QSeries   -- series in one variable q, coefficients in Q(zeta_N),
-* PQSeries  -- series in two variables (p, q) truncated to a rectangle,
-* XQSeries  -- polynomial truncation in x with QSeries coefficients.
+* QSeries   -- t = q, coefficients in Q(zeta_N),
+* PQSeries  -- t = p, coefficients (the p-rows) QSeries in q: a rectangle,
+* XQSeries  -- t = x, coefficients QSeries in q.
 
-All values are immutable and all operations are exact up to the stated
-truncation order.  Storage is dense: the series arising here (Eisenstein
-series, genus expansions) are dense in practice.
+A carrier supplies only its truncation shape ``_shape()``, its zero
+coefficient ``_zero``, ``_new(coeffs)`` (a series of its own shape) and
+``_scalars``, the types that act coefficientwise (QSeries too for XQSeries).
+Values are immutable, operations exact up to the truncation, storage dense.
 
-Two kernels carry the arithmetic for every element type (Cyclo, QSeries,
-Fraction, int).  ``_product`` is the truncated Cauchy product of
-``QSeries``, ``XQSeries``, ``PQSeries`` (over its p-rows) and the integer
-basis rows of ``modforms``.  ``_recurrence`` is out[n] = step(n, acc_n),
-acc_n = sum_{k=1..n} a_k out_{n-k}: inverse, exp and log are all this
-recurrence (Brent and Kung, J. ACM 1978).  The steps: ``QSeries.inv`` and
-``XQSeries.inv`` -c_0^{-1} acc; ``todd_coefficients`` -acc; ``XQSeries.exp``
+Two kernels carry the arithmetic.  ``_product`` is the truncated Cauchy
+product of every carrier and of the integer basis rows of ``modforms``.
+``_recurrence`` is out[n] = step(n, acc_n), acc_n = sum_{k=1..n} a_k out_{n-k}:
+inverse, exp and log are all this recurrence (Brent and Kung, J. ACM 1978).
+The steps: ``inv`` -c_0^{-1} acc; ``todd_coefficients`` -acc; ``XQSeries.exp``
 acc/n on a_n = n A_n; ``XQSeries.log`` n F_n - acc on a = F, giving n A_n.
 """
 
 from __future__ import annotations
 
+import types
 from fractions import Fraction
 
 from .cyclo import Cyclo
@@ -62,10 +64,102 @@ def _as_cyclo(level: int, value) -> Cyclo:
     return Cyclo.from_rational(level, value)
 
 
-class QSeries:
+class _Series:
+    """The ring of truncated series sum_n coeffs[n] t^n of one carrier.
+
+    A scalar c acts as the constant series c: ``+`` adds it to the t^0
+    coefficient and ``*`` multiplies every coefficient by it.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init_subclass__(cls):
+        # Each carrier gets its own copy of the ring methods, named after it,
+        # so profiles and the per-layer trace (which name a span by its
+        # qualname) tell QSeries.__mul__ from XQSeries.__mul__.
+        for name, fn in vars(_Series).items():
+            if isinstance(fn, types.FunctionType):
+                copy = types.FunctionType(fn.__code__, fn.__globals__)
+                copy.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
+                setattr(cls, name, copy)
+
+    def _check(self, other):
+        if self.level != other.level:
+            raise LevelMismatch(f"levels {self.level} and {other.level}")
+        if self._shape() != other._shape():
+            raise PrecMismatch(f"precisions {self._shape()} and {other._shape()}")
+
+    def _coerce(self, other):
+        if type(other) is type(self):
+            self._check(other)
+            return other
+        if isinstance(other, self._scalars):
+            return self._new((self._zero + other,))
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._new([a + b for a, b in zip(self.coeffs, o.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new([-a for a in self.coeffs])
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._new([a - b for a, b in zip(self.coeffs, o.coeffs)])
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        if isinstance(other, self._scalars):
+            return self._new([a * other for a in self.coeffs])
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        return self._new(_product(self.coeffs, other.coeffs, self._zero))
+
+    __rmul__ = __mul__
+
+    def inv(self):
+        """Multiplicative inverse; needs the t^0 coefficient invertible."""
+        c0 = self.coeffs[0]
+        if not c0:
+            raise NonUnitConstantTerm("constant term is zero")
+        c0inv = c0.inv()
+        return self._new(_recurrence(self.coeffs, c0inv, lambda n, acc: -(c0inv * acc), self._zero))
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def __eq__(self, other):
+        if isinstance(other, self._scalars):
+            other = self._new((self._zero + other,))
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.coeffs == other.coeffs  # the coefficients fix level and shape
+
+    def __hash__(self):
+        return hash((self.level, self._shape(), self.coeffs))
+
+
+class QSeries(_Series):
     """Truncated power series sum_{n < prec} a_n q^n with a_n in Q(zeta_N)."""
 
-    __slots__ = ("level", "prec", "coeffs")
+    __slots__ = ("level", "prec")
+    _scalars = (int, Fraction, Cyclo)
 
     def __init__(self, level: int, prec: int, coeffs=()):
         if prec < 1:
@@ -79,6 +173,16 @@ class QSeries:
         self.level = level
         self.prec = prec
         self.coeffs = coeffs
+
+    def _shape(self) -> int:
+        return self.prec
+
+    @property
+    def _zero(self) -> Cyclo:
+        return Cyclo(self.level)
+
+    def _new(self, coeffs) -> "QSeries":
+        return QSeries(self.level, self.prec, coeffs)
 
     @classmethod
     def one(cls, level: int, prec: int) -> "QSeries":
@@ -94,69 +198,6 @@ class QSeries:
 
     def __getitem__(self, n: int) -> Cyclo:
         return self.coeffs[n]
-
-    def _check(self, other: "QSeries"):
-        if self.level != other.level:
-            raise LevelMismatch(f"levels {self.level} and {other.level}")
-        if self.prec != other.prec:
-            raise PrecMismatch(f"precisions {self.prec} and {other.prec}")
-
-    def _coerce(self, other):
-        if isinstance(other, QSeries):
-            self._check(other)
-            return other
-        if isinstance(other, (int, Fraction, Cyclo)):
-            return QSeries.constant(self.level, self.prec, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QSeries(
-            self.level, self.prec, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QSeries(self.level, self.prec, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QSeries(
-            self.level, self.prec, tuple(a - b for a, b in zip(self.coeffs, o.coeffs))
-        )
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            c = _as_cyclo(self.level, other)
-            return QSeries(self.level, self.prec, tuple(a * c for a in self.coeffs))
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        self._check(other)
-        return QSeries(
-            self.level, self.prec, _product(self.coeffs, other.coeffs, Cyclo(self.level))
-        )
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "QSeries":
-        """Multiplicative inverse; requires an invertible constant term."""
-        c0 = self.coeffs[0]
-        if not c0:
-            raise NonUnitConstantTerm("constant term is zero")
-        c0inv = c0.inv()
-        out = _recurrence(self.coeffs, c0inv, lambda n, acc: -c0inv * acc, Cyclo(self.level))
-        return QSeries(self.level, self.prec, out)
 
     def truncate(self, new_prec: int) -> "QSeries":
         if new_prec > self.prec:
@@ -174,26 +215,6 @@ class QSeries:
     def lift(self, new_level: int) -> "QSeries":
         return QSeries(new_level, self.prec, tuple(c.lift(new_level) for c in self.coeffs))
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            other = QSeries.constant(self.level, self.prec, other)
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return (
-            self.level == other.level
-            and self.prec == other.prec
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.level, self.prec, self.coeffs))
-
     def serialize(self) -> list[list[str]]:
         return [c.serialize() for c in self.coeffs]
 
@@ -207,127 +228,80 @@ class QSeries:
         return f"<{body} + O(q^{self.prec})>"
 
 
-class PQSeries:
-    """Truncated series in (p, q): rectangle of coefficients of p^i q^j."""
+class PQSeries(_Series):
+    """Truncated series in (p, q): a series in p whose coefficients, the p-rows, are QSeries.
 
-    __slots__ = ("level", "prec_p", "prec_q", "rows")
+    ``coeffs[i]`` is the p^i row, a QSeries in q at precision prec_q;
+    ``rows`` gives the same rectangle as tuples of Cyclo.
+    """
+
+    __slots__ = ("level", "prec_p", "prec_q")
+    _scalars = (int, Fraction, Cyclo)
 
     def __init__(self, level: int, prec_p: int, prec_q: int, rows=None):
         if prec_p < 1 or prec_q < 1:
             raise ValueError("precisions must be >= 1")
-        zero = Cyclo(level)
-        if rows is None:
-            rows = [[zero] * prec_q for _ in range(prec_p)]
-        full = []
-        for i in range(prec_p):
-            row = list(rows[i]) if i < len(rows) else []
-            row = [_as_cyclo(level, c) for c in row[:prec_q]]
-            row += [zero] * (prec_q - len(row))
-            full.append(tuple(row))
+        rows = list(rows or ())[:prec_p]
+        rows += [()] * (prec_p - len(rows))
         self.level = level
         self.prec_p = prec_p
         self.prec_q = prec_q
-        self.rows = tuple(full)
+        self.coeffs = tuple(
+            r if isinstance(r, QSeries) and (r.level, r.prec) == (level, prec_q)
+            else QSeries(level, prec_q, r)
+            for r in rows
+        )
+
+    @property
+    def rows(self) -> tuple[tuple[Cyclo, ...], ...]:
+        return tuple(r.coeffs for r in self.coeffs)
+
+    def _shape(self) -> tuple[int, int]:
+        return (self.prec_p, self.prec_q)
+
+    @property
+    def _zero(self) -> QSeries:
+        return QSeries.zero(self.level, self.prec_q)
+
+    def _new(self, rows) -> "PQSeries":
+        return PQSeries(self.level, self.prec_p, self.prec_q, rows)
 
     @classmethod
     def constant(cls, level: int, prec_p: int, prec_q: int, value) -> "PQSeries":
-        out = cls(level, prec_p, prec_q)
-        rows = [list(r) for r in out.rows]
-        rows[0][0] = _as_cyclo(level, value)
-        return cls(level, prec_p, prec_q, rows)
+        return cls(level, prec_p, prec_q, [QSeries.constant(level, prec_q, value)])
 
     @classmethod
     def outer(cls, fp: QSeries, fq: QSeries) -> "PQSeries":
         """The product fp(p) * fq(q) as a rectangle."""
         if fp.level != fq.level:
             raise LevelMismatch(f"levels {fp.level} and {fq.level}")
-        rows = [[a * b for b in fq.coeffs] for a in fp.coeffs]
-        return cls(fp.level, fp.prec, fq.prec, rows)
+        return cls(fp.level, fp.prec, fq.prec, [fq * a for a in fp.coeffs])
 
     def __getitem__(self, ij) -> Cyclo:
         i, j = ij
-        return self.rows[i][j]
-
-    def _check(self, other: "PQSeries"):
-        if self.level != other.level:
-            raise LevelMismatch(f"levels {self.level} and {other.level}")
-        if self.prec_p != other.prec_p or self.prec_q != other.prec_q:
-            raise PrecMismatch("rectangle sizes differ")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            other = PQSeries.constant(self.level, self.prec_p, self.prec_q, other)
-        if not isinstance(other, PQSeries):
-            return NotImplemented
-        self._check(other)
-        rows = [
-            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)
-        ]
-        return PQSeries(self.level, self.prec_p, self.prec_q, rows)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        rows = [[-a for a in r] for r in self.rows]
-        return PQSeries(self.level, self.prec_p, self.prec_q, rows)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, PQSeries) else -_as_cyclo(self.level, other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            c = _as_cyclo(self.level, other)
-            rows = [[a * c for a in r] for r in self.rows]
-            return PQSeries(self.level, self.prec_p, self.prec_q, rows)
-        if not isinstance(other, PQSeries):
-            return NotImplemented
-        self._check(other)
-        rows = _product(
-            [self.p_row(i) for i in range(self.prec_p)],
-            [other.p_row(i) for i in range(self.prec_p)],
-            QSeries.zero(self.level, self.prec_q),
-        )
-        return PQSeries(self.level, self.prec_p, self.prec_q, [r.coeffs for r in rows])
-
-    __rmul__ = __mul__
+        return self.coeffs[i][j]
 
     def p_row(self, i: int) -> QSeries:
         """The coefficient of p^i as a series in q."""
-        return QSeries(self.level, self.prec_q, self.rows[i])
+        return self.coeffs[i]
 
     def q_column(self, j: int) -> QSeries:
         """The coefficient of q^j as a series in p."""
-        return QSeries(self.level, self.prec_p, tuple(r[j] for r in self.rows))
+        return QSeries(self.level, self.prec_p, [r[j] for r in self.coeffs])
 
     def transpose(self) -> "PQSeries":
-        rows = [
-            [self.rows[i][j] for i in range(self.prec_p)] for j in range(self.prec_q)
-        ]
-        return PQSeries(self.level, self.prec_q, self.prec_p, rows)
-
-    def is_zero(self) -> bool:
-        return not any(any(r) for r in self.rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, PQSeries):
-            return NotImplemented
-        return (
-            self.level == other.level
-            and self.prec_p == other.prec_p
-            and self.prec_q == other.prec_q
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.level, self.prec_p, self.prec_q, self.rows))
+        columns = [self.q_column(j) for j in range(self.prec_q)]
+        return PQSeries(self.level, self.prec_q, self.prec_p, columns)
 
     def serialize(self) -> list[list[list[str]]]:
-        return [[c.serialize() for c in row] for row in self.rows]
+        return [r.serialize() for r in self.coeffs]
 
     @classmethod
     def deserialize(cls, level: int, data) -> "PQSeries":
-        rows = [[Cyclo.deserialize(level, c) for c in row] for row in data]
-        return cls(level, len(data), len(data[0]) if data else 0, rows)
+        rows = [QSeries.deserialize(level, row) for row in data]
+        if any(r.prec != rows[0].prec for r in rows):
+            raise ValueError("rows differ in length")
+        return cls(level, len(rows), rows[0].prec if rows else 0, rows)
 
     def __repr__(self):
         return f"<PQSeries {self.prec_p}x{self.prec_q} over Q(zeta_{self.level})>"
@@ -338,10 +312,11 @@ def project_q0(s: PQSeries) -> QSeries:
     return s.q_column(0)
 
 
-class XQSeries:
+class XQSeries(_Series):
     """Polynomial in x truncated at x^prec_x, coefficients QSeries."""
 
-    __slots__ = ("prec_x", "coeffs")
+    __slots__ = ("prec_x",)
+    _scalars = (int, Fraction, Cyclo, QSeries)
 
     def __init__(self, coeffs: list[QSeries], prec_x: int | None = None):
         coeffs = list(coeffs)
@@ -372,6 +347,16 @@ class XQSeries:
     def prec_q(self) -> int:
         return self.coeffs[0].prec
 
+    def _shape(self) -> tuple[int, int]:
+        return (self.prec_x, self.prec_q)
+
+    @property
+    def _zero(self) -> QSeries:
+        return QSeries.zero(self.level, self.prec_q)
+
+    def _new(self, coeffs) -> "XQSeries":
+        return XQSeries(coeffs, self.prec_x)
+
     @classmethod
     def one(cls, level: int, prec_x: int, prec_q: int) -> "XQSeries":
         return cls([QSeries.one(level, prec_q)], prec_x)
@@ -383,102 +368,30 @@ class XQSeries:
     @classmethod
     def from_x_poly(cls, level: int, prec_x: int, prec_q: int, coeffs) -> "XQSeries":
         """Build from scalar x-coefficients (ints, Fractions, or Cyclo)."""
-        return cls(
-            [QSeries.constant(level, prec_q, c) for c in coeffs], prec_x
-        )
+        return cls([QSeries.constant(level, prec_q, c) for c in coeffs], prec_x)
 
     def __getitem__(self, n: int) -> QSeries:
         return self.coeffs[n]
-
-    def _check(self, other: "XQSeries"):
-        if self.level != other.level:
-            raise LevelMismatch("levels differ")
-        if self.prec_x != other.prec_x or self.prec_q != other.prec_q:
-            raise PrecMismatch("truncations differ")
-
-    def _coerce(self, other):
-        if isinstance(other, XQSeries):
-            self._check(other)
-            return other
-        if isinstance(other, (int, Fraction, Cyclo)):
-            return XQSeries(
-                [QSeries.constant(self.level, self.prec_q, other)], self.prec_x
-            )
-        if isinstance(other, QSeries):
-            return XQSeries([other], self.prec_x)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return XQSeries(
-            [a + b for a, b in zip(self.coeffs, o.coeffs)], self.prec_x
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return XQSeries([-a for a in self.coeffs], self.prec_x)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return XQSeries(
-            [a - b for a, b in zip(self.coeffs, o.coeffs)], self.prec_x
-        )
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo, QSeries)):
-            c = other
-            return XQSeries([a * c for a in self.coeffs], self.prec_x)
-        if not isinstance(other, XQSeries):
-            return NotImplemented
-        self._check(other)
-        zero = QSeries.zero(self.level, self.prec_q)
-        return XQSeries(_product(self.coeffs, other.coeffs, zero), self.prec_x)
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "XQSeries":
-        """Inverse; needs the x^0 coefficient invertible as a QSeries."""
-        c0inv = self.coeffs[0].inv()
-        zero = QSeries.zero(self.level, self.prec_q)
-        out = _recurrence(self.coeffs, c0inv, lambda n, acc: -(c0inv * acc), zero)
-        return XQSeries(out, self.prec_x)
 
     def exp(self) -> "XQSeries":
         """exp of an element with zero x^0 coefficient: d F_d = sum_{i<=d} i A_i F_{d-i}."""
         if not self.coeffs[0].is_zero():
             raise BadConstantTerm("exp needs x^0 coefficient 0")
         dA = [a * i for i, a in enumerate(self.coeffs)]
-        one, zero = QSeries.one(self.level, self.prec_q), QSeries.zero(self.level, self.prec_q)
-        F = _recurrence(dA, one, lambda n, acc: acc * Fraction(1, n), zero)
+        one = QSeries.one(self.level, self.prec_q)
+        F = _recurrence(dA, one, lambda n, acc: acc * Fraction(1, n), self._zero)
         return XQSeries(F, self.prec_x)
 
     def log(self) -> "XQSeries":
         """log of an element with x^0 coefficient 1: the recurrence of ``exp`` solved for A."""
-        one = QSeries.one(self.level, self.prec_q)
-        if self.coeffs[0] != one:
+        if self.coeffs[0] != 1:
             raise BadConstantTerm("log needs x^0 coefficient 1")
         F = self.coeffs
-        zero = QSeries.zero(self.level, self.prec_q)
+        zero = self._zero
         dA = _recurrence(F, zero, lambda n, acc: F[n] * n - acc, zero)
         return XQSeries(
             [zero] + [dA[n] * Fraction(1, n) for n in range(1, self.prec_x)], self.prec_x
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, XQSeries):
-            return NotImplemented
-        return self.prec_x == other.prec_x and self.coeffs == other.coeffs
 
     def __repr__(self):
         return (

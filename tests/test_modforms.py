@@ -72,6 +72,9 @@ def test_eisenstein_needs_moduli_times_t_to_divide_the_level():
     assert eisenstein(trivial, chi, 2, 1, 5, 8).prec == 5
     with pytest.raises(BadLevelDivisibility):
         eisenstein(trivial, chi, 3, 1, 5, 8)
+    for t in (0, -1):
+        with pytest.raises(ValueError, match="t must be >= 1"):
+            eisenstein(trivial, chi, t, 1, 5, 8)
 
 
 def test_generalized_bernoulli_of_the_odd_character_mod_4():

@@ -1,5 +1,6 @@
 """Truncated power series: q-series, (p, q)-rectangles, x-polynomials."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -61,11 +62,35 @@ def test_mul_truncates_consistently():
     assert a * b == qs(4, 4, 13, 28)
 
 
-def test_level_and_precision_mismatches_raise():
-    with pytest.raises(LevelMismatch):
-        qs(4, 1, 2) + qs(5, 1, 2)
-    with pytest.raises(PrecMismatch):
-        qs(4, 1, 2) * qs(4, 1, 2, 3)
+# Each carrier at level N with n coefficients, and the carriers it must not mix with.
+CARRIERS = {
+    "QSeries": (lambda N, n: qs(N, *range(1, n + 1)), ["PQSeries"]),
+    "PQSeries": (lambda N, n: PQSeries.outer(qs(N, *range(1, n + 1)), qs(N, 2, -1)),
+                 ["QSeries", "XQSeries"]),
+    "XQSeries": (lambda N, n: XQSeries([qs(N, k, 1) for k in range(1, n + 1)]), ["PQSeries"]),
+}
+
+
+@pytest.mark.parametrize("carrier", CARRIERS)
+def test_level_and_precision_mismatches_raise(carrier):
+    make, strangers = CARRIERS[carrier]
+    a = make(4, 2)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(LevelMismatch):
+            op(a, make(5, 2))
+        with pytest.raises(PrecMismatch):
+            op(a, make(4, 3))
+        for other in strangers:
+            with pytest.raises(TypeError):
+                op(a, CARRIERS[other][0](4, 2))
+    # a scalar adds to the t^0 coefficient and multiplies every coefficient
+    scalars = (3, Fraction(-2, 3), Cyclo.zeta(4))
+    if carrier == "XQSeries":
+        scalars += (qs(4, 5, 7),)  # a q-series is a scalar for series in x
+    for c in scalars:
+        assert (a + c).coeffs == (a.coeffs[0] + c,) + a.coeffs[1:]
+        assert (c + a) == (a + c) and (a - c) == -(c - a)
+        assert (a * c).coeffs == tuple(x * c for x in a.coeffs) == (c * a).coeffs
 
 
 def test_exp_requires_zero_constant_term():
@@ -211,6 +236,15 @@ def test_project_q0_kills_positive_q_support():
     rows[1][2] = Cyclo.from_rational(5, 7)
     F = PQSeries(5, 3, 3, rows)
     assert project_q0(F).is_zero()
+
+
+@pytest.mark.parametrize("data", [
+    [[[1, 0, 0, 0], [2, 0, 0, 0]], [[3, 0, 0, 0]]],
+    [[[1, 0, 0, 0]], [[3, 0, 0, 0], [4, 0, 0, 0], [5, 0, 0, 0]]],
+], ids=["short-row", "long-row"])
+def test_pqseries_deserialize_refuses_ragged_rows(data):
+    with pytest.raises(ValueError, match="rows differ in length"):
+        PQSeries.deserialize(5, data)
 
 
 def test_series_serialize_roundtrip():
