@@ -313,18 +313,23 @@ class Cyclo:
         return Fraction(self.num[0], self.den)
 
     def lift(self, new_level: int) -> "Cyclo":
-        """Embed into Q(zeta_L) for N | L via zeta_N -> zeta_L^(L/N)."""
+        """Embed into Q(zeta_L) for N | L via zeta_N -> zeta_L^(L/N).
+
+        One integer dot product per coordinate of Q(zeta_L) with a column
+        of ``_lift_columns``.  The lift of a canonical element is canonical,
+        with the same denominator, because Z[zeta_L] meets Q(zeta_N) in
+        Z[zeta_N]: a prime p dividing den and every lifted numerator would
+        put num / p in Z[zeta_L], so in Z[zeta_N], and p would divide every
+        num[i] (the powers of zeta_N are a Z-basis), against gcd(den, *num)
+        = 1.
+        """
         if new_level == self.level:
             return self
         if new_level % self.level != 0:
             raise LevelMismatch(f"{self.level} does not divide {new_level}")
-        step = new_level // self.level
-        table = _power_table(new_level)
-        out = [0] * euler_phi(new_level)
-        for i, a in enumerate(self.num):
-            if a:
-                out = [x + a * t for x, t in zip(out, table[i * step])]
-        return _reduced(new_level, tuple(out), self.den)
+        num = self.num
+        out = tuple([sum(map(mul, num, column)) for column in _lift_columns(self.level, new_level)])
+        return _make(new_level, out, self.den)
 
     def to_complex(self) -> complex:
         """Display-only float embedding zeta_N -> exp(2*pi*i/N)."""
@@ -345,6 +350,14 @@ class Cyclo:
             if a:
                 terms.append(f"{a}" if i == 0 else f"{a}*z^{i}")
         return " + ".join(terms) if terms else "0"
+
+
+@functools.lru_cache(maxsize=None)
+def _lift_columns(n: int, L: int) -> tuple[tuple[int, ...], ...]:
+    """Column j holds the zeta_L^j coordinates of 1, zeta_n, ..., zeta_n^(phi(n)-1), for n | L."""
+    table = _power_table(L)
+    step = L // n
+    return tuple(zip(*(table[i * step] for i in range(euler_phi(n)))))
 
 
 @functools.lru_cache(maxsize=None)

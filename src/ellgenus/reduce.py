@@ -37,8 +37,16 @@ nonzero coefficient of the residual of 1; that constant, and so the
 The residual r of the series 1 is rational too, so that decision splits
 into one congruence system over Z[1/N] per coordinate of Q(zeta_N),
 solved by an integer CRT, and the constant it records depends only on
-the class of the input.  r, the basis coefficients of 1 and the free
-columns are built once per (N, weight, prec).
+the class of the input.
+
+Everything that does not depend on the input is built once per (N,
+weight, prec) into one cached plan (``_plan``): the basis, its Sturm
+bound, digest and integrality, r, the basis coefficients of 1, the free
+columns, and per free column with r_c != 0 the values 1/r_c and the
+prime-to-N parts of r_c that the congruences read.  Every residual is
+zero at the pivots of the echelon basis, so the residual, its descent
+and its coset are formed only at the free columns; each pivot gets the
+zero coset.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cyclo import (
     Cyclo,
@@ -54,44 +63,91 @@ from .cyclo import (
     _reduced,
     _split_denominator,
     _subfield_part,
+    _zero_coset,
     descend,
     euler_phi,
     in_NZ,
     reduce_mod_NZ,
 )
 from .errors import LevelMismatch, PrecisionInsufficient
-from .modforms import sturm_bound, weight_basis
+from .modforms import ModFormBasis, sturm_bound, weight_basis
 from .series import PQSeries, QSeries, project_q0  # noqa: F401  (re-exported)
 
 
-@functools.lru_cache(maxsize=None)
-def _residual_of_one(N: int, weight: int, prec: int) -> tuple[tuple, tuple, tuple]:
-    """(one_res, gamma, free_cols) for weight_basis(N, weight, prec).
+class _Plan(NamedTuple):
+    """What a reduction against weight_basis(N, weight, prec) reads, built once.
 
-    ``one_res``/``gamma`` are the residual and basis coefficients of the
-    series 1 eliminated against the basis, as Fractions; ``free_cols`` are
-    the q-exponents off its pivots, the only places a residual can be nonzero.
+    ``one_res`` and ``gamma`` are the residual and basis coefficients of the
+    series 1, as Fractions; ``free`` are the q-exponents off the pivots, the
+    only places a residual can be nonzero.  ``null`` are the free columns
+    where r = ``one_res`` vanishes and ``terms`` the others, as (c, 1/r_c,
+    u_c, v_c) with u_c/v_c the prime-to-N part of r_c (see
+    ``_constant_columns``); ``terms[0]`` is the fallback column c*, the
+    earliest nonzero coefficient of r.
     """
+
+    basis: ModFormBasis
+    sturm: int
+    L: int
+    free: tuple[int, ...]
+    one_res: tuple[Fraction, ...]
+    gamma: tuple[Fraction, ...]
+    integral: bool
+    digest: str
+    null: tuple[int, ...]
+    terms: tuple[tuple[int, Fraction, int, int], ...]
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(N: int, weight: int, prec: int) -> _Plan:
+    """The reduction plan of weight_basis(N, weight, prec); refuses prec below the Sturm bound."""
+    sb = sturm_bound(N, weight)
+    if prec < sb:
+        raise PrecisionInsufficient(f"prec {prec} < sturm bound {sb}")
     basis = weight_basis(N, weight, prec)
     one_res, gamma = basis.eliminate(QSeries.one(basis.field_level, prec).coeffs)
     # the series 1 and the basis are rational, so both results are
     assert not any(x for value in one_res + gamma for x in value.num[1:])
+    one_res = tuple(value.rational_part() for value in one_res)
     pivots = set(basis.pivots)
-    return (
-        tuple(value.rational_part() for value in one_res),
+    free = tuple(c for c in range(prec) if c not in pivots)
+    # the exact constant-direction decision is complete only over an
+    # N-integral echelon basis (unit pivots); record that precondition
+    return _Plan(
+        basis, sb, basis.field_level, free, one_res,
         tuple(value.rational_part() for value in gamma),
-        tuple(c for c in range(prec) if c not in pivots),
+        basis.is_integral(), basis.digest(), *_constant_columns(one_res, free, N),
     )
 
 
-def _solve_constant_direction(
-    s_cols: list[Cyclo], r_cols: list[Fraction], N: int, K: int
-) -> Cyclo | None:
+def _constant_columns(r, cols, N: int) -> tuple[tuple, tuple]:
+    """(null, terms) of the rational residual r of 1 over the columns cols.
+
+    ``null`` are the columns with r_c = 0; ``terms`` are (c, 1/r_c, u_c, v_c)
+    for the others, with u_c and v_c the prime-to-N parts of the numerator
+    and denominator of r_c, in column order.
+    """
+    # the reduced echelon form of the basis is Galois-fixed, so r is rational
+    # (Shimura 1971, Thm 3.52; ``_build_basis`` certifies it); the
+    # coordinatewise split of ``_solve_constant_direction`` needs it
+    assert all(isinstance(r[c], Fraction) for c in cols)
+    null = tuple(c for c in cols if not r[c])
+    terms = tuple(
+        (c, 1 / r[c],
+         _split_denominator(abs(r[c].numerator), N)[1],
+         _split_denominator(r[c].denominator, N)[1])
+        for c in cols if r[c]
+    )
+    return null, terms
+
+
+def _solve_constant_direction(s_res, null, terms, N: int, K: int) -> Cyclo | None:
     """Find alpha in Q(zeta_K) with s - alpha*r coefficientwise in Z[1/N, zeta_N].
 
-    s_cols lie in Q(zeta_K), N | K.  Returns None when no such alpha
-    exists.  This is an exact decision, and the alpha returned depends
-    only on the set of valid alphas.
+    s_res maps each column to its value in Q(zeta_K), N | K; ``null`` and
+    ``terms`` describe r at those columns (``_constant_columns``).  Returns
+    None when no such alpha exists.  This is an exact decision, and the
+    alpha returned depends only on the set of valid alphas.
 
     r is rational, so the conditions act coordinatewise.  A column with
     r_c = 0 needs s_c in Z[1/N, zeta_N].  On the others, with x_c = s_c/r_c,
@@ -104,19 +160,13 @@ def _solve_constant_direction(
     c: one congruence system over Z[1/N] per power-basis coordinate, see
     ``_congruence_solution``.
     """
-    # the reduced echelon form of the basis is Galois-fixed, so r is rational
-    # (Shimura 1971, Thm 3.52; ``_build_basis`` certifies it); the
-    # coordinatewise split below needs it
-    assert all(isinstance(r, Fraction) for r in r_cols)
-    x_cols, r_vals = [], []
-    for s, r in zip(s_cols, r_cols):
-        if r:
-            r_vals.append(r)
-            x_cols.append(s * (1 / r))
-        elif any(_complement(s, N)) or not in_NZ(_subfield_part(s, N)):
+    for c in null:
+        s = s_res[c]
+        if any(_complement(s, N)) or not in_NZ(_subfield_part(s, N)):
             return None
-    if not x_cols:
+    if not terms:
         return Cyclo(K)
+    x_cols = [s_res[c] * inv_r for c, inv_r, _, _ in terms]
     # the complement of x is _complement(x, N) / x.den, up to a shared scale
     x0 = x_cols[0]
     off0 = _complement(x0, N)
@@ -124,18 +174,19 @@ def _solve_constant_direction(
         if any(a * x0.den != b * x.den for a, b in zip(_complement(x, N), off0)):
             return None
     parts = [_subfield_part(x, N) for x in x_cols]
-    theta = _congruence_solution(parts, r_vals, N)
+    theta = _congruence_solution(parts, terms, N)
     if theta is None:
         return None
     return x0 - parts[0].lift(K) + theta.lift(K)
 
 
-def _congruence_solution(parts: list[Cyclo], r_vals: list[Fraction], N: int) -> Cyclo | None:
+def _congruence_solution(parts: list[Cyclo], terms, N: int) -> Cyclo | None:
     """The canonical theta with r_c * (parts[c] - theta) in Z[1/N, zeta_N] for all c.
 
-    Returns None when there is none.  Coordinate i asks for theta_i =
-    parts[c]_i modulo (v_c/u_c) Z[1/N], with u_c/v_c the prime-to-N part
-    of r_c.  For S = lcm(u_c * e_c), e_c the prime-to-N part of the
+    ``terms`` holds (c, 1/r_c, u_c, v_c) for each part, u_c/v_c the
+    prime-to-N part of r_c.  Returns None when there is no theta.
+    Coordinate i asks for theta_i = parts[c]_i modulo (v_c/u_c) Z[1/N].
+    For S = lcm(u_c * e_c), e_c the prime-to-N part of the
     denominator of parts[c], T = S * theta_i must solve the integer system
     T = S * parts[c]_i mod n_c, n_c = S * v_c / u_c, because n_c is prime
     to N and so Z[1/N] / n_c Z[1/N] = Z / n_c.  The solutions are
@@ -144,15 +195,10 @@ def _congruence_solution(parts: list[Cyclo], r_vals: list[Fraction], N: int) -> 
     numerator and denominator prime to N, and rho = (beta mod n) / n in
     [0, 1) with denominator prime to N: the rule of ``reduce_mod_NZ``.
     """
-    split = [
-        (_split_denominator(p.den, N),
-         _split_denominator(abs(r.numerator), N)[1],
-         _split_denominator(r.denominator, N)[1])
-        for p, r in zip(parts, r_vals)
-    ]
-    S = math.lcm(*(e * u for (_, e), u, _ in split))
+    split = [_split_denominator(p.den, N) for p in parts]
+    S = math.lcm(*(e * u for (_, e), (_, _, u, _) in zip(split, terms)))
     n, beta = 1, [0] * euler_phi(N)
-    for p, ((dN, e), u, v) in zip(parts, split):
+    for p, (dN, e), (_, _, u, v) in zip(parts, split, terms):
         n_c = S // u * v
         # S * p.num[i] / p.den = p.num[i] * unit modulo n_c
         unit = S // e * pow(dN, -1, n_c)
@@ -249,58 +295,46 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
         prec = s.prec
     if prec > s.prec:
         raise PrecisionInsufficient(f"series has only {s.prec} coefficients")
-    sb = sturm_bound(N, weight)
-    if prec < sb:
-        raise PrecisionInsufficient(f"prec {prec} < sturm bound {sb}")
-    basis = weight_basis(N, weight, prec)
-    L = basis.field_level
+    plan = _plan(N, weight, prec)
+    L = plan.L
     # decide in Q(zeta_N) when s lies there, else in Q(zeta_L) (the lift
     # raises LevelMismatch when the level of s does not divide L)
     K = N if N % s.level == 0 else L
-    s_res, beta = basis.eliminate([c.lift(K) for c in s.coeffs[:prec]])
+    s_res, beta = plan.basis.eliminate([c.lift(K) for c in s.coeffs[:prec]])
 
-    one_res, gamma, free_cols = _residual_of_one(N, weight, prec)
-    # the exact constant-direction decision is complete only over an
-    # N-integral echelon basis (unit pivots); check that precondition
-    integral_basis = basis.is_integral()
     alpha = None
-    if integral_basis:
-        alpha = _solve_constant_direction(
-            [s_res[c] for c in free_cols], [one_res[c] for c in free_cols], N, K
-        )
+    if plan.integral:
+        alpha = _solve_constant_direction(s_res, plan.null, plan.terms, N, K)
     if alpha is None:
         # canonical fallback: cancel the earliest nonzero constant-residual
         # coefficient (the combined-echelon choice)
-        c_star = next((c for c in range(prec) if one_res[c]), None)
-        alpha_used = s_res[c_star] * (1 / one_res[c_star]) if c_star is not None \
-            else Cyclo(K)
+        if plan.terms:
+            c_star, inv_r = plan.terms[0][:2]
+            alpha_used = s_res[c_star] * inv_r
+        else:
+            alpha_used = Cyclo(K)
     else:
         alpha_used = alpha
-    residual = [a - alpha_used * b for a, b in zip(s_res, one_res)]
-    cosets: list[NZCoset | None] = []
-    reps = []
-    trivial = alpha is not None
-    for value in residual:
+    # s_res and r vanish at every pivot, so only the free columns can carry
+    # a nonzero coset
+    cosets: list[NZCoset | None] = [_zero_coset(N)] * prec
+    for c in plan.free:
+        value = s_res[c] - alpha_used * plan.one_res[c]
         down = value if K == N else descend(value, N)
-        if down is None:
-            cosets.append(None)
-            reps.append(Cyclo(N))
-            continue
-        coset = reduce_mod_NZ(down)
-        cosets.append(coset)
-        reps.append(coset.rep)
+        cosets[c] = None if down is None else reduce_mod_NZ(down)
+    trivial = alpha is not None
     if trivial:
         assert all(c is not None and c.is_zero() for c in cosets)
-    elif not integral_basis and all(c is not None and c.is_zero() for c in cosets):
+    elif not plan.integral and all(c is not None and c.is_zero() for c in cosets):
         trivial = True
-    rep = QSeries(N, prec, reps)
-    coeffs = [(b - alpha_used * g).lift(L) for b, g in zip(beta, gamma)]
+    rep = QSeries(N, prec, [Cyclo(N) if c is None else c.rep for c in cosets])
+    coeffs = [(b - alpha_used * g).lift(L) for b, g in zip(beta, plan.gamma)]
     modular_part = {
-        "pivot_columns": list(basis.pivots),
+        "pivot_columns": list(plan.basis.pivots),
         "coefficients": coeffs,
         "constant": alpha_used.lift(L),
-        "sturm": sb,
-        "basis_hash": basis.digest(),
+        "sturm": plan.sturm,
+        "basis_hash": plan.digest,
     }
     return UqClass(N, degree, prec, cosets, rep, modular_part, trivial)
 
@@ -358,15 +392,8 @@ def reduce_Wtilde(s: PQSeries, N: int, degree: int) -> WtClass:
     row_class = reduce_Uq(s.p_row(0), N, degree)
     column_class = reduce_Uq(s.q_column(0), N, degree)
     trivial = row_class.trivial and column_class.trivial
-    mixed = []
-    for i in range(1, s.prec_p):
-        row = []
-        for j in range(1, s.prec_q):
-            coset = reduce_mod_NZ(s[i, j].lift(N))
-            if not coset.is_zero():
-                trivial = False
-            row.append(coset)
-        mixed.append(row)
+    mixed = [[reduce_mod_NZ(x.lift(N)) for x in row.coeffs[1:]] for row in s.coeffs[1:]]
+    trivial = trivial and all(c.is_zero() for row in mixed for c in row)
     return WtClass(
         N, degree, s.prec_p, s.prec_q, row_class, column_class, mixed, trivial
     )

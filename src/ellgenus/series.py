@@ -146,7 +146,10 @@ class _Series:
 
     def __eq__(self, other):
         if isinstance(other, self._scalars):
-            other = self._new((self._zero + other,))
+            try:
+                other = self._new((self._zero + other,))
+            except (LevelMismatch, PrecMismatch):
+                return False  # a scalar of another level or shape is another value
         if type(other) is not type(self):
             return NotImplemented
         return self.coeffs == other.coeffs  # the coefficients fix level and shape

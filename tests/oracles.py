@@ -8,6 +8,8 @@ from ellgenus.cyclo import (
     Cyclo,
     NZCoset,
     _power_table,
+    _reduced,
+    _split_denominator,
     _subfield_part,
     descend,
     euler_phi,
@@ -34,12 +36,7 @@ from ellgenus.modforms import (
     sturm_bound,
     weight_basis,
 )
-from ellgenus.reduce import (
-    UqClass,
-    WtClass,
-    _congruence_solution,
-    _residual_of_one,
-)
+from ellgenus.reduce import UqClass, WtClass
 from ellgenus.series import PQSeries, QSeries, XQSeries
 
 
@@ -232,9 +229,84 @@ def descent_echelon(L: int, n: int):
     return pivots, free, [column(tags, i) for i in range(len(tags[0]))], scale
 
 
+def lift_by_table(a: Cyclo, new_level: int) -> Cyclo:
+    """Embed into Q(zeta_L) for N | L via zeta_N -> zeta_L^(L/N), one power-table row per coordinate."""
+    if new_level == a.level:
+        return a
+    if new_level % a.level != 0:
+        raise LevelMismatch(f"{a.level} does not divide {new_level}")
+    step = new_level // a.level
+    table = _power_table(new_level)
+    out = [0] * euler_phi(new_level)
+    for i, x in enumerate(a.num):
+        if x:
+            out = [y + x * t for y, t in zip(out, table[i * step])]
+    return _reduced(new_level, tuple(out), a.den)
+
+
 # The quotient reductions as they ran before the decision moved into
 # Q(zeta_N): every input is lifted to Q(zeta_L), eliminated there, and every
-# residual coefficient is descended back.
+# residual coefficient is descended back.  The residual of 1 and the
+# congruence solve are kept here as they ran before the reduction plan, so
+# these oracles share no code with the reduction they check.
+
+
+@functools.lru_cache(maxsize=None)
+def residual_of_one(N: int, weight: int, prec: int) -> tuple[tuple, tuple, tuple]:
+    """(one_res, gamma, free_cols) for weight_basis(N, weight, prec).
+
+    ``one_res``/``gamma`` are the residual and basis coefficients of the
+    series 1 eliminated against the basis, as Fractions; ``free_cols`` are
+    the q-exponents off its pivots, the only places a residual can be nonzero.
+    """
+    basis = weight_basis(N, weight, prec)
+    one_res, gamma = basis.eliminate(QSeries.one(basis.field_level, prec).coeffs)
+    # the series 1 and the basis are rational, so both results are
+    assert not any(x for value in one_res + gamma for x in value.num[1:])
+    pivots = set(basis.pivots)
+    return (
+        tuple(value.rational_part() for value in one_res),
+        tuple(value.rational_part() for value in gamma),
+        tuple(c for c in range(prec) if c not in pivots),
+    )
+
+
+def congruence_solution(parts: list[Cyclo], r_vals: list[Fraction], N: int) -> Cyclo | None:
+    """The canonical theta with r_c * (parts[c] - theta) in Z[1/N, zeta_N] for all c.
+
+    Returns None when there is none.  Coordinate i asks for theta_i =
+    parts[c]_i modulo (v_c/u_c) Z[1/N], with u_c/v_c the prime-to-N part
+    of r_c.  For S = lcm(u_c * e_c), e_c the prime-to-N part of the
+    denominator of parts[c], T = S * theta_i must solve the integer system
+    T = S * parts[c]_i mod n_c, n_c = S * v_c / u_c, because n_c is prime
+    to N and so Z[1/N] / n_c Z[1/N] = Z / n_c.  The solutions are
+    beta + n Z[1/N], n = lcm(n_c), and theta_i = (beta mod n) / S is g * rho
+    for g = n / S, the generator of the solution coset g Z[1/N] with
+    numerator and denominator prime to N, and rho = (beta mod n) / n in
+    [0, 1) with denominator prime to N: the rule of ``reduce_mod_NZ``.
+    """
+    split = [
+        (_split_denominator(p.den, N),
+         _split_denominator(abs(r.numerator), N)[1],
+         _split_denominator(r.denominator, N)[1])
+        for p, r in zip(parts, r_vals)
+    ]
+    S = math.lcm(*(e * u for (_, e), u, _ in split))
+    n, beta = 1, [0] * euler_phi(N)
+    for p, ((dN, e), u, v) in zip(parts, split):
+        n_c = S // u * v
+        # S * p.num[i] / p.den = p.num[i] * unit modulo n_c
+        unit = S // e * pow(dN, -1, n_c)
+        h = math.gcd(n, n_c)
+        step = n * pow(n // h, -1, n_c // h)
+        for i, a in enumerate(p.num):
+            diff = a * unit - beta[i]
+            if diff % h:
+                return None
+            beta[i] += step * (diff // h)
+        n = n // h * n_c
+        beta = [b % n for b in beta]
+    return _reduced(N, tuple(beta), S)
 
 
 def field_solve_constant_direction(
@@ -252,7 +324,7 @@ def field_solve_constant_direction(
     are x_c0 - pi(x_c0) + theta, for pi the Q(zeta_N) part
     (``cyclo._subfield_part``) and theta in Q(zeta_N) with
     r_c * (pi(x_c) - theta) in Z[1/N, zeta_N] for every c: one congruence
-    system over Z[1/N] per power-basis coordinate, see ``_congruence_solution``.
+    system over Z[1/N] per power-basis coordinate, see ``congruence_solution``.
     """
     # the reduced echelon form of the basis is Galois-fixed, so r is rational
     # (Shimura 1971, Thm 3.52; ``_build_basis`` certifies it); the
@@ -273,7 +345,7 @@ def field_solve_constant_direction(
     if any(descend(x - x0, N) is None for x in x_cols[1:]):
         return None
     parts = [_subfield_part(x, N) for x in x_cols]
-    theta = _congruence_solution(parts, r_vals, N)
+    theta = congruence_solution(parts, r_vals, N)
     if theta is None:
         return None
     return x0 - parts[0].lift(L) + theta.lift(L)
@@ -304,7 +376,7 @@ def field_reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) ->
     L = basis.field_level
     s_res, beta = basis.eliminate([c.lift(L) for c in s.coeffs[:prec]])
 
-    one_res, gamma, free_cols = _residual_of_one(N, weight, prec)
+    one_res, gamma, free_cols = residual_of_one(N, weight, prec)
     # the exact constant-direction decision is complete only over an
     # N-integral echelon basis (unit pivots); check that precondition
     integral_basis = basis.is_integral()

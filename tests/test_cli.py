@@ -3,10 +3,12 @@
 import functools
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from ellgenus import cli
+from ellgenus.cyclo import Cyclo
 from ellgenus.errors import SpanFailure
 from ellgenus.genus import cp_chern, genus, genus_bivariate, split_product
 
@@ -66,6 +68,39 @@ def rect_file(tmp_path):
     F = genus_bivariate(split_product(cp_chern(1), cp_chern(1)), 5, 5, 5)
     path = tmp_path / "rect.json"
     path.write_text(json.dumps({"level": 5, "rows": F.serialize()}))
+    return str(path)
+
+
+def _lifted_cp2(bump):
+    # genus(CP^2, 5, 7) at level 20, the ambient level of the degree-6 basis,
+    # so the reduction runs in Q(zeta_20); bump is added at q^1
+    g = genus(cp_chern(2), 5, 7).lift(20)
+    coeffs = list(g.coeffs)
+    coeffs[1] = coeffs[1] + bump
+    return {"level": 20, "coeffs": [c.serialize() for c in coeffs]}
+
+
+@pytest.fixture()
+def series20_file(tmp_path):
+    path = tmp_path / "series20.json"
+    path.write_text(json.dumps(_lifted_cp2(Cyclo(20))))
+    return str(path)
+
+
+@pytest.fixture()
+def bumped20_file(tmp_path):
+    path = tmp_path / "bumped20.json"
+    path.write_text(json.dumps(_lifted_cp2(Cyclo.zeta(5).lift(20) * Fraction(1, 3))))
+    return str(path)
+
+
+@pytest.fixture()
+def bumped_rect_file(tmp_path):
+    F = genus_bivariate(split_product(cp_chern(1), cp_chern(1)), 5, 5, 5)
+    rows = F.serialize()
+    rows[1][2] = (F[1, 2] + Fraction(1, 3)).serialize()
+    path = tmp_path / "bumped_rect.json"
+    path.write_text(json.dumps({"level": 5, "rows": rows}))
     return str(path)
 
 
@@ -224,7 +259,10 @@ def test_reduce_w_rejects_ragged_rows_exits_3(tmp_path, capsys):
 # sha256 of the --machine reports on the fixtures above: the first three
 # were recorded with the field elimination that the integer kernel
 # replaced, the degree-4 and degree-5 ones with the power-series
-# exponential that the recurrence replaced; none of them may change
+# exponential that the recurrence replaced, the level-20 and bumped ones
+# with the reduction that formed every residual coefficient, pivots
+# included (the unbumped level-20 input has the class, and so the report,
+# of the level-5 one); none of them may change
 GOLDEN = {
     "genus": ("2a44f1cf5c35877d237114e73a5148e8ff5d167f562901a4e45a80b829810baa",
               "cp2_file", ["--level", "5", "--prec-q", "6", "--machine", "genus"]),
@@ -239,6 +277,14 @@ GOLDEN = {
                  "series_file", ["--level", "5", "--degree", "6", "--machine", "reduce-u"]),
     "reduce-w": ("f80ddab94340368842fed41cfaaae805b9ea5e5a6ccedc19a1dd7afd5dff7f0a",
                  "rect_file", ["--level", "5", "--degree", "4", "--machine", "reduce-w"]),
+    "reduce-u-20": ("b45d814eb356398510a9852f4b8960d8c24edb08e2d840f459f102952fc1ffa9",
+                    "series20_file", ["--level", "5", "--degree", "6", "--machine", "reduce-u"]),
+    "reduce-u-20-bumped": ("dfe3e1ce2a6d4d85d2302a0faf2f98a46396accf6059974aa1549faf367ef3d0",
+                           "bumped20_file",
+                           ["--level", "5", "--degree", "6", "--machine", "reduce-u"]),
+    "reduce-w-bumped": ("f443ecf90882a28ff1cf7d836e7ed1f27d9452c6e00e9e46c75ed295f9602ce4",
+                        "bumped_rect_file",
+                        ["--level", "5", "--degree", "4", "--machine", "reduce-w"]),
 }
 
 
@@ -247,6 +293,13 @@ def test_machine_reports_match_the_recorded_digests(case, request, capsys):
     digest, fixture, options = GOLDEN[case]
     assert cli.main(options + [request.getfixturevalue(fixture)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", ["reduce-u-20", "reduce-u-20-bumped", "reduce-w-bumped"])
+def test_the_new_reports_have_their_expected_verdicts(case, request, capsys):
+    _, fixture, options = GOLDEN[case]
+    assert cli.main(options + [request.getfixturevalue(fixture)]) == 0
+    assert json.loads(capsys.readouterr().out)["trivial"] is ("bumped" not in case)
 
 
 def _q_file(tmp_path, value):

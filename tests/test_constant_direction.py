@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellgenus.cyclo import Cyclo, _split_denominator, descend, euler_phi, in_NZ
-from ellgenus.modforms import weight_basis
-from ellgenus.reduce import _residual_of_one, _solve_constant_direction
+from ellgenus.reduce import _constant_columns, _plan, _solve_constant_direction
 from oracles import eliminate, field_solve_constant_direction, rref_tracked
 
 
@@ -168,12 +167,12 @@ def _n_integral(value: Cyclo, N: int) -> bool:
 @given(data=st.data())
 def test_integer_solve_matches_the_fraction_oracle(basis, data):
     N = basis[0]
-    one_res, _, free_cols = _residual_of_one(*basis)
-    L = weight_basis(*basis).field_level
-    r_cols = [one_res[c] for c in free_cols]
+    plan = _plan(*basis)
+    L = plan.L
+    r_cols = [plan.one_res[c] for c in plan.free]
     s_cols = data.draw(free_columns(N, L, r_cols))
     want = _oracle_solve_constant_direction(s_cols, r_cols, N, L)
-    got = _solve_constant_direction(s_cols, r_cols, N, L)
+    got = _solve_constant_direction(dict(zip(plan.free, s_cols)), plan.null, plan.terms, N, L)
     assert (got is None) == (want is None)
     if got is not None:
         # got is a witness, and it differs from the oracle's by a period
@@ -197,7 +196,7 @@ def test_solve_in_the_input_field_matches_the_field_solve(N, K, L, data):
     r_cols = data.draw(RATIONAL_R)
     s_cols = data.draw(free_columns(N, K, r_cols))
     want = field_solve_constant_direction([s.lift(L) for s in s_cols], r_cols, N, L)
-    got = _solve_constant_direction(s_cols, r_cols, N, K)
+    got = _solve_constant_direction(s_cols, *_constant_columns(r_cols, range(len(r_cols)), N), N, K)
     assert (got is None) == (want is None)
     if got is not None:
         assert got.level == K and got.lift(L) == want

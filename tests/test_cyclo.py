@@ -16,6 +16,7 @@ from ellgenus.cyclo import (
     reduce_mod_NZ,
 )
 from ellgenus.series import QSeries
+from oracles import lift_by_table
 
 
 def test_euler_phi_small_values():
@@ -320,3 +321,19 @@ def test_canonical_form_of_equal_rationals():
     assert Cyclo.from_rational(12, Fraction(3, 9)) - Fraction(1, 3) == zero
     assert Cyclo(12, ["1/6", "1/4"]).num == (2, 3, 0, 0)
     assert Cyclo(12, ["1/6", "1/4"]).den == 12
+
+
+DIVISOR_LIFTS = [(n, L) for L in (12, 20, 24, 42) for n in range(1, L + 1) if L % n == 0]
+
+
+@pytest.mark.parametrize("n, L", DIVISOR_LIFTS, ids=[f"{n}-{L}" for n, L in DIVISOR_LIFTS])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_lift_matches_the_table_loop_and_is_canonical(n, L, data):
+    a = Cyclo(n, data.draw(diff_elements(n)))
+    got = a.lift(L)
+    assert got == lift_by_table(a, L)
+    assert got.level == L and len(got.num) == euler_phi(L) and got.den > 0
+    assert math.gcd(got.den, *got.num) == 1
+    if not a:
+        assert got.num == (0,) * euler_phi(L) and got.den == 1

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellgenus import reduce
 from ellgenus.cyclo import Cyclo, descend, euler_phi, in_NZ, reduce_mod_NZ
 from ellgenus.errors import LevelMismatch, PrecisionInsufficient
 from ellgenus.genus import cp_chern, genus, genus_bivariate, split_product
-from ellgenus.modforms import ModFormBasis, weight_basis
+from ellgenus.modforms import weight_basis
 from ellgenus.reduce import project_q0, reduce_Uq, reduce_Wtilde
 from ellgenus.series import PQSeries, QSeries
 
@@ -183,7 +184,8 @@ def test_recorded_constant_is_canonical(N, prec, data):
 def test_fallback_without_an_integral_basis(monkeypatch):
     # every supported basis is N-integral, so the echelon fallback is
     # reached only by pretending otherwise
-    monkeypatch.setattr(ModFormBasis, "is_integral", lambda self: False)
+    real = reduce._plan
+    monkeypatch.setattr(reduce, "_plan", lambda *key: real(*key)._replace(integral=False))
     probes = [
         (const_series(5, 7, Fraction(7, 3)), True),
         (single_coeff(5, 7, 1, Fraction(1, 7)), False),

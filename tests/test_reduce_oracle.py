@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellgenus import reduce
 from ellgenus.cyclo import Cyclo, euler_phi
 from ellgenus.modforms import ModFormBasis, weight_basis
-from ellgenus.reduce import _residual_of_one, reduce_Uq, reduce_Wtilde
+from ellgenus.reduce import _plan, reduce_Uq, reduce_Wtilde
 from ellgenus.series import PQSeries, QSeries
-from oracles import field_reduce_Uq, field_reduce_Wtilde
+from oracles import eliminate, field_reduce_Uq, field_reduce_Wtilde
 
 # (N, weight, prec); the ambient level L is 20, 42 and, at N = 12, N itself
 BASES = ((5, 3, 7), (7, 3, 13), (12, 2, 17))
@@ -64,6 +65,26 @@ def as_bytes(cls):
     return json.dumps(cls.serialize(), sort_keys=True)
 
 
+@pytest.mark.parametrize("key", BASES, ids=lambda b: "-".join(map(str, b)))
+@settings(max_examples=8)
+@given(data=st.data())
+def test_residuals_vanish_at_every_pivot(key, data):
+    # the reduction forms cosets only at the free columns of its plan
+    N, _, prec = key
+    basis, plan = weight_basis(*key), _plan(*key)
+    L = basis.field_level
+    assert sorted(plan.free + tuple(basis.pivots)) == list(range(prec))
+    assert not any(plan.one_res[p] for p in basis.pivots)
+    rows = [list(e.coeffs) for e in basis.elements]
+    for level in (N, L):
+        s = draw_series(data, N, basis, level)
+        residual, _ = basis.eliminate(s.coeffs)
+        assert not any(residual[p] for p in basis.pivots)
+        # the field elimination at L leaves the same residual
+        want, _ = eliminate([c.lift(L) for c in s.coeffs], basis.pivots, rows)
+        assert [c.lift(L) for c in residual] == want
+
+
 @pytest.mark.parametrize("integral", (True, False), ids=("exact", "fallback"))
 @pytest.mark.parametrize("key", BASES, ids=lambda b: "-".join(map(str, b)))
 @settings(max_examples=15)
@@ -77,8 +98,10 @@ def test_reduce_Uq_matches_the_field_oracle(key, integral, data):
     s = draw_series(data, N, basis, level)
     with pytest.MonkeyPatch.context() as patch:
         if not integral:
-            # the c* fallback is reached only on a basis that is not N-integral
+            # the c* fallback is reached only on a basis that is not
+            # N-integral: the oracle asks the basis, the reduction its plan
             patch.setattr(ModFormBasis, "is_integral", lambda self: False)
+            patch.setattr(reduce, "_plan", lambda *k: _plan(*k)._replace(integral=False))
         got = as_bytes(reduce_Uq(s, N, 2 * weight))
         assert got == as_bytes(field_reduce_Uq(s, N, 2 * weight))
         # the field that carries the input does not change the answer
@@ -107,8 +130,7 @@ def test_reduce_Wtilde_matches_the_field_oracle(key, data):
 def test_a_column_off_Q_zeta_N_where_r_vanishes_is_nontrivial():
     # at (5, 4, 9) the residual of 1 vanishes at free columns, and zeta_20 has
     # Q(zeta_5) part 0: only its complement shows it is not 5-integral
-    one_res, _, free_cols = _residual_of_one(5, 4, 9)
-    c = next(c for c in free_cols if not one_res[c])
+    c = _plan(5, 4, 9).null[0]
     coeffs = [Cyclo(20)] * 9
     coeffs[c] = Cyclo.zeta(20)
     s = QSeries(20, 9, coeffs)

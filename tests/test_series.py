@@ -93,6 +93,18 @@ def test_level_and_precision_mismatches_raise(carrier):
         assert (a * c).coeffs == tuple(x * c for x in a.coeffs) == (c * a).coeffs
 
 
+def test_a_scalar_of_another_level_or_shape_is_unequal():
+    # == answers False where the arithmetic raises
+    assert (QSeries(5, 3, [1, 2]) == Cyclo.zeta(7)) is False
+    assert (PQSeries(5, 2, 2, [[1]]) == Cyclo.zeta(7)) is False
+    assert (XQSeries([QSeries(5, 3, [1])]) == QSeries(5, 4)) is False
+    assert (XQSeries([QSeries(5, 3, [1])]) == QSeries(7, 3, [1])) is False
+    assert QSeries(5, 3, [1, 2]) != Cyclo.zeta(7)
+    assert XQSeries([QSeries(5, 3, [1])]) != QSeries(5, 4)
+    # a scalar of the right level and shape still compares by value
+    assert XQSeries([QSeries(5, 3, [1])]) == QSeries(5, 3, [1])
+
+
 def test_exp_requires_zero_constant_term():
     with pytest.raises(BadConstantTerm):
         XQSeries([qs(5, 1, 0), qs(5, 0, 1)]).exp()
