@@ -137,10 +137,6 @@ class DirichletCharacter:
         self.field_level = field_level
         self.exponents = dict(exponents)
 
-    @classmethod
-    def trivial(cls, field_level: int) -> "DirichletCharacter":
-        return cls(1, field_level, {0: 0})
-
     def value(self, n: int) -> Cyclo:
         if self.modulus == 1:
             return Cyclo.from_rational(self.field_level, 1)
@@ -393,29 +389,26 @@ def sturm_bound(N: int, k: int) -> int:
 class ModFormBasis:
     """Certified echelonized q-expansion basis of M_k(Gamma_1(N)).
 
-    The basis is in reduced row echelon form with pivots at the earliest
-    q-exponents, and its entries are rational: ``rows[j][c] / den`` is the
-    q^c coefficient of the j-th element, one integer matrix over one
-    common denominator with gcd(den, every entry) = 1.  This matrix is
-    what the integer echelon computes, for the default pool and for an
-    explicit one; ``elements`` gives the same basis as QSeries over the
-    ambient field Q(zeta_L), built from it.  ``eliminate`` reduces a
-    series against the basis in integer arithmetic.  ``is_integral`` and ``digest`` are
-    computed at their first call and then kept.
+    Only the integer echelon (``pivots``, ``rows``, ``den``) that
+    ``linalg._integer_echelon`` computes, for either pool, is stored.  The
+    basis is in reduced row echelon form with pivots at the earliest
+    q-exponents: ``rows[j][c] / den`` is the q^c coefficient of the j-th
+    element, c < prec, with gcd(den, every entry) = 1.  The rest derives
+    from it: ``elements``, the basis as QSeries over Q(zeta_L), is a view
+    built at its first read and then kept, as ``digest`` is;
+    ``is_integral`` reads ``den``; ``eliminate`` works in integers.
     """
 
     __slots__ = (
-        "level", "weight", "prec", "field_level", "elements", "pivots", "certificate",
-        "rows", "den", "_free", "_integral", "_digest",
+        "level", "weight", "prec", "field_level", "pivots", "certificate",
+        "rows", "den", "_free", "_elements", "_digest",
     )
 
-    def __init__(self, level, weight, prec, field_level, elements, pivots, certificate,
-                 rows, den):
+    def __init__(self, level, weight, prec, field_level, pivots, certificate, rows, den):
         self.level = level
         self.weight = weight
         self.prec = prec
         self.field_level = field_level
-        self.elements = list(elements)
         self.pivots = list(pivots)
         self.certificate = dict(certificate)
         self.rows = rows
@@ -424,8 +417,19 @@ class ModFormBasis:
         self._free = [
             (c, tuple(row[c] for row in rows)) for c in range(prec) if c not in self.pivots
         ]
-        self._integral = None
+        self._elements = None
         self._digest = None
+
+    @property
+    def elements(self) -> tuple[QSeries, ...]:
+        """The basis elements as QSeries over Q(zeta_L), rows[j] / den."""
+        if self._elements is None:
+            L, D = self.field_level, self.den
+            self._elements = tuple(
+                QSeries(L, self.prec, [Cyclo.from_rational(L, Fraction(x, D)) for x in row])
+                for row in self.rows
+            )
+        return self._elements
 
     def eliminate(self, coeffs) -> tuple[list[Cyclo], list[Cyclo]]:
         """Subtract the unique basis combination from the coefficients s_c.
@@ -465,14 +469,10 @@ class ModFormBasis:
     def is_integral(self) -> bool:
         """True iff every coefficient lies in Z[1/N, zeta_N], N the level.
 
-        The entries are rational, so this asks for Z[1/N]: x / D lies there
-        iff D / gcd(x, D) is N-smooth, and the lcm of those denominators is
-        D / gcd(D, every x).
+        The entries are rational, so this asks for Z[1/N]; as gcd(den, every
+        entry) = 1, they all lie there iff den is N-smooth.
         """
-        if self._integral is None:
-            common = math.gcd(self.den, *(x for row in self.rows for x in row))
-            self._integral = _split_denominator(self.den // common, self.level)[1] == 1
-        return self._integral
+        return _split_denominator(self.den, self.level)[1] == 1
 
     def digest(self) -> str:
         """First 16 hex digits of the sha256 of the serialized basis."""
@@ -530,11 +530,11 @@ def weight_basis(N: int, k: int, prec: int, candidates=None) -> ModFormBasis:
     """Certified basis of M_k(Gamma_1(N)) to q-precision prec.
 
     Candidates default to all admissible Eisenstein series plus products
-    of lower-weight basis elements.  Passing an explicit candidate list
-    overrides the pool; each candidate's level must divide L, its rank
-    over Q(zeta_L) is certified against the dimension, and a pool whose
-    echelon form is not rational is refused.  Either pool is reduced
-    over Q in integers.
+    of lower-weight basis elements.  An explicit candidate list overrides
+    the pool: each candidate needs a level dividing L and at least prec
+    coefficients (it is read to prec), the pool's rank over Q(zeta_L) is
+    certified against the dimension, and a pool whose echelon form is
+    not rational is refused.  Either pool is reduced over Q in integers.
     """
     sb = sturm_bound(N, k)
     if prec < sb:
@@ -578,10 +578,11 @@ def _default_rows(N: int, k: int, prec: int) -> list[list[int]]:
     return out
 
 
-def _pool_echelon(candidates, N: int, k: int, dim: int):
+def _pool_echelon(candidates, N: int, k: int, prec: int, dim: int):
     """(pivots, rows, den) of an explicit pool, whose echelon form must be rational.
 
-    Every candidate is lifted to the ambient level L first.  The
+    A candidate with fewer than prec coefficients is refused, and every
+    candidate is truncated to prec and lifted to the ambient level L.  The
     power-basis coordinate slices of the pool span over Q a space S whose
     Q(zeta_L)-span contains the pool, so a candidate is determined by its
     values at the pivots of the echelon form of S.  The pool's rank r over
@@ -591,7 +592,11 @@ def _pool_echelon(candidates, N: int, k: int, dim: int):
     Q(zeta_L), that is iff its echelon form is rational: that of S.
     """
     L = ambient_field_level(N)
-    pool = [f.lift(L) for f in candidates]
+    pool = []
+    for i, f in enumerate(candidates):
+        if f.prec < prec:
+            raise PrecisionInsufficient(f"candidate {i} has {f.prec} coefficients < prec {prec}")
+        pool.append(f.truncate(prec).lift(L))
     pivots, rows, den = _integer_echelon([row for f in pool for row in _slices(f.coeffs)])
     phi = euler_phi(L)
     zeta = Cyclo.zeta(L)
@@ -638,13 +643,9 @@ def _build_basis(N: int, k: int, prec: int, candidates) -> ModFormBasis:
         pivots, rows, den = _integer_echelon(_default_rows(N, k, prec))
         _certify_rank(len(rows), dim)
     else:
-        pivots, rows, den = _pool_echelon(candidates, N, k, dim)
-    elements = [
-        QSeries(L, prec, [Cyclo.from_rational(L, Fraction(x, den)) for x in row])
-        for row in rows
-    ]
+        pivots, rows, den = _pool_echelon(candidates, N, k, prec, dim)
     certificate = {"dimension": dim, "rank": len(rows), "sturm": sturm_bound(N, k)}
-    return ModFormBasis(N, k, prec, L, elements, pivots, certificate, rows, den)
+    return ModFormBasis(N, k, prec, L, pivots, certificate, rows, den)
 
 
 def is_in_span(s: QSeries, basis: ModFormBasis) -> tuple[bool, list[Cyclo]]:

@@ -40,13 +40,13 @@ solved by an integer CRT, and the constant it records depends only on
 the class of the input.
 
 Everything that does not depend on the input is built once per (N,
-weight, prec) into one cached plan (``_plan``): the basis, its Sturm
-bound, digest and integrality, r, the basis coefficients of 1, the free
-columns, and per free column with r_c != 0 the values 1/r_c and the
-prime-to-N parts of r_c that the congruences read.  Every residual is
-zero at the pivots of the echelon basis, so the residual, its descent
-and its coset are formed only at the free columns; each pivot gets the
-zero coset.
+weight, prec) into one cached plan (``_plan``): the basis, its
+integrality, r and the basis coefficients of 1 read off its integer
+matrix, the free columns, and per free column with r_c != 0 the values
+1/r_c and the prime-to-N parts of r_c that the congruences read.  Every
+residual is zero at the pivots of the echelon basis, so the residual,
+its descent and its coset are formed only at the free columns; each
+pivot gets the zero coset.
 """
 
 from __future__ import annotations
@@ -70,53 +70,50 @@ from .cyclo import (
     reduce_mod_NZ,
 )
 from .errors import LevelMismatch, PrecisionInsufficient
-from .modforms import ModFormBasis, sturm_bound, weight_basis
+from .modforms import ModFormBasis, weight_basis
 from .series import PQSeries, QSeries, project_q0  # noqa: F401  (re-exported)
 
 
 class _Plan(NamedTuple):
     """What a reduction against weight_basis(N, weight, prec) reads, built once.
 
-    ``one_res`` and ``gamma`` are the residual and basis coefficients of the
-    series 1, as Fractions; ``free`` are the q-exponents off the pivots, the
-    only places a residual can be nonzero.  ``null`` are the free columns
-    where r = ``one_res`` vanishes and ``terms`` the others, as (c, 1/r_c,
-    u_c, v_c) with u_c/v_c the prime-to-N part of r_c (see
-    ``_constant_columns``); ``terms[0]`` is the fallback column c*, the
-    earliest nonzero coefficient of r.
+    ``one_res`` and ``gamma`` are the residual r and basis coefficients of
+    the series 1, as Fractions; ``free`` are the q-exponents off the pivots,
+    the only places a residual can be nonzero.  ``null`` are the free
+    columns where r vanishes and ``terms`` the others, as (c, 1/r_c, u_c,
+    v_c) with u_c/v_c the prime-to-N part of r_c (see ``_constant_columns``);
+    ``terms[0]`` is the fallback column c*, the earliest nonzero coefficient
+    of r.  The Sturm bound, L and the digest are read off ``basis``.
     """
 
     basis: ModFormBasis
-    sturm: int
-    L: int
     free: tuple[int, ...]
     one_res: tuple[Fraction, ...]
     gamma: tuple[Fraction, ...]
     integral: bool
-    digest: str
     null: tuple[int, ...]
     terms: tuple[tuple[int, Fraction, int, int], ...]
 
 
 @functools.lru_cache(maxsize=None)
 def _plan(N: int, weight: int, prec: int) -> _Plan:
-    """The reduction plan of weight_basis(N, weight, prec); refuses prec below the Sturm bound."""
-    sb = sturm_bound(N, weight)
-    if prec < sb:
-        raise PrecisionInsufficient(f"prec {prec} < sturm bound {sb}")
+    """The reduction plan of weight_basis(N, weight, prec), read off its integer matrix."""
     basis = weight_basis(N, weight, prec)
-    one_res, gamma = basis.eliminate(QSeries.one(basis.field_level, prec).coeffs)
-    # the series 1 and the basis are rational, so both results are
-    assert not any(x for value in one_res + gamma for x in value.num[1:])
-    one_res = tuple(value.rational_part() for value in one_res)
-    pivots = set(basis.pivots)
+    pivots, D = basis.pivots, basis.den
+    # 1 = q^0 has basis coefficients gamma_j = [p_j = 0] and, when the pivot 0
+    # exists (it is then the first), residual r_c = (D [c = 0] - rows[0][c]) / D,
+    # else r = q^0; the reduced echelon form of the basis is Galois-fixed, hence
+    # rational (Shimura 1971, Thm 3.52; ``_build_basis`` certifies it), so r is
+    if pivots[:1] == [0]:
+        one_res = tuple(Fraction(D * (c == 0) - x, D) for c, x in enumerate(basis.rows[0]))
+    else:
+        one_res = (Fraction(1),) + (Fraction(0),) * (prec - 1)
+    gamma = tuple(Fraction(int(p == 0)) for p in pivots)
     free = tuple(c for c in range(prec) if c not in pivots)
     # the exact constant-direction decision is complete only over an
     # N-integral echelon basis (unit pivots); record that precondition
     return _Plan(
-        basis, sb, basis.field_level, free, one_res,
-        tuple(value.rational_part() for value in gamma),
-        basis.is_integral(), basis.digest(), *_constant_columns(one_res, free, N),
+        basis, free, one_res, gamma, basis.is_integral(), *_constant_columns(one_res, free, N)
     )
 
 
@@ -127,9 +124,8 @@ def _constant_columns(r, cols, N: int) -> tuple[tuple, tuple]:
     for the others, with u_c and v_c the prime-to-N parts of the numerator
     and denominator of r_c, in column order.
     """
-    # the reduced echelon form of the basis is Galois-fixed, so r is rational
-    # (Shimura 1971, Thm 3.52; ``_build_basis`` certifies it); the
-    # coordinatewise split of ``_solve_constant_direction`` needs it
+    # r is rational (see ``_plan``); the coordinatewise split of
+    # ``_solve_constant_direction`` needs it
     assert all(isinstance(r[c], Fraction) for c in cols)
     null = tuple(c for c in cols if not r[c])
     terms = tuple(
@@ -296,7 +292,7 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
     if prec > s.prec:
         raise PrecisionInsufficient(f"series has only {s.prec} coefficients")
     plan = _plan(N, weight, prec)
-    L = plan.L
+    L = plan.basis.field_level
     # decide in Q(zeta_N) when s lies there, else in Q(zeta_L) (the lift
     # raises LevelMismatch when the level of s does not divide L)
     K = N if N % s.level == 0 else L
@@ -333,8 +329,8 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
         "pivot_columns": list(plan.basis.pivots),
         "coefficients": coeffs,
         "constant": alpha_used.lift(L),
-        "sturm": plan.sturm,
-        "basis_hash": plan.digest,
+        "sturm": plan.basis.certificate["sturm"],
+        "basis_hash": plan.basis.digest(),
     }
     return UqClass(N, degree, prec, cosets, rep, modular_part, trivial)
 

@@ -161,7 +161,7 @@ def _weight2_level1_by_scan(L: int, prec: int) -> QSeries:
 def field_basis(N: int, k: int, prec: int) -> ModFormBasis:
     """The default basis built over Q(zeta_L): the Eisenstein series and the
     QSeries products of lower-weight field-built bases, reduced by ``rref``,
-    then checked to be rational."""
+    then checked to be rational and stored as its integer matrix."""
     L = ambient_field_level(N)
     sb = sturm_bound(N, k)
     dim = dim_Mk(N, k)
@@ -189,9 +189,11 @@ def field_basis(N: int, k: int, prec: int) -> ModFormBasis:
     rows = tuple(
         tuple(value.num[0] * (den // value.den) for value in row) for row in reduced
     )
-    elements = [QSeries(L, prec, r) for r in reduced]
     certificate = {"dimension": dim, "rank": rank, "sturm": sb}
-    return ModFormBasis(N, k, prec, L, elements, pivots, certificate, rows, den)
+    basis = ModFormBasis(N, k, prec, L, pivots, certificate, rows, den)
+    # the elements view, built from rows/den, is the field-built echelon form
+    assert [list(e.coeffs) for e in basis.elements] == reduced
+    return basis
 
 
 def rational_rref(candidates, N: int, k: int, dim: int):

@@ -262,7 +262,9 @@ def test_reduce_w_rejects_ragged_rows_exits_3(tmp_path, capsys):
 # exponential that the recurrence replaced, the level-20 and bumped ones
 # with the reduction that formed every residual coefficient, pivots
 # included (the unbumped level-20 input has the class, and so the report,
-# of the level-5 one); none of them may change
+# of the level-5 one); the basis reports, which read no input file, with
+# the basis that stored its elements beside its integer matrix; none of
+# them may change
 GOLDEN = {
     "genus": ("2a44f1cf5c35877d237114e73a5148e8ff5d167f562901a4e45a80b829810baa",
               "cp2_file", ["--level", "5", "--prec-q", "6", "--machine", "genus"]),
@@ -285,13 +287,22 @@ GOLDEN = {
     "reduce-w-bumped": ("f443ecf90882a28ff1cf7d836e7ed1f27d9452c6e00e9e46c75ed295f9602ce4",
                         "bumped_rect_file",
                         ["--level", "5", "--degree", "4", "--machine", "reduce-w"]),
+    "basis-12-6": ("104c302fa521e6a184599338d7d2435ba1df7bb135d9454160b47115dc34499f",
+                   None, ["--level", "12", "--degree", "6", "--machine", "basis"]),
+    "basis-7-8": ("5da983b4e32d9746eabd6c55c5cd95f2b9d24114748719891937b5d596b8ce9a",
+                  None, ["--level", "7", "--degree", "8", "--machine", "basis"]),
+    "basis-5-4-human": ("e88fa13c9e24eed0ca07d912a4660e9c4be4dfa363f6d9c8d4c7d8f98c89a28d",
+                        None, ["--level", "5", "--degree", "4", "basis"]),
+    "basis-9-2-human": ("deabf598f3cc08f4682a0b64758bb13ad8267151f72631e6b5a20466933555a4",
+                        None, ["--level", "9", "--degree", "2", "--prec-q", "20", "basis"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_machine_reports_match_the_recorded_digests(case, request, capsys):
     digest, fixture, options = GOLDEN[case]
-    assert cli.main(options + [request.getfixturevalue(fixture)]) == 0
+    files = [] if fixture is None else [request.getfixturevalue(fixture)]
+    assert cli.main(options + files) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 

@@ -168,7 +168,7 @@ def _n_integral(value: Cyclo, N: int) -> bool:
 def test_integer_solve_matches_the_fraction_oracle(basis, data):
     N = basis[0]
     plan = _plan(*basis)
-    L = plan.L
+    L = plan.basis.field_level
     r_cols = [plan.one_res[c] for c in plan.free]
     s_cols = data.draw(free_columns(N, L, r_cols))
     want = _oracle_solve_constant_direction(s_cols, r_cols, N, L)

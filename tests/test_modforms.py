@@ -169,6 +169,22 @@ def test_rank_above_the_dimension_is_a_typed_error():
     assert "rank 5 exceeds dimension 3" in str(info.value)
 
 
+def test_a_pool_shorter_than_prec_is_refused():
+    with pytest.raises(PrecisionInsufficient, match="candidate 0 has 6 coefficients < prec 8"):
+        weight_basis(5, 2, 8, candidates=eisenstein_candidates(5, 2, 6))
+
+
+def test_a_pool_longer_than_prec_is_read_to_prec():
+    basis = weight_basis(5, 2, 8, candidates=eisenstein_candidates(5, 2, 12))
+    assert basis.prec == 8 and basis.rows == weight_basis(5, 2, 8).rows
+
+
+def test_a_short_candidate_in_a_mixed_pool_is_refused():
+    pool = eisenstein_candidates(5, 2, 8) + eisenstein_candidates(5, 2, 6)[:1]
+    with pytest.raises(PrecisionInsufficient, match="candidate 3 has 6 coefficients < prec 8"):
+        weight_basis(5, 2, 8, candidates=pool)
+
+
 def test_phi_coefficients_are_modular():
     for N in (4, 5):
         for n in (1, 2, 3):
@@ -218,19 +234,28 @@ def test_weight_basis_results_are_cached():
     assert a is b
 
 
-def test_integrality_and_digest_are_computed_once_on_first_use():
+def test_integrality_and_digest_are_computed_once_on_first_use(monkeypatch):
     # an explicit pool bypasses the cache, so the basis is freshly built
     basis = weight_basis(5, 2, 8, candidates=eisenstein_candidates(5, 2, 8))
-    assert basis._integral is None and basis._digest is None
+    assert basis._elements is None and basis._digest is None
     text = json.dumps(basis.serialize(), sort_keys=True)
     assert basis.digest() == hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert basis._digest == basis.digest() and basis.elements is basis.elements
+    # the view is shared by every reader of a cached basis, so it is immutable
+    assert isinstance(basis.elements, tuple)
     integral = all(
         (down := descend(c, 5)) is not None and in_NZ(down)
         for e in basis.elements
         for c in e.coeffs
     )
     assert basis.is_integral() is integral
-    assert (basis._integral, basis._digest) == (integral, basis.digest())
+    # the factor bases of a default build are read only as integer rows
+    fresh = functools.lru_cache(maxsize=None)(modforms._weight_basis_cached.__wrapped__)
+    monkeypatch.setattr(modforms, "_weight_basis_cached", fresh)
+    weight_basis(5, 4, 12)
+    built = fresh.cache_info().currsize
+    assert all(fresh(5, k, 12)._elements is None for k in range(1, 5))
+    assert fresh.cache_info().currsize == built
 
 
 def test_basis_serialization_shape():
@@ -444,7 +469,7 @@ def test_a_mixed_level_pool_gives_one_basis_in_every_order():
     # the (5, 2, 8) basis is rational, so its elements also live at level 5
     basis = weight_basis(5, 2, 8)
     at_5 = [QSeries(5, 8, [descend(c, 5) for c in e.coeffs]) for e in basis.elements]
-    pool = at_5[:2] + basis.elements[1:]
+    pool = [*at_5[:2], *basis.elements[1:]]
     for order in itertools.permutations(pool):
         got = weight_basis(5, 2, 8, candidates=order)
         assert (got.pivots, got.rows, got.den) == (basis.pivots, basis.rows, basis.den)

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from ellgenus import reduce
 from ellgenus.cyclo import Cyclo, euler_phi
 from ellgenus.modforms import ModFormBasis, weight_basis
 from ellgenus.reduce import _plan, reduce_Uq, reduce_Wtilde
 from ellgenus.series import PQSeries, QSeries
-from oracles import eliminate, field_reduce_Uq, field_reduce_Wtilde
+from oracles import eliminate, field_reduce_Uq, field_reduce_Wtilde, residual_of_one
 
 # (N, weight, prec); the ambient level L is 20, 42 and, at N = 12, N itself
 BASES = ((5, 3, 7), (7, 3, 13), (12, 2, 17))
@@ -75,6 +76,8 @@ def test_residuals_vanish_at_every_pivot(key, data):
     L = basis.field_level
     assert sorted(plan.free + tuple(basis.pivots)) == list(range(prec))
     assert not any(plan.one_res[p] for p in basis.pivots)
+    # r and gamma read off the integer matrix are the Cyclo elimination of 1
+    assert (plan.one_res, plan.gamma, plan.free) == residual_of_one(*key)
     rows = [list(e.coeffs) for e in basis.elements]
     for level in (N, L):
         s = draw_series(data, N, basis, level)
@@ -83,6 +86,17 @@ def test_residuals_vanish_at_every_pivot(key, data):
         # the field elimination at L leaves the same residual
         want, _ = eliminate([c.lift(L) for c in s.coeffs], basis.pivots, rows)
         assert [c.lift(L) for c in residual] == want
+
+
+def test_without_the_pivot_0_the_residual_of_1_is_1(monkeypatch):
+    # every certified basis has the pivot 0, so this rational echelon basis is made by hand
+    rows = ((0, 2, 0, 0, 1, 0, 3, 0), (0, 0, 0, 2, 5, 0, 0, 1))
+    basis = ModFormBasis(5, 2, 8, 20, [1, 3], {"sturm": 5}, rows, 2)
+    monkeypatch.setattr(reduce, "weight_basis", lambda *key: basis)
+    monkeypatch.setattr(oracles, "weight_basis", lambda *key: basis)
+    plan = _plan.__wrapped__(5, 2, 8)
+    assert plan.one_res == (1,) + (0,) * 7 and plan.gamma == (0, 0)
+    assert (plan.one_res, plan.gamma, plan.free) == residual_of_one.__wrapped__(5, 2, 8)
 
 
 @pytest.mark.parametrize("integral", (True, False), ids=("exact", "fallback"))
