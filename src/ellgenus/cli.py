@@ -26,7 +26,7 @@ import argparse
 import json
 import sys
 
-from .cyclo import Cyclo, _exact, in_NZ
+from .cyclo import _integer, in_NZ
 from .errors import BadChernData, BadSplitChernData, EllGenusError, \
     PrecisionInsufficient, SpanFailure, UnsupportedLevel
 from .genus import ChernData, SplitChernData, genus, genus_bivariate
@@ -51,19 +51,6 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-
-
-def _integer(value) -> int:
-    x = _exact(value)
-    if x.denominator != 1:
-        raise ValueError(f"{value!r} is not an integer")
-    return x.numerator
-
-
-def _coefficient(level: int, value) -> Cyclo:
-    if not isinstance(value, list):
-        raise ValueError(f"{value!r} is not a list of coordinates")
-    return Cyclo.deserialize(level, value)
 
 
 def _parse_partition(key: str) -> tuple[int, ...]:
@@ -110,19 +97,10 @@ def _load_split(path: str) -> SplitChernData:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _series_level(value) -> int:
-    level = _integer(value)
-    if level < 1:
-        raise ValueError(f"level {level} is not positive")
-    return level
-
-
 def _load_qseries(path: str) -> QSeries:
     doc = _load_json(path)
     try:
-        level = _series_level(doc["level"])
-        coeffs = [_coefficient(level, c) for c in doc["coeffs"]]
-        return QSeries(level, len(coeffs), coeffs)
+        return QSeries.deserialize(_integer(doc["level"]), doc["coeffs"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: malformed q-series ({exc})") from exc
 
@@ -130,11 +108,7 @@ def _load_qseries(path: str) -> QSeries:
 def _load_pqseries(path: str) -> PQSeries:
     doc = _load_json(path)
     try:
-        level = _series_level(doc["level"])
-        rows = [[_coefficient(level, c) for c in row] for row in doc["rows"]]
-        if any(len(row) != len(rows[0]) for row in rows):
-            raise ValueError("rows differ in length")
-        return PQSeries(level, len(rows), len(rows[0]), rows)
+        return PQSeries.deserialize(_integer(doc["level"]), doc["rows"])
     except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: malformed (p, q)-series ({exc})") from exc
 

@@ -116,6 +116,24 @@ def _exact(value) -> Fraction:
     return Fraction(value)
 
 
+def _rational(value) -> Fraction:
+    """A number given to a constructor: a Fraction or an int that is not a
+    bool is read as itself, and a string by ``_exact``; anything else, a
+    float above all, raises ValueError."""
+    return value if isinstance(value, Fraction) else _exact(value)
+
+
+def _integer(value, error=ValueError) -> int:
+    """``value`` read by ``_rational``, as an exact integer; ``error`` if it is not one."""
+    try:
+        x = _rational(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise error(str(exc)) from None
+    if x.denominator != 1:
+        raise error(f"{value!r} is not an integer")
+    return x.numerator
+
+
 _new_object = object.__new__
 
 
@@ -143,14 +161,15 @@ class Cyclo:
 
     ``num`` is a tuple of phi(N) ints and ``den`` a positive int with
     gcd(den, *num) == 1; zero is all zeros over 1.  ``coords`` gives the
-    same element as a tuple of Fractions.
+    same element as a tuple of Fractions.  The constructors read each
+    number by ``_rational``, so a float is refused, not rounded.
     """
 
     __slots__ = ("level", "num", "den")
 
     def __init__(self, level: int, coords=None):
         phi = euler_phi(level)
-        coords = [Fraction(c) for c in coords] if coords is not None else []
+        coords = [_rational(c) for c in coords] if coords is not None else []
         if len(coords) > phi:
             raise ValueError("too many coordinates for level")
         # Fractions are reduced, so the lcm of their denominators is the
@@ -173,9 +192,13 @@ class Cyclo:
 
     @classmethod
     def from_rational(cls, level: int, value) -> "Cyclo":
-        value = Fraction(value)
+        value = _rational(value)
         num = (value.numerator,) + (0,) * (euler_phi(level) - 1)
         return _make(level, num, value.denominator)
+
+    def _scalar(self, x) -> "Cyclo":
+        """The int or Fraction operand x at this level, as arithmetic reads it (True is 1)."""
+        return _make(self.level, (x.numerator,) + (0,) * (len(self.num) - 1), x.denominator)
 
     def _coerce(self, other):
         if isinstance(other, Cyclo):
@@ -183,7 +206,7 @@ class Cyclo:
                 raise LevelMismatch(f"levels {self.level} and {other.level}")
             return other
         if isinstance(other, (int, Fraction)):
-            return Cyclo.from_rational(self.level, other)
+            return self._scalar(other)
         return None
 
     def __add__(self, other):
@@ -299,7 +322,7 @@ class Cyclo:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Cyclo.from_rational(self.level, other)
+            other = self._scalar(other)
         if not isinstance(other, Cyclo):
             return NotImplemented
         return (
@@ -341,7 +364,9 @@ class Cyclo:
 
     @classmethod
     def deserialize(cls, level: int, data: list[str]) -> "Cyclo":
-        """The element with these coordinates, each read by ``_exact``."""
+        """The element with the coordinates in the list ``data``, each read by ``_exact``."""
+        if not isinstance(data, (list, tuple)):
+            raise ValueError(f"{data!r} is not a list of coordinates")
         return cls(level, [_exact(s) for s in data])
 
     def __repr__(self):

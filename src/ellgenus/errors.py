@@ -26,11 +26,15 @@ class InsufficientXPrecision(EllGenusError):
 
 
 class BadChernData(EllGenusError):
-    """A Chern-number key is not a partition of the stated dimension."""
+    """A Chern-number key is not a partition of the stated dimension, or a
+    dimension, a part or a Chern number is not an exact integer (an int
+    that is not a bool, a Fraction over 1, or an integral "num/den"
+    string): 9.7 and Fraction(19, 2) are refused, not cut to 9."""
 
 
 class BadSplitChernData(EllGenusError):
-    """A split Chern-number key has the wrong total degree."""
+    """A split Chern-number key has the wrong total degree, or a dimension,
+    a part or a Chern number is not an exact integer, as for BadChernData."""
 
 
 class IncompatibleParity(EllGenusError):

@@ -29,7 +29,7 @@ import functools
 from fractions import Fraction
 from math import comb
 
-from .cyclo import Cyclo
+from .cyclo import Cyclo, _integer
 from .errors import (
     BadChernData,
     BadSplitChernData,
@@ -41,10 +41,10 @@ from .series import PQSeries, QSeries, XQSeries, exp_x, todd_series
 Partition = tuple[int, ...]
 
 
-def _normalize_partition(key) -> Partition:
-    parts = tuple(sorted((int(p) for p in key), reverse=True))
+def _normalize_partition(key, error) -> Partition:
+    parts = tuple(sorted((_integer(p, error) for p in key), reverse=True))
     if any(p < 1 for p in parts):
-        raise ValueError(f"bad partition {key}")
+        raise error(f"bad partition {key}")
     return parts
 
 
@@ -75,15 +75,16 @@ class ChernData:
     __slots__ = ("dim", "numbers")
 
     def __init__(self, dim: int, numbers: dict):
+        dim = _integer(dim, BadChernData)
         if dim < 0:
             raise BadChernData(f"dimension {dim} is negative")
         self.dim = dim
         clean = {}
         for key, value in numbers.items():
-            part = _normalize_partition(key)
+            part = _normalize_partition(key, BadChernData)
             if sum(part) != dim:
                 raise BadChernData(f"{part} is not a partition of {dim}")
-            clean[part] = clean.get(part, 0) + int(value)
+            clean[part] = clean.get(part, 0) + _integer(value, BadChernData)
         self.numbers = clean
 
     def __eq__(self, other):
@@ -107,6 +108,7 @@ class SplitChernData:
     __slots__ = ("dim0", "dim1", "numbers")
 
     def __init__(self, dim0: int, dim1: int, numbers: dict):
+        dim0, dim1 = _integer(dim0, BadSplitChernData), _integer(dim1, BadSplitChernData)
         if dim0 < 0 or dim1 < 0:
             raise BadSplitChernData(f"dimensions ({dim0}, {dim1}) include a negative one")
         self.dim0 = dim0
@@ -114,13 +116,13 @@ class SplitChernData:
         total = dim0 + dim1
         clean = {}
         for (lam, mu), value in numbers.items():
-            lam = _normalize_partition(lam)
-            mu = _normalize_partition(mu)
+            lam = _normalize_partition(lam, BadSplitChernData)
+            mu = _normalize_partition(mu, BadSplitChernData)
             if sum(lam) + sum(mu) != total:
                 raise BadSplitChernData(
                     f"({lam}, {mu}) has total degree != {total}"
                 )
-            clean[(lam, mu)] = clean.get((lam, mu), 0) + int(value)
+            clean[(lam, mu)] = clean.get((lam, mu), 0) + _integer(value, BadSplitChernData)
         self.numbers = clean
 
     def swap(self) -> "SplitChernData":

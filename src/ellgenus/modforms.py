@@ -9,7 +9,9 @@ with both characters trivial uses E_2(q) - t E_2(q^t); generalized
 Bernoulli numbers B_{k,chi} = M^{k-1} sum_a chi(a) B_k(a/M).
 
 Character values live in Q(zeta_L) with L = lcm(N, exponent of (Z/N)^*),
-which contains the value fields of every character of modulus dividing N.
+which contains the value fields of every character of modulus dividing N;
+the characters mod M are built by extending the trivial one along the
+units of Z/M, one unit at a time, with no generators of (Z/M)^*.
 Bases are certified against the standard dimension formulas for the
 torsion-free groups Gamma_1(N), N >= 4.  Every basis is an integer
 echelon over Q (``linalg._integer_echelon``) of integer rows: the power-
@@ -42,80 +44,18 @@ from .linalg import _integer_echelon
 from .series import QSeries, _product
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _prime_power_factors(n: int) -> list[tuple[int, int]]:
-    out = []
-    for p in _prime_factors(n):
-        e = 0
-        m = n
-        while m % p == 0:
-            m //= p
-            e += 1
-        out.append((p, e))
-    return out
-
-
-def _primitive_root(p: int, e: int) -> int:
-    phi = p - 1
-    factors = _prime_factors(phi)
-    g = 2
-    while True:
-        if all(pow(g, phi // f, p) != 1 for f in factors):
-            break
-        g += 1
-    if e == 1:
-        return g
-    if pow(g, p - 1, p * p) == 1:
-        g += p
-    return g
-
-
-def unit_group_generators(M: int) -> list[tuple[int, int]]:
-    """Generators (g, order) of (Z/M)^* via CRT on prime powers."""
-    if M in (1, 2):
-        return []
-    gens = []
-    for p, e in _prime_power_factors(M):
-        pe = p**e
-        rest = M // pe
-        if p == 2:
-            local = []
-            if e == 2:
-                local = [(3, 2)]
-            elif e >= 3:
-                local = [(pe - 1, 2), (5, 2 ** (e - 2))]
-        else:
-            g = _primitive_root(p, e)
-            local = [(g, euler_phi(pe))]
-        for g, order in local:
-            if rest == 1:
-                gens.append((g % M, order))
-            else:
-                # CRT lift: g mod p^e, 1 mod rest
-                inv = pow(pe, -1, rest)
-                lifted = (g * rest * pow(rest, -1, pe) + 1 * pe * inv) % M
-                gens.append((lifted, order))
-    return gens
+def _unit_order(a: int, M: int) -> int:
+    """The multiplicative order of the unit a mod M."""
+    m, x = 1, a % M
+    while x != 1 % M:
+        x = x * a % M
+        m += 1
+    return m
 
 
 def unit_group_exponent(M: int) -> int:
-    result = 1
-    for _, order in unit_group_generators(M):
-        result = result * order // gcd(result, order)
-    return result
+    """The exponent of (Z/M)^*: the lcm of the orders of its units."""
+    return math.lcm(*(_unit_order(a, M) for a in range(1, M + 1) if gcd(a, M) == 1))
 
 
 def ambient_field_level(N: int) -> int:
@@ -138,8 +78,6 @@ class DirichletCharacter:
         self.exponents = dict(exponents)
 
     def value(self, n: int) -> Cyclo:
-        if self.modulus == 1:
-            return Cyclo.from_rational(self.field_level, 1)
         n %= self.modulus
         if gcd(n, self.modulus) != 1:
             return Cyclo.from_rational(self.field_level, 0)
@@ -147,22 +85,13 @@ class DirichletCharacter:
 
     def parity(self) -> int:
         """chi(-1), which is +1 or -1."""
-        if self.modulus == 1:
-            return 1
-        e = self.exponents[self.modulus - 1]
-        return 1 if e == 0 else -1
+        return 1 if self.exponents[-1 % self.modulus] == 0 else -1
 
     def conductor(self) -> int:
-        if self.modulus == 1:
-            return 1
-        for f in sorted(d for d in range(1, self.modulus + 1) if self.modulus % d == 0):
-            if all(
-                self.exponents[a % self.modulus] == 0
-                for a in range(1, self.modulus + 1)
-                if gcd(a, self.modulus) == 1 and a % f == 1 % f
-            ):
-                return f
-        return self.modulus
+        """The least f | M with chi trivial on the units that are 1 mod f."""
+        M = self.modulus
+        return next(f for f in range(1, M + 1) if M % f == 0 and all(
+            e == 0 for a, e in self.exponents.items() if a % f == 1 % f))
 
     def is_primitive(self) -> bool:
         return self.conductor() == self.modulus
@@ -183,32 +112,37 @@ class DirichletCharacter:
 
 
 def all_characters(M: int, field_level: int) -> list[DirichletCharacter]:
-    """All Dirichlet characters modulo M, values in Q(zeta_L)."""
-    gens = unit_group_generators(M)
-    if not gens:
-        exps = {a % M: 0 for a in range(1, M + 1) if gcd(a, M) == 1} or {0: 0}
-        return [DirichletCharacter(M, field_level, exps)]
-    # express each unit as a product of generator powers by enumeration
-    orders = [order for _, order in gens]
-    unit_exp_vectors = {}
-    from itertools import product as iproduct
+    """All Dirichlet characters modulo M, values in Q(zeta_L), sorted by ``key()``.
 
-    for vec in iproduct(*[range(o) for o in orders]):
-        u = 1
-        for (g, _), e in zip(gens, vec):
-            u = u * pow(g, e, M) % M
-        unit_exp_vectors.setdefault(u, vec)
-    chars = []
-    for choice in iproduct(*[range(o) for o in orders]):
-        exps = {}
-        for u, vec in unit_exp_vectors.items():
-            e = sum(
-                s * v * (field_level // o) for s, v, o in zip(choice, vec, orders)
-            ) % field_level
-            exps[u] = e
-        chars.append(DirichletCharacter(M, field_level, exps))
-    chars.sort(key=lambda c: c.key())
-    return chars
+    Built by extension, with no generators (Serre, A Course in Arithmetic,
+    VI.1, Prop. 1).  Start from the trivial character of H = {1}.  For each
+    unit g not yet in H, in increasing order, let m be the least m >= 1 with
+    g^m in H.  A character t of H extends to H<g> in exactly m ways,
+    t'(h g^i) = t(h) + i e_j mod L with e_j = t(g^m)/m + j L/m, j < m
+    (exponents of zeta_L).  The division is exact: m divides the order n
+    of g, and n divides L, so t(g^m), whose multiple by n/m = order(g^m)
+    is 0 mod L, is a multiple of (L/n) m.  L must be a multiple of the
+    exponent of (Z/M)^*, or some character takes a value outside Q(zeta_L).
+    """
+    L = field_level
+    e = unit_group_exponent(M)
+    if L % e:
+        raise ValueError(f"Q(zeta_{L}) lacks the values of the characters mod {M}: "
+                         f"{L} is not a multiple of the exponent {e} of (Z/{M})^*")
+    tables = [{1 % M: 0}]
+    for g in range(2, M):
+        if gcd(g, M) != 1 or g in tables[0]:
+            continue
+        m, x = 1, g
+        while x not in tables[0]:
+            m, x = m + 1, x * g % M
+        coset = [(h, i, h * pow(g, i, M) % M) for h in tables[0] for i in range(m)]
+        tables = [
+            {u: (t[h] + i * ej) % L for h, i, u in coset}
+            for t in tables
+            for ej in range(t[x] // m, L, L // m)
+        ]
+    return sorted((DirichletCharacter(M, L, t) for t in tables), key=DirichletCharacter.key)
 
 
 def primitive_characters(M: int, field_level: int) -> list[DirichletCharacter]:
@@ -332,10 +266,12 @@ def _twisted_divisor_sums(
 
 
 def _gamma1_index(N: int) -> int:
-    mu = N * N
-    for p in _prime_factors(N):
-        mu = mu // (p * p) * (p * p - 1)
-    return mu
+    """[SL_2(Z) : Gamma_1(N)]: the pairs (c, d) mod N with gcd(c, d, N) = 1.
+
+    Grouped by g = gcd(c, N): phi(N/g) residues c have it, and each pairs
+    with the (N/g) phi(g) residues d prime to g.
+    """
+    return sum(euler_phi(N // g) * (N // g) * euler_phi(g) for g in range(1, N + 1) if N % g == 0)
 
 
 def _cusp_counts(N: int) -> tuple[int, int, int]:

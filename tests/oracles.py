@@ -28,6 +28,7 @@ from ellgenus.errors import (
 )
 from ellgenus.genus import GradedSymPoly, Partition, _newton_power_sum
 from ellgenus.modforms import (
+    DirichletCharacter,
     ModFormBasis,
     ambient_field_level,
     dim_Mk,
@@ -638,3 +639,121 @@ def integer_product_by_loops(f: list[int], g: list[int], prec: int) -> list[int]
         if a:
             product[i:] = [x + a * y for x, y in zip(product[i:], g)]
     return product
+
+
+# The Dirichlet characters as they were built before ``all_characters``
+# extended them along the units: a presentation of (Z/M)^* by generators
+# (prime-power factorisation, primitive roots, CRT lifts) and a walk over
+# exponent vectors.
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _prime_power_factors(n: int) -> list[tuple[int, int]]:
+    out = []
+    for p in _prime_factors(n):
+        e = 0
+        m = n
+        while m % p == 0:
+            m //= p
+            e += 1
+        out.append((p, e))
+    return out
+
+
+def _primitive_root(p: int, e: int) -> int:
+    phi = p - 1
+    factors = _prime_factors(phi)
+    g = 2
+    while True:
+        if all(pow(g, phi // f, p) != 1 for f in factors):
+            break
+        g += 1
+    if e == 1:
+        return g
+    if pow(g, p - 1, p * p) == 1:
+        g += p
+    return g
+
+
+def unit_group_generators(M: int) -> list[tuple[int, int]]:
+    """Generators (g, order) of (Z/M)^* via CRT on prime powers."""
+    if M in (1, 2):
+        return []
+    gens = []
+    for p, e in _prime_power_factors(M):
+        pe = p**e
+        rest = M // pe
+        if p == 2:
+            local = []
+            if e == 2:
+                local = [(3, 2)]
+            elif e >= 3:
+                local = [(pe - 1, 2), (5, 2 ** (e - 2))]
+        else:
+            g = _primitive_root(p, e)
+            local = [(g, euler_phi(pe))]
+        for g, order in local:
+            if rest == 1:
+                gens.append((g % M, order))
+            else:
+                # CRT lift: g mod p^e, 1 mod rest
+                inv = pow(pe, -1, rest)
+                lifted = (g * rest * pow(rest, -1, pe) + 1 * pe * inv) % M
+                gens.append((lifted, order))
+    return gens
+
+
+def unit_group_exponent_by_generators(M: int) -> int:
+    result = 1
+    for _, order in unit_group_generators(M):
+        result = result * order // math.gcd(result, order)
+    return result
+
+
+def all_characters_by_generators(M: int, field_level: int) -> list[DirichletCharacter]:
+    """All Dirichlet characters modulo M, values in Q(zeta_L)."""
+    gens = unit_group_generators(M)
+    if not gens:
+        exps = {a % M: 0 for a in range(1, M + 1) if math.gcd(a, M) == 1} or {0: 0}
+        return [DirichletCharacter(M, field_level, exps)]
+    # express each unit as a product of generator powers by enumeration
+    orders = [order for _, order in gens]
+    unit_exp_vectors = {}
+    from itertools import product as iproduct
+
+    for vec in iproduct(*[range(o) for o in orders]):
+        u = 1
+        for (g, _), e in zip(gens, vec):
+            u = u * pow(g, e, M) % M
+        unit_exp_vectors.setdefault(u, vec)
+    chars = []
+    for choice in iproduct(*[range(o) for o in orders]):
+        exps = {}
+        for u, vec in unit_exp_vectors.items():
+            e = sum(
+                s * v * (field_level // o) for s, v, o in zip(choice, vec, orders)
+            ) % field_level
+            exps[u] = e
+        chars.append(DirichletCharacter(M, field_level, exps))
+    chars.sort(key=lambda c: c.key())
+    return chars
+
+
+def gamma1_index_by_primes(N: int) -> int:
+    mu = N * N
+    for p in _prime_factors(N):
+        mu = mu // (p * p) * (p * p - 1)
+    return mu

@@ -295,6 +295,13 @@ GOLDEN = {
                         None, ["--level", "5", "--degree", "4", "basis"]),
     "basis-9-2-human": ("deabf598f3cc08f4682a0b64758bb13ad8267151f72631e6b5a20466933555a4",
                         None, ["--level", "9", "--degree", "2", "--prec-q", "20", "basis"]),
+    # (Z/8)^* = C_2 x C_2 is not cyclic
+    "basis-8-6": ("a2417f018e118991ff6d44c3c7d86c1988ba96e298d827ee344b5848fbe48042",
+                  None, ["--level", "8", "--degree", "6", "--machine", "basis"]),
+    "basis-10-4": ("f4fa6b0232de6ccb0bac9a3068ca30f4191dc9dfab541c72f9467509b0a443e3",
+                   None, ["--level", "10", "--degree", "4", "--machine", "basis"]),
+    "selfcheck": ("108229a59cd4b202bc0517408b473600fc25dcb6f7e891d2451684db7fb849a7",
+                  None, ["--machine", "selfcheck"]),
 }
 
 

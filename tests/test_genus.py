@@ -60,6 +60,31 @@ def test_chern_data_rejects_negative_dimensions():
     assert SplitChernData(0, 2, {((), (2,)): 5}).numbers == {((), (2,)): 5}
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ChernData(2, {(1, 1): 9.7, (2,): 3}),
+    lambda: ChernData(2, {(1, 1): Fraction(19, 2), (2,): 3}),
+    lambda: ChernData(2, {(1, 1): 9, (2.7,): 3}),
+    lambda: ChernData(2.0, {(1, 1): 9, (2,): 3}),
+    lambda: ChernData(2, {(1, 1): True, (2,): 3}),
+    lambda: ChernData(2, {(1, 1): 9, (0, 2): 3}),
+    lambda: SplitChernData(1, 1, {((1,), (1,)): 2.5}),
+    lambda: SplitChernData(1, 1, {((1.5,), (1,)): 2}),
+    lambda: SplitChernData(1, 1.0, {((1,), (1,)): 2}),
+], ids=["float", "fraction", "float-part", "float-dim", "bool", "zero-part",
+        "split-float", "split-float-part", "split-float-dim"])
+def test_chern_data_refuses_numbers_that_are_not_exact_integers(build):
+    # the parent read 9.7 as 9, so the first genus equalled that of CP^2
+    with pytest.raises((BadChernData, BadSplitChernData)):
+        build()
+
+
+def test_chern_data_reads_exact_integers_as_themselves():
+    a = ChernData(Fraction(2), {(Fraction(1), 1): Fraction(18, 2), (2,): "3"})
+    assert a == cp_chern(2) and type(a.dim) is int
+    assert all(type(v) is int for v in a.numbers.values())
+    assert SplitChernData(1, 1, {((1,), (1,)): Fraction(4, 2)}).numbers == {((1,), (1,)): 2}
+
+
 def test_whitney_product_of_two_cp1():
     prod = chern_product(cp_chern(1), cp_chern(1))
     assert prod.numbers == {(1, 1): 8, (2,): 4}

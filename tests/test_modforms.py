@@ -32,12 +32,22 @@ from ellgenus.modforms import (
     eisenstein_candidates,
     gen_bernoulli,
     is_in_span,
+    primitive_characters,
     sturm_bound,
     unit_group_exponent,
     weight_basis,
 )
 from ellgenus.series import QSeries
-from oracles import eisenstein_by_scan, eliminate, field_basis, rational_rref, rref
+from oracles import (
+    all_characters_by_generators,
+    eisenstein_by_scan,
+    eliminate,
+    field_basis,
+    gamma1_index_by_primes,
+    rational_rref,
+    rref,
+    unit_group_exponent_by_generators,
+)
 
 
 def test_bernoulli_numbers():
@@ -92,6 +102,29 @@ def test_unit_group_exponents():
     assert unit_group_exponent(5) == 4
     assert unit_group_exponent(8) == 2
     assert unit_group_exponent(12) == 2
+
+
+def test_characters_by_extension_match_the_generator_oracle():
+    for M in range(1, 201):
+        assert unit_group_exponent(M) == unit_group_exponent_by_generators(M), M
+        assert modforms._gamma1_index(M) == gamma1_index_by_primes(M), M
+    for N in range(4, 61):
+        L = ambient_field_level(N)
+        for d in (d for d in range(1, N + 1) if N % d == 0):
+            chars = all_characters_by_generators(d, L)
+            assert [c.key() for c in all_characters(d, L)] == [c.key() for c in chars], (N, d)
+            assert [c.key() for c in primitive_characters(d, L)] == [
+                c.key() for c in chars if c.is_primitive()
+            ], (N, d)
+
+
+def test_characters_need_a_field_level_that_the_exponent_divides():
+    # the generator walk returned four trivial tables at L = 2, and tables
+    # that are not characters at L = 6 (one had chi(1) = zeta_6^4)
+    for L in (2, 6):
+        with pytest.raises(ValueError, match="not a multiple of the exponent 4"):
+            all_characters(5, L)
+    assert len(all_characters(5, 4)) == 4 and len(all_characters(5, 40)) == 4
 
 
 def test_dimension_table():

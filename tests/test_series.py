@@ -290,6 +290,38 @@ def test_deserializers_read_numbers_exactly():
     assert PQSeries.deserialize(5, F.serialize()).serialize() == F.serialize()
 
 
+def test_deserializers_refuse_a_string_for_a_list_of_coordinates():
+    # "12" would otherwise read as the coordinates 1 and 2, i.e. 1 + 2 zeta_5
+    with pytest.raises(ValueError, match="not a list of coordinates"):
+        Cyclo.deserialize(5, "12")
+    with pytest.raises(ValueError, match="not a list of coordinates"):
+        QSeries.deserialize(5, ["12", ["1/2"]])
+    with pytest.raises(ValueError, match="not a list of coordinates"):
+        PQSeries.deserialize(5, [["12"]])
+    assert Cyclo.deserialize(5, ("1", "2")) == Cyclo(5, [1, 2])
+
+
+def test_constructors_refuse_floats():
+    # the binary value of 0.2 is 3602879701896397/18014398509481984, not 1/5
+    for build in (lambda: Cyclo(5, [0.2]), lambda: Cyclo.from_rational(5, 0.2),
+                  lambda: QSeries(5, 2, [0.5, 0.1]), lambda: Cyclo(5, [True])):
+        with pytest.raises(ValueError, match="not an exact number"):
+            build()
+    assert Cyclo(5, [Fraction(1, 5), 2, "-3/6"]).coords[:3] == (Fraction(1, 5), 2, Fraction(-1, 2))
+    assert QSeries(5, 2, [Fraction(1, 2), "1/10"]) == QSeries.deserialize(5, [["1/2"], ["1/10"]])
+    # arithmetic still reads Python's numbers as Python does
+    assert Cyclo.from_rational(5, 1) == True and Cyclo(5) + True == 1
+
+
+def test_constructors_read_strings_by_the_exact_rule():
+    # Fraction("1e200000") would build a 664,386-bit integer
+    for text in ("1e200000", "0.2", " 7"):
+        with pytest.raises(ValueError, match="not an exact number"):
+            Cyclo(5, [text])
+        with pytest.raises(ValueError, match="not an exact number"):
+            Cyclo.from_rational(5, text)
+
+
 # The kernels against the loops they replaced, over Q and over Q(zeta_N).
 @settings(max_examples=60)
 @given(st.data())
