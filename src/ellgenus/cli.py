@@ -15,20 +15,23 @@ modular basis (genus at positive dimension, reduce-u, reduce-w, basis)
 needs the weight-1 dimension, which is known only when X_1(N) has
 genus 0, i.e. N in {4, ..., 10, 12}; other levels exit 3.
 
-Exit codes: 0 success, 2 span certification failure, 3 input/parse
-error, 4 insufficient precision.  With --machine the report is a single
-deterministic JSON document (sorted keys, no whitespace).
+The library types (ChernData, SplitChernData, QSeries, PQSeries) read
+every input document; files and integer options follow one number rule.
+
+Exit codes: 0 success, 2 span certification failure, 3 input/parse or
+usage error, 4 insufficient precision.  With --machine the report is a
+single deterministic JSON document (sorted keys, no whitespace).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .cyclo import _integer, in_NZ
-from .errors import BadChernData, BadSplitChernData, EllGenusError, \
-    PrecisionInsufficient, SpanFailure, UnsupportedLevel
+from .errors import EllGenusError, PrecisionInsufficient, SpanFailure
 from .genus import ChernData, SplitChernData, genus, genus_bivariate
 from .modforms import is_in_span, sturm_bound, weight_basis
 from .reduce import reduce_Uq, reduce_Wtilde
@@ -45,72 +48,22 @@ class ParseError(Exception):
     """Any malformed input file or key."""
 
 
-def _load_json(path: str) -> dict:
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit EXIT_PARSE, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
+def _load(path: str, build):
+    """``build`` applied to the JSON document at ``path``; any flaw is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return build(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, IndexError, ZeroDivisionError,
+            EllGenusError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-
-
-def _parse_partition(key: str) -> tuple[int, ...]:
-    if key == "":
-        return ()
-    try:
-        parts = tuple(int(t) for t in key.split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad partition key {key!r}") from exc
-    if any(p <= 0 for p in parts) or list(parts) != sorted(parts, reverse=True):
-        raise ParseError(f"partition key {key!r} is not weakly decreasing positive")
-    return parts
-
-
-def _load_chern(path: str) -> ChernData:
-    doc = _load_json(path)
-    try:
-        dim = _integer(doc["dim"])
-        chern = {
-            _parse_partition(k): _integer(v) for k, v in dict(doc["chern"]).items()
-        }
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{path}: malformed Chern data ({exc})") from exc
-    try:
-        return ChernData(dim, chern)
-    except BadChernData as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
-def _load_split(path: str) -> SplitChernData:
-    doc = _load_json(path)
-    try:
-        dim0 = _integer(doc["dim0"])
-        dim1 = _integer(doc["dim1"])
-        chern = {}
-        for key, value in dict(doc["chern"]).items():
-            left, _, right = key.partition("|")
-            chern[(_parse_partition(left), _parse_partition(right))] = _integer(value)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{path}: malformed split Chern data ({exc})") from exc
-    try:
-        return SplitChernData(dim0, dim1, chern)
-    except BadSplitChernData as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
-def _load_qseries(path: str) -> QSeries:
-    doc = _load_json(path)
-    try:
-        return QSeries.deserialize(_integer(doc["level"]), doc["coeffs"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{path}: malformed q-series ({exc})") from exc
-
-
-def _load_pqseries(path: str) -> PQSeries:
-    doc = _load_json(path)
-    try:
-        return PQSeries.deserialize(_integer(doc["level"]), doc["rows"])
-    except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
-        raise ParseError(f"{path}: malformed (p, q)-series ({exc})") from exc
 
 
 def _emit(report: dict, human: str, args) -> None:
@@ -127,7 +80,7 @@ def _emit(report: dict, human: str, args) -> None:
 
 
 def cmd_genus(args) -> int:
-    data = _load_chern(args.input)
+    data = _load(args.input, lambda d: ChernData(d["dim"], dict(d["chern"])))
     weight = data.dim
     floor = sturm_bound(args.level, weight) if weight else 1
     prec = max(args.prec_q, floor)
@@ -160,7 +113,7 @@ def cmd_genus(args) -> int:
 
 
 def cmd_frep(args) -> int:
-    data = _load_split(args.input)
+    data = _load(args.input, lambda d: SplitChernData(d["dim0"], d["dim1"], dict(d["chern"])))
     weight = (data.dim0 + data.dim1)
     floor = sturm_bound(args.level, weight) if weight else 1
     prec_p = max(args.prec_p, floor)
@@ -199,7 +152,7 @@ def _require_degree(args) -> int:
 
 def cmd_reduce_u(args) -> int:
     degree = _require_degree(args)
-    s = _load_qseries(args.input)
+    s = _load(args.input, lambda d: QSeries.deserialize(_integer(d["level"]), d["coeffs"]))
     cls = reduce_Uq(s, args.level, degree, min(args.prec_q, s.prec))
     report = {"command": "reduce-u", **cls.serialize()}
     lines = [
@@ -214,7 +167,7 @@ def cmd_reduce_u(args) -> int:
 
 def cmd_reduce_w(args) -> int:
     degree = _require_degree(args)
-    s = _load_pqseries(args.input)
+    s = _load(args.input, lambda d: PQSeries.deserialize(_integer(d["level"]), d["rows"]))
     cls = reduce_Wtilde(s, args.level, degree)
     report = {"command": "reduce-w", **cls.serialize()}
     lines = [
@@ -267,14 +220,15 @@ def cmd_selfcheck(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    integer = functools.partial(_integer, error=argparse.ArgumentTypeError)
+    parser = _Parser(
         prog="ellgenus",
         description="exact level-N elliptic genus, modular bases, and quotient reductions",
     )
-    parser.add_argument("--level", type=int, default=5, help="level N in 4..10 or 12 (default 5)")
-    parser.add_argument("--prec-q", type=int, default=10, help="q-precision (default 10)")
-    parser.add_argument("--prec-p", type=int, default=10, help="p-precision (default 10)")
-    parser.add_argument("--degree", type=int, default=None,
+    parser.add_argument("--level", type=integer, default=5, help="level N in 4..10 or 12 (default 5)")
+    parser.add_argument("--prec-q", type=integer, default=10, help="q-precision (default 10)")
+    parser.add_argument("--prec-p", type=integer, default=10, help="p-precision (default 10)")
+    parser.add_argument("--degree", type=integer, default=None,
                         help="even topological degree (weight = degree/2)")
     parser.add_argument("--out", default=None, help="write the report to a file")
     parser.add_argument("--machine", action="store_true",
@@ -297,13 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.level < 4:
-        print("error: level must be >= 4", file=sys.stderr)
-        return EXIT_PARSE
-    if args.prec_q < 1 or args.prec_p < 1:
-        print("error: precisions must be positive", file=sys.stderr)
-        return EXIT_PARSE
     try:
+        if args.level < 4:
+            raise ParseError("level must be >= 4")
+        if args.prec_q < 1 or args.prec_p < 1:
+            raise ParseError("precisions must be positive")
         return args.fn(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -314,7 +266,7 @@ def main(argv=None) -> int:
     except PrecisionInsufficient as exc:
         print(f"error: insufficient precision: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except (UnsupportedLevel, EllGenusError, ValueError) as exc:
+    except (EllGenusError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

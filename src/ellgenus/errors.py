@@ -26,15 +26,17 @@ class InsufficientXPrecision(EllGenusError):
 
 
 class BadChernData(EllGenusError):
-    """A Chern-number key is not a partition of the stated dimension, or a
-    dimension, a part or a Chern number is not an exact integer (an int
-    that is not a bool, a Fraction over 1, or an integral "num/den"
-    string): 9.7 and Fraction(19, 2) are refused, not cut to 9."""
+    """A Chern-number key is not a partition of the stated dimension (a
+    string key "a,b,..." must be weakly decreasing), or a dimension, a part
+    or a Chern number is not an exact integer (an int that is not a bool,
+    a Fraction over 1, or an integral "num/den" string): 9.7, Fraction(19, 2)
+    and the part "1_1" are refused, not cut to 9 or read as 11."""
 
 
 class BadSplitChernData(EllGenusError):
-    """A split Chern-number key has the wrong total degree, or a dimension,
-    a part or a Chern number is not an exact integer, as for BadChernData."""
+    """A split Chern-number key is not a pair of partitions or a "lam|mu"
+    string, has the wrong total degree, or holds a dimension, a part or a
+    Chern number that is not an exact integer, as for BadChernData."""
 
 
 class IncompatibleParity(EllGenusError):

@@ -42,9 +42,16 @@ Partition = tuple[int, ...]
 
 
 def _normalize_partition(key, error) -> Partition:
-    parts = tuple(sorted((_integer(p, error) for p in key), reverse=True))
+    """A tuple of parts in any order, or the file form "a,b,..." weakly
+    decreasing ("" is ()); each part an exact integer >= 1, else ``error``."""
+    if isinstance(key, str):
+        parts = tuple(_integer(p, error) for p in key.split(",")) if key else ()
+        if list(parts) != sorted(parts, reverse=True):
+            raise error(f"partition key {key!r} is not weakly decreasing")
+    else:
+        parts = tuple(sorted((_integer(p, error) for p in key), reverse=True))
     if any(p < 1 for p in parts):
-        raise error(f"bad partition {key}")
+        raise error(f"bad partition {key!r}")
     return parts
 
 
@@ -69,7 +76,9 @@ class ChernData:
     """Chern numbers of a stably almost complex manifold.
 
     ``numbers`` maps partitions of the complex dimension to the integers
-    <c_{lambda_1} ... c_{lambda_r}, [M]>.  Missing partitions mean 0.
+    <c_{lambda_1} ... c_{lambda_r}, [M]>.  Missing partitions mean 0.  A key
+    is a tuple of parts or the file form "2,1,1" (parts weakly decreasing,
+    each an exact integer as BadChernData says).
     """
 
     __slots__ = ("dim", "numbers")
@@ -102,7 +111,8 @@ class SplitChernData:
     """Chern numbers for a split tangent bundle T0 + T1.
 
     Keys are pairs of partitions (lam, mu) with |lam| + |mu| = dim0 + dim1,
-    valued <c_lam(T0) c_mu(T1), [X]>.
+    valued <c_lam(T0) c_mu(T1), [X]>, or strings "lam|mu" in the file form
+    of ChernData ("2" is "2|").
     """
 
     __slots__ = ("dim0", "dim1", "numbers")
@@ -115,9 +125,11 @@ class SplitChernData:
         self.dim1 = dim1
         total = dim0 + dim1
         clean = {}
-        for (lam, mu), value in numbers.items():
-            lam = _normalize_partition(lam, BadSplitChernData)
-            mu = _normalize_partition(mu, BadSplitChernData)
+        for key, value in numbers.items():
+            pair = key.partition("|")[::2] if isinstance(key, str) else key
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                raise BadSplitChernData(f"key {key!r} is not a pair of partitions")
+            lam, mu = (_normalize_partition(x, BadSplitChernData) for x in pair)
             if sum(lam) + sum(mu) != total:
                 raise BadSplitChernData(
                     f"({lam}, {mu}) has total degree != {total}"

@@ -235,7 +235,8 @@ class PQSeries(_Series):
     """Truncated series in (p, q): a series in p whose coefficients, the p-rows, are QSeries.
 
     ``coeffs[i]`` is the p^i row, a QSeries in q at precision prec_q;
-    ``rows`` gives the same rectangle as tuples of Cyclo.
+    ``rows`` gives the same rectangle as tuples of Cyclo.  A QSeries row of
+    another q-precision raises PrecMismatch; a list row is cut or padded.
     """
 
     __slots__ = ("level", "prec_p", "prec_q")
@@ -246,6 +247,8 @@ class PQSeries(_Series):
             raise ValueError("precisions must be >= 1")
         rows = list(rows or ())[:prec_p]
         rows += [()] * (prec_p - len(rows))
+        if any(isinstance(r, QSeries) and r.prec != prec_q for r in rows):
+            raise PrecMismatch(f"a p-row is not at q-precision {prec_q}")
         self.level = level
         self.prec_p = prec_p
         self.prec_q = prec_q

@@ -139,6 +139,21 @@ def test_malformed_partition_key_exits_3(tmp_path, capsys):
     assert cli.main(["genus", str(path)]) == 3
 
 
+@pytest.mark.parametrize("command,doc", [
+    ("genus", {"dim": 11, "chern": {"1_1": 1}}),
+    ("genus", {"dim": 2, "chern": {" 2": 3, "1,1": 9}}),
+    ("genus", {"dim": 3, "chern": {"\u0663": 4}}),
+    ("f-rep", {"dim0": 1, "dim1": 1, "chern": {" 1|1": 4}}),
+], ids=["underscore", "space", "arabic-indic", "split-space"])
+def test_a_partition_part_that_is_not_an_exact_integer_exits_3(command, doc, tmp_path, capsys):
+    # int would read "1_1" as the partition (11,), " 2" as (2,) and "\u0663" as (3,)
+    path = tmp_path / "chern.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--machine", command, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "is not an exact number" in captured.err
+
+
 def test_missing_file_exits_3(capsys):
     assert cli.main(["genus", "/nonexistent/m.json"]) == 3
 
@@ -235,6 +250,32 @@ def test_out_flag_writes_report_file(cp2_file, tmp_path, capsys):
 
 def test_level_below_4_is_rejected():
     assert cli.main(["--level", "3", "--degree", "4", "basis"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--level", "abc", "basis"],
+    ["basis", "--bogus"],
+    ["--level", "1_2", "--degree", "2", "--machine", "basis"],
+    ["--prec-q", " 8", "--degree", "4", "basis"],
+    ["--degree", "\u0664", "basis"],
+    ["--prec-p", "1.5", "--degree", "4", "basis"],
+], ids=["no-command", "word-level", "unknown-option", "underscore-level", "space-prec",
+        "arabic-indic-degree", "decimal-prec"])
+def test_usage_errors_exit_3(argv, capsys):
+    # argparse's own code 2 means a span certification failure here, and int
+    # would read "1_2" as level 12
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "--level" in capsys.readouterr().out
 
 
 def test_selfcheck_command_passes(capsys):

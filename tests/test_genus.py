@@ -85,6 +85,52 @@ def test_chern_data_reads_exact_integers_as_themselves():
     assert SplitChernData(1, 1, {((1,), (1,)): Fraction(4, 2)}).numbers == {((1,), (1,)): 2}
 
 
+def test_a_string_key_is_one_partition_in_the_file_form():
+    # read a character at a time, "21" and "12" would both be (2, 1)
+    for key in ("21", "12", "1,2", "1_1,1", " 2,1", "\u0662,1", "2,1,", "2,0,1"):
+        with pytest.raises(BadChernData):
+            ChernData(3, {key: 5})
+    assert ChernData(3, {"2,1": 5, "+1,1,1": 2}) == ChernData(3, {(1, 2): 5, (1, 1, 1): 2})
+    assert ChernData(0, {"": 1}) == ChernData(0, {(): 1})
+
+
+def test_a_split_key_must_be_a_pair_or_a_bar_string():
+    # unpacking (1,) would raise a bare ValueError, not the typed error
+    for key in ((1,), ((1,), (1,), ()), "1|1_1"):
+        with pytest.raises(BadSplitChernData):
+            SplitChernData(1, 1, {key: 3})
+    assert SplitChernData(2, 0, {"2": 3, "1,1|": 9}).numbers == {((2,), ()): 3, ((1, 1), ()): 9}
+
+
+def _file_key(part):
+    return ",".join(map(str, part))
+
+
+def _numbers(keys):
+    return st.dictionaries(keys, st.integers(-10**30, 10**30), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.tuples(st.just(n), _numbers(st.sampled_from(partitions_of(n))))))
+def test_file_form_keys_read_as_the_tuple_keys(case):
+    n, numbers = case
+    from_text = ChernData(n, {_file_key(k): v for k, v in numbers.items()})
+    assert from_text == ChernData(n, numbers) == ChernData(n, {k[::-1]: v for k, v in numbers.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(0, 8), st.integers(0, 8)).flatmap(lambda dims: st.tuples(
+    st.just(dims), _numbers(st.tuples(st.sampled_from(partitions_of(dims[0])),
+                                      st.sampled_from(partitions_of(dims[1])))))))
+def test_split_file_form_keys_read_as_the_tuple_keys(case):
+    (dim0, dim1), numbers = case
+    # a key with mu = () is written without the bar, as a file may give it
+    text = {_file_key(lam) + ("|" + _file_key(mu) if mu else ""): v
+            for (lam, mu), v in numbers.items()}
+    assert SplitChernData(dim0, dim1, text).numbers == SplitChernData(dim0, dim1, numbers).numbers
+
+
 def test_whitney_product_of_two_cp1():
     prod = chern_product(cp_chern(1), cp_chern(1))
     assert prod.numbers == {(1, 1): 8, (2,): 4}

@@ -242,6 +242,16 @@ def test_pqseries_multiplication_matches_outer_factorization():
     assert left == right
 
 
+def test_pqseries_refuses_a_qseries_row_of_another_q_precision():
+    # cutting the first would drop q^3 and q^4; padding the second would invent a q^2 of 0
+    for row in (QSeries(5, 5, [1, 2, 3, 4, 5]), QSeries(5, 2, [1, 2])):
+        with pytest.raises(PrecMismatch):
+            PQSeries(5, 2, 3, [row])
+    # a list row keeps the cut-or-pad reading of QSeries(level, prec, coeffs)
+    assert PQSeries(5, 2, 3, [[1, 2, 3, 4, 5]]) == PQSeries(5, 2, 3, [QSeries(5, 3, [1, 2, 3])])
+    assert PQSeries(5, 2, 3, [[1, 2]]).rows[0] == QSeries(5, 3, [1, 2, 0]).coeffs
+
+
 def test_project_q0_kills_positive_q_support():
     F = PQSeries(5, 3, 3)
     rows = [list(r) for r in F.rows]
