@@ -63,9 +63,9 @@ from .modforms import (
     sturm_bound,
     weight_basis,
 )
-from .reduce import UqClass, WtClass, project_q0, reduce_Uq, reduce_Wtilde
+from .reduce import UqClass, WtClass, reduce_Uq, reduce_Wtilde
 from .selfcheck import CheckResult, format_report, run_checks
-from .series import PQSeries, QSeries, XQSeries, todd_coefficients
+from .series import PQSeries, QSeries, XQSeries, project_q0, todd_coefficients
 
 __version__ = "0.1.0"
 

@@ -411,56 +411,40 @@ def _descent_echelon(L: int, n: int):
     return pivots, free, [column(width + i) for i in range(m)], scale
 
 
-def _subfield_part(a: Cyclo, n: int) -> Cyclo:
-    """The Q(zeta_n) part of a in Q(zeta_L), for n | L.
+def _split(a: Cyclo, n: int) -> tuple[Cyclo, tuple[int, ...]]:
+    """(part, off): the Q(zeta_n) part of a in Q(zeta_L) and its integer
+    coordinates off Q(zeta_n), for n | L.
 
     In reduced echelon form the coordinates of a vector over the echelon
     rows are its entries at the pivot columns; their combination of the
     rows is a Q-linear projection of Q(zeta_L) onto Q(zeta_n), the
-    identity on Q(zeta_n), and zero on the elements that vanish at every
-    pivot column.
+    identity on Q(zeta_n), and ``part`` is its image.  ``off`` holds one
+    integer per free column of the descent echelon: scale * a.den times
+    the defect of a there against that combination.  It is Q-linear up to
+    the factor a.den with kernel Q(zeta_n), so a lies in the subfield iff
+    every entry is zero; at n = a.level there are none.
     """
     if n == a.level:
-        return a
-    pivots, _, tags, scale = _descent_echelon(a.level, n)
-    coeffs = [a.num[p] for p in pivots]
-    out = tuple([sum(map(mul, coeffs, column)) for column in tags])
-    return _reduced(n, out, a.den * scale)
+        return a, ()
+    pivots, free, tags, scale = _descent_echelon(a.level, n)
+    num = a.num
+    coeffs = [num[p] for p in pivots]
+    part = _reduced(n, tuple([sum(map(mul, coeffs, column)) for column in tags]), a.den * scale)
+    off = tuple([scale * num[j] - sum(map(mul, coeffs, column)) for j, column in free])
+    return part, off
 
 
 def descend(a: Cyclo, new_level: int) -> Cyclo | None:
     """Express a in Q(zeta_new_level) if possible, else None.
 
     Requires new_level | a.level.  a lies in the subfield iff its
-    coordinates over the echelon rows (its pivot entries, see
-    ``_subfield_part``) also reproduce every other column, that is iff
-    ``_complement`` is zero.
+    coordinates off it (see ``_split``) are all zero.
     """
     L = a.level
-    if new_level == L:
-        return a
     if L % new_level != 0:
         raise LevelMismatch(f"{new_level} does not divide {L}")
-    if any(_complement(a, new_level)):
-        return None
-    return _subfield_part(a, new_level)
-
-
-def _complement(a: Cyclo, n: int) -> tuple[int, ...]:
-    """Integer coordinates of a in Q(zeta_L) off the subfield Q(zeta_n), for n | L.
-
-    One integer per free column of the descent echelon: scale * a.den times
-    the defect of a there against the combination of the echelon rows its
-    pivot entries give (see ``_subfield_part``).  The map is Q-linear up to
-    the factor a.den, and its kernel is Q(zeta_n), so a lies in the subfield
-    iff every entry is zero; at n = a.level there are none.
-    """
-    if n == a.level:
-        return ()
-    pivots, free, _, scale = _descent_echelon(a.level, n)
-    num = a.num
-    coeffs = [num[p] for p in pivots]
-    return tuple([scale * num[j] - sum(map(mul, coeffs, column)) for j, column in free])
+    part, off = _split(a, new_level)
+    return None if any(off) else part
 
 
 def _split_denominator(den: int, N: int) -> tuple[int, int]:

@@ -48,8 +48,10 @@ def _normalize_partition(key, error) -> Partition:
         parts = tuple(_integer(p, error) for p in key.split(",")) if key else ()
         if list(parts) != sorted(parts, reverse=True):
             raise error(f"partition key {key!r} is not weakly decreasing")
-    else:
+    elif isinstance(key, tuple):
         parts = tuple(sorted((_integer(p, error) for p in key), reverse=True))
+    else:
+        raise error(f"partition key {key!r} is neither a tuple nor a string")
     if any(p < 1 for p in parts):
         raise error(f"bad partition {key!r}")
     return parts

@@ -40,13 +40,13 @@ solved by an integer CRT, and the constant it records depends only on
 the class of the input.
 
 Everything that does not depend on the input is built once per (N,
-weight, prec) into one cached plan (``_plan``): the basis, its
-integrality, r and the basis coefficients of 1 read off its integer
-matrix, the free columns, and per free column with r_c != 0 the values
-1/r_c and the prime-to-N parts of r_c that the congruences read.  Every
-residual is zero at the pivots of the echelon basis, so the residual,
-its descent and its coset are formed only at the free columns; each
-pivot gets the zero coset.
+weight, prec) into one cached plan (``_plan``): the basis, the free
+columns with r read off row 0 of its integer matrix (the pivot 0 comes
+first, so only basis coefficient 0 moves with the constant), and per
+free column with r_c != 0 the values 1/r_c and the prime-to-N parts of
+r_c that the congruences read.  Every residual is zero at the pivots of
+the echelon basis, so the residual, its descent and its coset are formed
+only at the free columns; each pivot gets the zero coset.
 """
 
 from __future__ import annotations
@@ -59,10 +59,9 @@ from typing import NamedTuple
 from .cyclo import (
     Cyclo,
     NZCoset,
-    _complement,
     _reduced,
+    _split,
     _split_denominator,
-    _subfield_part,
     _zero_coset,
     descend,
     euler_phi,
@@ -71,26 +70,23 @@ from .cyclo import (
 )
 from .errors import LevelMismatch, PrecisionInsufficient
 from .modforms import ModFormBasis, weight_basis
-from .series import PQSeries, QSeries, project_q0  # noqa: F401  (re-exported)
+from .series import PQSeries, QSeries
 
 
 class _Plan(NamedTuple):
     """What a reduction against weight_basis(N, weight, prec) reads, built once.
 
-    ``one_res`` and ``gamma`` are the residual r and basis coefficients of
-    the series 1, as Fractions; ``free`` are the q-exponents off the pivots,
-    the only places a residual can be nonzero.  ``null`` are the free
-    columns where r vanishes and ``terms`` the others, as (c, 1/r_c, u_c,
-    v_c) with u_c/v_c the prime-to-N part of r_c (see ``_constant_columns``);
-    ``terms[0]`` is the fallback column c*, the earliest nonzero coefficient
-    of r.  The Sturm bound, L and the digest are read off ``basis``.
+    ``free`` holds (c, r_c) for each q-exponent c off the pivots, the only
+    places a residual can be nonzero, with r the residual of the series 1
+    as Fractions.  ``null`` are the free columns where r vanishes and
+    ``terms`` the others, as (c, 1/r_c, u_c, v_c) with u_c/v_c the
+    prime-to-N part of r_c (see ``_constant_columns``); ``terms[0]`` is the
+    fallback column c*, the earliest nonzero coefficient of r.  The Sturm
+    bound, L, the digest and N-integrality are read off ``basis``.
     """
 
     basis: ModFormBasis
-    free: tuple[int, ...]
-    one_res: tuple[Fraction, ...]
-    gamma: tuple[Fraction, ...]
-    integral: bool
+    free: tuple[tuple[int, Fraction], ...]
     null: tuple[int, ...]
     terms: tuple[tuple[int, Fraction, int, int], ...]
 
@@ -100,21 +96,14 @@ def _plan(N: int, weight: int, prec: int) -> _Plan:
     """The reduction plan of weight_basis(N, weight, prec), read off its integer matrix."""
     basis = weight_basis(N, weight, prec)
     pivots, D = basis.pivots, basis.den
-    # 1 = q^0 has basis coefficients gamma_j = [p_j = 0] and, when the pivot 0
-    # exists (it is then the first), residual r_c = (D [c = 0] - rows[0][c]) / D,
-    # else r = q^0; the reduced echelon form of the basis is Galois-fixed, hence
-    # rational (Shimura 1971, Thm 3.52; ``_build_basis`` certifies it), so r is
-    if pivots[:1] == [0]:
-        one_res = tuple(Fraction(D * (c == 0) - x, D) for c, x in enumerate(basis.rows[0]))
-    else:
-        one_res = (Fraction(1),) + (Fraction(0),) * (prec - 1)
-    gamma = tuple(Fraction(int(p == 0)) for p in pivots)
-    free = tuple(c for c in range(prec) if c not in pivots)
-    # the exact constant-direction decision is complete only over an
-    # N-integral echelon basis (unit pivots); record that precondition
-    return _Plan(
-        basis, free, one_res, gamma, basis.is_integral(), *_constant_columns(one_res, free, N)
-    )
+    # every M_k(Gamma_1(N)), N >= 4, has a form with a nonzero constant term (1
+    # at k = 0, E_2(q) - t E_2(q^t) at k = 2, else an E_k^{1,phi}), so the pivot
+    # 0 comes first and 1 = row 0 / D + r, r_c = -rows[0][c] / D off the pivots;
+    # r is rational, as the reduced echelon form is Galois-fixed (Shimura 1971,
+    # Thm 3.52; ``_build_basis`` certifies it)
+    assert pivots[0] == 0
+    r = {c: Fraction(-x, D) for c, x in enumerate(basis.rows[0]) if c not in pivots}
+    return _Plan(basis, tuple(r.items()), *_constant_columns(r, r, N))
 
 
 def _constant_columns(r, cols, N: int) -> tuple[tuple, tuple]:
@@ -149,27 +138,26 @@ def _solve_constant_direction(s_res, null, terms, N: int, K: int) -> Cyclo | Non
     r_c = 0 needs s_c in Z[1/N, zeta_N].  On the others, with x_c = s_c/r_c,
     r_c * (x_c - alpha) in Z[1/N, zeta_N] needs x_c - alpha in Q(zeta_N),
     so every x_c - x_c0 must lie in Q(zeta_N): x_c and x_c0 have the same
-    coordinates off Q(zeta_N) (``cyclo._complement``, empty at K = N),
+    coordinates off Q(zeta_N) (``cyclo._split``, none at K = N),
     compared in integers.  Then the valid alphas are x_c0 - pi(x_c0) +
-    theta, for pi the Q(zeta_N) part (``cyclo._subfield_part``) and theta
+    theta, for pi the Q(zeta_N) part (also ``cyclo._split``) and theta
     in Q(zeta_N) with r_c * (pi(x_c) - theta) in Z[1/N, zeta_N] for every
     c: one congruence system over Z[1/N] per power-basis coordinate, see
     ``_congruence_solution``.
     """
     for c in null:
-        s = s_res[c]
-        if any(_complement(s, N)) or not in_NZ(_subfield_part(s, N)):
+        part, off = _split(s_res[c], N)
+        if any(off) or not in_NZ(part):
             return None
     if not terms:
         return Cyclo(K)
     x_cols = [s_res[c] * inv_r for c, inv_r, _, _ in terms]
-    # the complement of x is _complement(x, N) / x.den, up to a shared scale
+    parts, offs = zip(*(_split(x, N) for x in x_cols))
+    # the coordinates of x off Q(zeta_N) are off / x.den, up to a shared scale
     x0 = x_cols[0]
-    off0 = _complement(x0, N)
-    for x in x_cols[1:]:
-        if any(a * x0.den != b * x.den for a, b in zip(_complement(x, N), off0)):
+    for x, off in zip(x_cols[1:], offs[1:]):
+        if any(a * x0.den != b * x.den for a, b in zip(off, offs[0])):
             return None
-    parts = [_subfield_part(x, N) for x in x_cols]
     theta = _congruence_solution(parts, terms, N)
     if theta is None:
         return None
@@ -298,9 +286,10 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
     K = N if N % s.level == 0 else L
     s_res, beta = plan.basis.eliminate([c.lift(K) for c in s.coeffs[:prec]])
 
-    alpha = None
-    if plan.integral:
-        alpha = _solve_constant_direction(s_res, plan.null, plan.terms, N, K)
+    # the exact constant-direction decision is complete only over an
+    # N-integral echelon basis (unit pivots)
+    integral = plan.basis.is_integral()
+    alpha = _solve_constant_direction(s_res, plan.null, plan.terms, N, K) if integral else None
     if alpha is None:
         # canonical fallback: cancel the earliest nonzero constant-residual
         # coefficient (the combined-echelon choice)
@@ -314,17 +303,18 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
     # s_res and r vanish at every pivot, so only the free columns can carry
     # a nonzero coset
     cosets: list[NZCoset | None] = [_zero_coset(N)] * prec
-    for c in plan.free:
-        value = s_res[c] - alpha_used * plan.one_res[c]
+    for c, r in plan.free:
+        value = s_res[c] - alpha_used * r
         down = value if K == N else descend(value, N)
         cosets[c] = None if down is None else reduce_mod_NZ(down)
     trivial = alpha is not None
     if trivial:
         assert all(c is not None and c.is_zero() for c in cosets)
-    elif not plan.integral and all(c is not None and c.is_zero() for c in cosets):
+    elif not integral and all(c is not None and c.is_zero() for c in cosets):
         trivial = True
     rep = QSeries(N, prec, [Cyclo(N) if c is None else c.rep for c in cosets])
-    coeffs = [(b - alpha_used * g).lift(L) for b, g in zip(beta, plan.gamma)]
+    # 1 has basis coefficients (1, 0, ...), so only coefficient 0 moves with alpha
+    coeffs = [(beta[0] - alpha_used).lift(L)] + [b.lift(L) for b in beta[1:]]
     modular_part = {
         "pivot_columns": list(plan.basis.pivots),
         "coefficients": coeffs,

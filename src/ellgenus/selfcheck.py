@@ -33,8 +33,8 @@ from .genus import (
     verify_Q_identity,
 )
 from .modforms import dim_Mk, eisenstein_candidates, is_in_span, sturm_bound, weight_basis
-from .reduce import project_q0, reduce_Uq, reduce_Wtilde
-from .series import QSeries
+from .reduce import reduce_Uq, reduce_Wtilde
+from .series import QSeries, project_q0
 
 
 class CheckResult(NamedTuple):

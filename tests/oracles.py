@@ -10,8 +10,6 @@ from ellgenus.cyclo import (
     _power_table,
     _reduced,
     _split_denominator,
-    _subfield_part,
-    descend,
     euler_phi,
     in_NZ,
     reduce_mod_NZ,
@@ -218,6 +216,7 @@ def rational_rref(candidates, N: int, k: int, dim: int):
     return pivots, rows, den
 
 
+@functools.lru_cache(maxsize=None)
 def descent_echelon(L: int, n: int):
     """The (pivots, free, tags, scale) descent table built by ``rref_tracked``."""
     table = _power_table(L)
@@ -245,6 +244,25 @@ def lift_by_table(a: Cyclo, new_level: int) -> Cyclo:
         if x:
             out = [y + x * t for y, t in zip(out, table[i * step])]
     return _reduced(new_level, tuple(out), a.den)
+
+
+def subfield_part(a: Cyclo, n: int) -> Cyclo:
+    """The Q(zeta_n) part of a in Q(zeta_L), n | L: the combination of the
+    images of 1, zeta_n, ... that the pivot entries of a give over the rows
+    of ``descent_echelon``."""
+    if n == a.level:
+        return a
+    pivots, _, tags, scale = descent_echelon(a.level, n)
+    coords = a.coords
+    return Cyclo(n, [sum(coords[p] * t for p, t in zip(pivots, column)) / scale
+                     for column in tags])
+
+
+def descend_by_echelon(a: Cyclo, n: int) -> Cyclo | None:
+    """a in Q(zeta_n), or None when it does not lie there: the projection
+    ``subfield_part`` is the identity exactly on Q(zeta_n)."""
+    part = subfield_part(a, n)
+    return part if lift_by_table(part, a.level) == a else None
 
 
 # The quotient reductions as they ran before the decision moved into
@@ -325,7 +343,7 @@ def field_solve_constant_direction(
     r_c * (x_c - alpha) in Z[1/N, zeta_N] needs x_c - alpha in Q(zeta_N),
     so every x_c - x_c0 must lie in Q(zeta_N), and then the valid alphas
     are x_c0 - pi(x_c0) + theta, for pi the Q(zeta_N) part
-    (``cyclo._subfield_part``) and theta in Q(zeta_N) with
+    (``subfield_part``) and theta in Q(zeta_N) with
     r_c * (pi(x_c) - theta) in Z[1/N, zeta_N] for every c: one congruence
     system over Z[1/N] per power-basis coordinate, see ``congruence_solution``.
     """
@@ -339,15 +357,15 @@ def field_solve_constant_direction(
             r_vals.append(r)
             x_cols.append(s * (1 / r))
             continue
-        down = descend(s, N)
+        down = descend_by_echelon(s, N)
         if down is None or not in_NZ(down):
             return None
     if not x_cols:
         return Cyclo(L)
     x0 = x_cols[0]
-    if any(descend(x - x0, N) is None for x in x_cols[1:]):
+    if any(descend_by_echelon(x - x0, N) is None for x in x_cols[1:]):
         return None
-    parts = [_subfield_part(x, N) for x in x_cols]
+    parts = [subfield_part(x, N) for x in x_cols]
     theta = congruence_solution(parts, r_vals, N)
     if theta is None:
         return None
@@ -402,7 +420,7 @@ def field_reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) ->
     reps = []
     trivial = alpha is not None
     for value in residual:
-        down = descend(value, N)
+        down = descend_by_echelon(value, N)
         if down is None:
             cosets.append(None)
             reps.append(Cyclo(N))

@@ -71,12 +71,12 @@ def rect_file(tmp_path):
     return str(path)
 
 
-def _lifted_cp2(bump):
+def _lifted_cp2(bump, at=1):
     # genus(CP^2, 5, 7) at level 20, the ambient level of the degree-6 basis,
-    # so the reduction runs in Q(zeta_20); bump is added at q^1
+    # so the reduction runs in Q(zeta_20); bump is added at q^at
     g = genus(cp_chern(2), 5, 7).lift(20)
     coeffs = list(g.coeffs)
-    coeffs[1] = coeffs[1] + bump
+    coeffs[at] = coeffs[at] + bump
     return {"level": 20, "coeffs": [c.serialize() for c in coeffs]}
 
 
@@ -91,6 +91,15 @@ def series20_file(tmp_path):
 def bumped20_file(tmp_path):
     path = tmp_path / "bumped20.json"
     path.write_text(json.dumps(_lifted_cp2(Cyclo.zeta(5).lift(20) * Fraction(1, 3))))
+    return str(path)
+
+
+@pytest.fixture()
+def constant20_file(tmp_path):
+    # a constant off Q(zeta_5): the class stays trivial, and the report
+    # records the constant's part off Q(zeta_5)
+    path = tmp_path / "constant20.json"
+    path.write_text(json.dumps(_lifted_cp2(Cyclo.zeta(20) + Fraction(1, 3), at=0)))
     return str(path)
 
 
@@ -325,6 +334,9 @@ GOLDEN = {
     "reduce-u-20-bumped": ("dfe3e1ce2a6d4d85d2302a0faf2f98a46396accf6059974aa1549faf367ef3d0",
                            "bumped20_file",
                            ["--level", "5", "--degree", "6", "--machine", "reduce-u"]),
+    "reduce-u-20-constant": ("e81c5f0150ff37126f062a737a3fa78bf1b6f157ce3c47afc638ba27dacfd069",
+                             "constant20_file",
+                             ["--level", "5", "--degree", "6", "--machine", "reduce-u"]),
     "reduce-w-bumped": ("f443ecf90882a28ff1cf7d836e7ed1f27d9452c6e00e9e46c75ed295f9602ce4",
                         "bumped_rect_file",
                         ["--level", "5", "--degree", "4", "--machine", "reduce-w"]),
@@ -354,11 +366,16 @@ def test_machine_reports_match_the_recorded_digests(case, request, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("case", ["reduce-u-20", "reduce-u-20-bumped", "reduce-w-bumped"])
+@pytest.mark.parametrize("case", ["reduce-u-20", "reduce-u-20-bumped", "reduce-w-bumped",
+                                  "reduce-u-20-constant"])
 def test_the_new_reports_have_their_expected_verdicts(case, request, capsys):
     _, fixture, options = GOLDEN[case]
     assert cli.main(options + [request.getfixturevalue(fixture)]) == 0
-    assert json.loads(capsys.readouterr().out)["trivial"] is ("bumped" not in case)
+    report = json.loads(capsys.readouterr().out)
+    assert report["trivial"] is ("bumped" not in case)
+    if case == "reduce-u-20-constant":
+        want = Cyclo.zeta(20) + Fraction(1, 3)
+        assert report["modular_part"]["constant"] == want.serialize()
 
 
 def _q_file(tmp_path, value):

@@ -169,10 +169,10 @@ def test_integer_solve_matches_the_fraction_oracle(basis, data):
     N = basis[0]
     plan = _plan(*basis)
     L = plan.basis.field_level
-    r_cols = [plan.one_res[c] for c in plan.free]
+    free, r_cols = zip(*plan.free)
     s_cols = data.draw(free_columns(N, L, r_cols))
     want = _oracle_solve_constant_direction(s_cols, r_cols, N, L)
-    got = _solve_constant_direction(dict(zip(plan.free, s_cols)), plan.null, plan.terms, N, L)
+    got = _solve_constant_direction(dict(zip(free, s_cols)), plan.null, plan.terms, N, L)
     assert (got is None) == (want is None)
     if got is not None:
         # got is a witness, and it differs from the oracle's by a period

@@ -95,11 +95,18 @@ def test_a_string_key_is_one_partition_in_the_file_form():
 
 
 def test_a_split_key_must_be_a_pair_or_a_bar_string():
-    # unpacking (1,) would raise a bare ValueError, not the typed error
-    for key in ((1,), ((1,), (1,), ()), "1|1_1"):
+    # unpacking (1,) would raise a bare ValueError, and iterating the half 1
+    # of (1, ()) a bare TypeError, not the typed error
+    for key in ((1,), ((1,), (1,), ()), "1|1_1", (1, ())):
         with pytest.raises(BadSplitChernData):
             SplitChernData(1, 1, {key: 3})
     assert SplitChernData(2, 0, {"2": 3, "1,1|": 9}).numbers == {((2,), ()): 3, ((1, 1), ()): 9}
+
+
+def test_a_key_that_is_neither_a_tuple_nor_a_string_is_refused():
+    # iterating the int 1 raised a bare TypeError, not the typed error
+    with pytest.raises(BadChernData):
+        ChernData(1, {1: 5})
 
 
 def _file_key(part):

@@ -12,10 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
-from ellgenus import reduce
 from ellgenus.cyclo import Cyclo, euler_phi
-from ellgenus.modforms import ModFormBasis, weight_basis
+from ellgenus.modforms import ModFormBasis, sturm_bound, weight_basis
 from ellgenus.reduce import _plan, reduce_Uq, reduce_Wtilde
 from ellgenus.series import PQSeries, QSeries
 from oracles import eliminate, field_reduce_Uq, field_reduce_Wtilde, residual_of_one
@@ -74,10 +72,13 @@ def test_residuals_vanish_at_every_pivot(key, data):
     N, _, prec = key
     basis, plan = weight_basis(*key), _plan(*key)
     L = basis.field_level
-    assert sorted(plan.free + tuple(basis.pivots)) == list(range(prec))
-    assert not any(plan.one_res[p] for p in basis.pivots)
-    # r and gamma read off the integer matrix are the Cyclo elimination of 1
-    assert (plan.one_res, plan.gamma, plan.free) == residual_of_one(*key)
+    one_res, gamma, free = residual_of_one(*key)
+    assert sorted(free + tuple(basis.pivots)) == list(range(prec))
+    assert not any(one_res[p] for p in basis.pivots)
+    # r read off row 0 of the integer matrix is the Cyclo elimination of 1,
+    # whose basis coefficients are (1, 0, ..., 0)
+    assert plan.free == tuple((c, one_res[c]) for c in free)
+    assert gamma == (1,) + (0,) * (len(basis.pivots) - 1)
     rows = [list(e.coeffs) for e in basis.elements]
     for level in (N, L):
         s = draw_series(data, N, basis, level)
@@ -88,15 +89,13 @@ def test_residuals_vanish_at_every_pivot(key, data):
         assert [c.lift(L) for c in residual] == want
 
 
-def test_without_the_pivot_0_the_residual_of_1_is_1(monkeypatch):
-    # every certified basis has the pivot 0, so this rational echelon basis is made by hand
-    rows = ((0, 2, 0, 0, 1, 0, 3, 0), (0, 0, 0, 2, 5, 0, 0, 1))
-    basis = ModFormBasis(5, 2, 8, 20, [1, 3], {"sturm": 5}, rows, 2)
-    monkeypatch.setattr(reduce, "weight_basis", lambda *key: basis)
-    monkeypatch.setattr(oracles, "weight_basis", lambda *key: basis)
-    plan = _plan.__wrapped__(5, 2, 8)
-    assert plan.one_res == (1,) + (0,) * 7 and plan.gamma == (0, 0)
-    assert (plan.one_res, plan.gamma, plan.free) == residual_of_one.__wrapped__(5, 2, 8)
+@pytest.mark.parametrize("N", (4, 5, 6, 7, 8, 9, 10, 12))
+def test_every_default_basis_has_the_pivot_0_first(N):
+    # M_k(Gamma_1(N)) holds a form with a nonzero constant term: 1 at k = 0,
+    # E_2(q) - t E_2(q^t) at k = 2, else an Eisenstein series E_k^{1,phi};
+    # the reduction plan reads the residual of 1 off row 0 on that ground
+    for k in range(7):
+        assert weight_basis(N, k, sturm_bound(N, k)).pivots[0] == 0, k
 
 
 @pytest.mark.parametrize("integral", (True, False), ids=("exact", "fallback"))
@@ -112,10 +111,8 @@ def test_reduce_Uq_matches_the_field_oracle(key, integral, data):
     s = draw_series(data, N, basis, level)
     with pytest.MonkeyPatch.context() as patch:
         if not integral:
-            # the c* fallback is reached only on a basis that is not
-            # N-integral: the oracle asks the basis, the reduction its plan
+            # the c* fallback is reached only on a basis that is not N-integral
             patch.setattr(ModFormBasis, "is_integral", lambda self: False)
-            patch.setattr(reduce, "_plan", lambda *k: _plan(*k)._replace(integral=False))
         got = as_bytes(reduce_Uq(s, N, 2 * weight))
         assert got == as_bytes(field_reduce_Uq(s, N, 2 * weight))
         # the field that carries the input does not change the answer
