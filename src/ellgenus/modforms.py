@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedLevel,
 )
 from .linalg import _integer_echelon
-from .series import QSeries, _product
+from .series import QSeries, _product, bernoulli_number
 
 
 def _unit_order(a: int, M: int) -> int:
@@ -147,17 +147,6 @@ def all_characters(M: int, field_level: int) -> list[DirichletCharacter]:
 
 def primitive_characters(M: int, field_level: int) -> list[DirichletCharacter]:
     return [c for c in all_characters(M, field_level) if c.is_primitive()]
-
-
-@functools.lru_cache(maxsize=None)
-def bernoulli_number(n: int) -> Fraction:
-    """Bernoulli number B_n with B_1 = -1/2."""
-    if n == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for j in range(n):
-        acc += comb(n + 1, j) * bernoulli_number(j)
-    return -acc / (n + 1)
 
 
 def bernoulli_polynomial(k: int, x: Fraction) -> Fraction:
@@ -405,7 +394,8 @@ class ModFormBasis:
     def is_integral(self) -> bool:
         """True iff every coefficient lies in Z[1/N, zeta_N], N the level.
 
-        The entries are rational, so this asks for Z[1/N]; as gcd(den, every
+        Then the verdicts of ``reduce_Uq`` over this basis are complete.  The
+        entries are rational, so this asks for Z[1/N]; as gcd(den, every
         entry) = 1, they all lie there iff den is N-smooth.
         """
         return _split_denominator(self.den, self.level)[1] == 1

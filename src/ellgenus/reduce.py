@@ -22,22 +22,19 @@ The constant summand is then decided against the residual of the series
 representative modulo Z[1/N, zeta_N].  Only the recorded basis
 coefficients and constant are lifted to Q(zeta_L).
 
-A trivial verdict is a sound certificate of class triviality at the
-stated precision: it always comes with an explicit decomposition into a
-modular combination, a constant, and an N-integral remainder.  The
-constant-direction coefficient is not forced to the echelon pivot ratio
-(whose pivot need not be a unit in Z[1/N, zeta_N]); instead its exact
-solvability is decided, which makes the verdict complete whenever the
-modular basis itself is N-integral with unit pivots -- true for all
-supported levels.  A nontrivial verdict reports the cosets of the
-residual left after a fallback constant that cancels the earliest
-nonzero coefficient of the residual of 1; that constant, and so the
-``rep``, depend on the input series and not only on its class.
-
-The residual r of the series 1 is rational too, so that decision splits
-into one congruence system over Z[1/N] per coordinate of Q(zeta_N),
-solved by an integer CRT, and the constant it records depends only on
-the class of the input.
+The verdict is one exact decision: trivial exactly when some constant
+alpha leaves the residual coefficientwise in Z[1/N, zeta_N].  The
+residual r of the series 1 is rational too, so that decision splits into
+one congruence system over Z[1/N] per coordinate of Q(zeta_N), solved by
+an integer CRT.  A trivial verdict is sound on every basis: it comes with
+an explicit decomposition into a modular combination, a constant, and an
+N-integral remainder.  It is also complete when the basis is N-integral
+(``ModFormBasis.is_integral``), as every default basis at the supported
+levels is: an N-integral shift then moves the modular coefficients by
+N-integral amounts only.  A nontrivial verdict reports the cosets of the
+residual left by the c* constant, which cancels the earliest nonzero
+coefficient of r; that constant, and so the ``rep``, depend on the input
+series and not only on its class.
 
 Everything that does not depend on the input is built once per (N,
 weight, prec) into one cached plan (``_plan``): the basis, the free
@@ -81,8 +78,8 @@ class _Plan(NamedTuple):
     as Fractions.  ``null`` are the free columns where r vanishes and
     ``terms`` the others, as (c, 1/r_c, u_c, v_c) with u_c/v_c the
     prime-to-N part of r_c (see ``_constant_columns``); ``terms[0]`` is the
-    fallback column c*, the earliest nonzero coefficient of r.  The Sturm
-    bound, L, the digest and N-integrality are read off ``basis``.
+    column c* of a nontrivial report, the earliest nonzero coefficient of r.
+    The Sturm bound, L and the digest are read off ``basis``.
     """
 
     basis: ModFormBasis
@@ -213,11 +210,12 @@ class UqClass:
     coordinate of Q(zeta_N) the representative g * rho of the solution
     coset g Z[1/N], rho in [0, 1) with denominator prime to N (the rule of
     ``reduce_mod_NZ``).  It depends only on the set of valid alphas, so it
-    does not change when s moves by an N-integral series or by a modular
-    combination.  On a nontrivial verdict alpha cancels the earliest
-    nonzero coefficient of the residual of 1, so there alpha, the cosets
-    and ``rep`` depend on s itself, not only on its class.  The constant
-    and ``coefficients`` lie in the ambient field Q(zeta_L) of the basis.
+    does not change when s moves by a modular combination, nor, over an
+    N-integral basis, by an N-integral series.  On a nontrivial verdict alpha
+    is the c* constant, which cancels the earliest nonzero coefficient of
+    the residual of 1, so there alpha, the cosets and ``rep`` depend on s
+    itself, not only on its class.  The constant and ``coefficients`` lie
+    in the ambient field Q(zeta_L) of the basis.
     """
 
     __slots__ = (
@@ -286,13 +284,10 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
     K = N if N % s.level == 0 else L
     s_res, beta = plan.basis.eliminate([c.lift(K) for c in s.coeffs[:prec]])
 
-    # the exact constant-direction decision is complete only over an
-    # N-integral echelon basis (unit pivots)
-    integral = plan.basis.is_integral()
-    alpha = _solve_constant_direction(s_res, plan.null, plan.terms, N, K) if integral else None
+    alpha = _solve_constant_direction(s_res, plan.null, plan.terms, N, K)
     if alpha is None:
-        # canonical fallback: cancel the earliest nonzero constant-residual
-        # coefficient (the combined-echelon choice)
+        # no constant works: report the residual left by the c* constant,
+        # which cancels the earliest nonzero coefficient of r
         if plan.terms:
             c_star, inv_r = plan.terms[0][:2]
             alpha_used = s_res[c_star] * inv_r
@@ -310,8 +305,6 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
     trivial = alpha is not None
     if trivial:
         assert all(c is not None and c.is_zero() for c in cosets)
-    elif not integral and all(c is not None and c.is_zero() for c in cosets):
-        trivial = True
     rep = QSeries(N, prec, [Cyclo(N) if c is None else c.rep for c in cosets])
     # 1 has basis coefficients (1, 0, ...), so only coefficient 0 moves with alpha
     coeffs = [(beta[0] - alpha_used).lift(L)] + [b.lift(L) for b in beta[1:]]

@@ -17,14 +17,16 @@ Two kernels carry the arithmetic.  ``_product`` is the truncated Cauchy
 product of every carrier and of the integer basis rows of ``modforms``.
 ``_recurrence`` is out[n] = step(n, acc_n), acc_n = sum_{k=1..n} a_k out_{n-k}:
 inverse, exp and log are all this recurrence (Brent and Kung, J. ACM 1978).
-The steps: ``inv`` -c_0^{-1} acc; ``todd_coefficients`` -acc; ``XQSeries.exp``
-acc/n on a_n = n A_n; ``XQSeries.log`` n F_n - acc on a = F, giving n A_n.
+The steps: ``inv`` -c_0^{-1} acc; ``XQSeries.exp`` acc/n on a_n = n A_n;
+``XQSeries.log`` n F_n - acc on a = F, giving n A_n.
 """
 
 from __future__ import annotations
 
+import functools
 import types
 from fractions import Fraction
+from math import comb, factorial
 
 from .cyclo import Cyclo
 from .errors import (
@@ -406,21 +408,22 @@ class XQSeries(_Series):
         )
 
 
-def todd_coefficients(prec_x: int) -> list[Fraction]:
-    """Coefficients of x/(1 - e^{-x}) up to x^(prec_x - 1).
+@functools.lru_cache(maxsize=None)
+def bernoulli_number(n: int) -> Fraction:
+    """Bernoulli number B_n with B_1 = -1/2."""
+    if n == 0:
+        return Fraction(1)
+    acc = Fraction(0)
+    for j in range(n):
+        acc += comb(n + 1, j) * bernoulli_number(j)
+    return -acc / (n + 1)
 
-    Computed by inverting (1 - e^{-x})/x, whose x^k coefficient is
-    (-1)^k / (k+1)!.  Equivalent to the Bernoulli-number expansion with
-    the B_1 = +1/2 sign.
-    """
+
+def todd_coefficients(prec_x: int) -> list[Fraction]:
+    """Coefficients of x/(1 - e^{-x}) = sum_k (-1)^k B_k x^k / k! up to x^(prec_x - 1)."""
     if prec_x < 1:
         raise ValueError("prec_x must be >= 1")
-    fact = [Fraction(1)]
-    for k in range(1, prec_x + 1):
-        fact.append(fact[-1] * k)
-    g = [Fraction((-1) ** k, 1) / fact[k + 1] for k in range(prec_x)]
-    # series inverse of g (g[0] = 1)
-    return _recurrence(g, Fraction(1), lambda n, acc: -acc, Fraction(0))
+    return [(-1) ** k * bernoulli_number(k) / factorial(k) for k in range(prec_x)]
 
 
 def todd_series(level: int, prec_x: int, prec_q: int) -> XQSeries:

@@ -1,9 +1,14 @@
 """Reference implementations kept only to check production code against."""
 
+import contextlib
 import functools
 import math
+import sys
 from fractions import Fraction
 
+import pytest
+
+from ellgenus import reduce
 from ellgenus.cyclo import (
     Cyclo,
     NZCoset,
@@ -193,6 +198,45 @@ def field_basis(N: int, k: int, prec: int) -> ModFormBasis:
     # the elements view, built from rows/den, is the field-built echelon form
     assert [list(e.coeffs) for e in basis.elements] == reduced
     return basis
+
+
+def basis_with_denominators(at_q6=Fraction(-5, 3), at_q7=Fraction(2, 7)):
+    """A rational basis whose integer rows need a common denominator (21 by default).
+
+    Every default basis at the supported levels has integer entries (D = 1),
+    so this one perturbs the (5, 2, 8) basis by rational multiples of q^6 and
+    q^7; the pool is not M_2, but its echelon form is rational of full rank.
+    """
+    basis = weight_basis(5, 2, 8)
+    L = basis.field_level
+    pool = list(basis.elements)
+    pool[0] = pool[0] + QSeries(L, 8, [0] * 7 + [at_q7])
+    pool[2] = pool[2] + QSeries(L, 8, [0] * 6 + [at_q6])
+    return weight_basis(5, 2, 8, candidates=pool)
+
+
+@contextlib.contextmanager
+def reducing_over(basis):
+    """Let ``reduce_Uq`` and ``field_reduce_Uq`` read basis as weight_basis(5, 2, 8).
+
+    The cached plan and residual of 1 are dropped on entry and on exit, so
+    no reduction outside the block sees the substitute basis.
+    """
+    real = weight_basis
+
+    def substitute(*key):
+        return basis if key == (5, 2, 8) else real(*key)
+
+    reduce._plan.cache_clear()
+    residual_of_one.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reduce, "weight_basis", substitute)
+            patch.setattr(sys.modules[__name__], "weight_basis", substitute)
+            yield
+    finally:
+        reduce._plan.cache_clear()
+        residual_of_one.cache_clear()
 
 
 def rational_rref(candidates, N: int, k: int, dim: int):
@@ -398,22 +442,18 @@ def field_reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) ->
     s_res, beta = basis.eliminate([c.lift(L) for c in s.coeffs[:prec]])
 
     one_res, gamma, free_cols = residual_of_one(N, weight, prec)
-    # the exact constant-direction decision is complete only over an
-    # N-integral echelon basis (unit pivots); check that precondition
-    integral_basis = basis.is_integral()
-    alpha = None
-    if integral_basis:
-        alpha = field_solve_constant_direction(
-            [s_res[c] for c in free_cols], [one_res[c] for c in free_cols], N, L
-        )
+    # the exact constant-direction decision is the verdict on every basis:
+    # sound always, and complete over an N-integral basis
+    alpha = field_solve_constant_direction(
+        [s_res[c] for c in free_cols], [one_res[c] for c in free_cols], N, L
+    )
     if alpha is None:
-        # canonical fallback: cancel the earliest nonzero constant-residual
-        # coefficient (the combined-echelon choice)
+        # nontrivial: report the residual left by the constant that cancels
+        # the earliest nonzero constant-residual coefficient c*
         c_star = next((c for c in range(prec) if one_res[c]), None)
         alpha_used = s_res[c_star] * (1 / one_res[c_star]) if c_star is not None \
             else Cyclo(L)
     else:
-        c_star = None
         alpha_used = alpha
     residual = [a - alpha_used * b for a, b in zip(s_res, one_res)]
     cosets: list[NZCoset | None] = []
@@ -430,8 +470,6 @@ def field_reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) ->
         reps.append(coset.rep)
     if trivial:
         assert all(c is not None and c.is_zero() for c in cosets)
-    elif not integral_basis and all(c is not None and c.is_zero() for c in cosets):
-        trivial = True
     rep = QSeries(N, prec, reps)
     coeffs = [b - alpha_used * g for b, g in zip(beta, gamma)]
     modular_part = {

@@ -40,6 +40,7 @@ from ellgenus.modforms import (
 from ellgenus.series import QSeries
 from oracles import (
     all_characters_by_generators,
+    basis_with_denominators,
     eisenstein_by_scan,
     eliminate,
     field_basis,
@@ -322,21 +323,6 @@ def test_integer_rows_reproduce_the_elements():
         ]
 
 
-def _basis_with_denominators(at_q6=Fraction(-5, 3), at_q7=Fraction(2, 7)):
-    """A rational basis whose integer rows need a common denominator (21 by default).
-
-    Every default basis at the supported levels has integer entries (D = 1),
-    so this one perturbs the (5, 2, 8) basis by rational multiples of q^6 and
-    q^7; the pool is not M_2, but its echelon form is rational of full rank.
-    """
-    basis = weight_basis(5, 2, 8)
-    L = basis.field_level
-    pool = list(basis.elements)
-    pool[0] = pool[0] + QSeries(L, 8, [0] * 7 + [at_q7])
-    pool[2] = pool[2] + QSeries(L, 8, [0] * 6 + [at_q6])
-    return weight_basis(5, 2, 8, candidates=pool)
-
-
 # (N, weight, prec): the ambient field is Q(zeta_20), Q(zeta_42), Q(zeta_18)
 # and, at N = 12, Q(zeta_N) itself; "denominators" is the D = 21 basis
 ELIMINATION_BASES = {
@@ -344,7 +330,7 @@ ELIMINATION_BASES = {
     "7-3-13": lambda: weight_basis(7, 3, 13),
     "9-2-13": lambda: weight_basis(9, 2, 13),
     "12-2-17": lambda: weight_basis(12, 2, 17),
-    "denominators": _basis_with_denominators,
+    "denominators": basis_with_denominators,
 }
 numerators = st.one_of(
     st.just(0), st.integers(-9, 9), st.integers(-10**30, 10**30)
@@ -372,9 +358,9 @@ def cyclo_vectors(draw, N, L, prec):
 
 def test_integrality_reads_the_common_denominator():
     assert weight_basis(5, 2, 8).den == 1 and weight_basis(5, 2, 8).is_integral()
-    basis = _basis_with_denominators()
+    basis = basis_with_denominators()
     assert basis.den == 21 and not basis.is_integral()
-    basis = _basis_with_denominators(Fraction(1, 25), Fraction(-3, 5))
+    basis = basis_with_denominators(Fraction(1, 25), Fraction(-3, 5))
     assert basis.den == 25 and basis.is_integral()
 
 

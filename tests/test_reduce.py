@@ -1,5 +1,6 @@
 """Quotient reductions: canonical representatives and triviality."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 from ellgenus.cyclo import Cyclo, descend, euler_phi, in_NZ, reduce_mod_NZ
 from ellgenus.errors import LevelMismatch, PrecisionInsufficient
 from ellgenus.genus import cp_chern, genus, genus_bivariate, split_product
-from ellgenus.modforms import ModFormBasis, weight_basis
+from ellgenus.modforms import weight_basis
 from ellgenus.reduce import reduce_Uq, reduce_Wtilde
 from ellgenus.series import PQSeries, QSeries, project_q0
+from oracles import basis_with_denominators, reducing_over
 
 
 def const_series(level, prec, value):
@@ -124,9 +126,9 @@ def test_report_carries_certificate_and_sturm():
     assert doc["modular_part"]["constant"] is not None
 
 
-def assert_decomposition_is_exact(s, cls, N, weight):
+def assert_decomposition_is_exact(s, cls, basis):
     """s = sum(coefficients * basis) + constant + residual, with residual's cosets."""
-    basis = weight_basis(N, weight, cls.prec)
+    N = cls.level
     L = basis.field_level
     rebuilt = QSeries.zero(L, cls.prec)
     for c, elem in zip(cls.modular_part["coefficients"], basis.elements):
@@ -149,7 +151,7 @@ def test_recorded_decomposition_is_exact():
         assert cls.trivial
         # trivial verdict: what remains is N-integral coefficientwise
         assert all(c is not None and c.is_zero() for c in cls.cosets)
-        assert_decomposition_is_exact(s, cls, N, 3)
+        assert_decomposition_is_exact(s, cls, weight_basis(N, 3, prec))
 
 
 @pytest.mark.parametrize("N, prec", ((5, 7), (7, 13)))
@@ -180,21 +182,50 @@ def test_recorded_constant_is_canonical(N, prec, data):
         assert cls.modular_part["constant"] == want
 
 
-def test_fallback_without_an_integral_basis(monkeypatch):
-    # every supported basis is N-integral, so the echelon fallback is
-    # reached only by pretending otherwise
-    monkeypatch.setattr(ModFormBasis, "is_integral", lambda self: False)
+def test_the_exact_solve_decides_over_a_basis_that_is_not_N_integral():
+    # the den-21 basis has free columns 3..7 with r = -60, 120, -240, 300 and
+    # -2102/7; a constant clears 1/3 at column 7 (7/3 * r_7 = -2102/3), but
+    # r_3 .. r_6 each hold 3 once, so alpha * r_c = 1/3 mod Z[1/5] at one of
+    # them puts 9 in the denominator of alpha and leaves a 1/3 at the others
+    basis = basis_with_denominators()
+    assert basis.den == 21 and not basis.is_integral()
+    L = basis.field_level
     probes = [
-        (const_series(5, 7, Fraction(7, 3)), True),
-        (single_coeff(5, 7, 1, Fraction(1, 7)), False),
-        (genus(cp_chern(2), 5, 7), None),
-    ]
-    for s, expected in probes:
-        cls = reduce_Uq(s, 5, 6)
-        assert cls.trivial == all(c is not None and c.is_zero() for c in cls.cosets)
-        if expected is not None:
-            assert cls.trivial == expected
-        assert_decomposition_is_exact(s, cls, 5, 3)
+        (single_coeff(5, 8, 3, 1), Fraction(0)),
+        (const_series(5, 8, Fraction(2, 3)) + single_coeff(5, 8, 3, 1), Fraction(2, 3)),
+        (single_coeff(5, 8, 7, Fraction(1, 3)), Fraction(7, 3)),
+    ] + [(single_coeff(5, 8, c, Fraction(1, 3)), None) for c in (3, 4, 5, 6)]
+    with reducing_over(basis):
+        for s, constant in probes:
+            cls = reduce_Uq(s, 5, 4)
+            assert cls.trivial == (constant is not None)
+            if constant is not None:
+                assert cls.modular_part["constant"] == Cyclo.from_rational(L, constant)
+            assert_decomposition_is_exact(s, cls, basis)
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_a_constant_plus_an_N_integral_series_on_the_free_columns_is_trivial(data):
+    # on the free columns of the den-21 basis an N-integral series needs no
+    # basis element, so only the constant has to be found
+    basis = basis_with_denominators()
+    level = data.draw(st.sampled_from((1, 5, 20)))
+    numerators = st.integers(-10**6, 10**6)
+
+    def element(level, dens):
+        coords = [Fraction(data.draw(numerators), data.draw(st.sampled_from(dens)))
+                  for _ in range(euler_phi(level))]
+        return Cyclo(level, coords)
+
+    coeffs = [element(level, (1, 2, 3, 7, 21, 10**6 + 3))] + [Cyclo(level)] * 7
+    for c in range(3, 8):
+        coeffs[c] = element(math.gcd(level, 5), (1, 5, 5**4)).lift(level)
+    s = QSeries(level, 8, coeffs)
+    with reducing_over(basis):
+        cls = reduce_Uq(s, 5, 4)
+    assert cls.trivial
+    assert_decomposition_is_exact(s, cls, basis)
 
 
 def test_closed_product_degree4_vanishes_in_two_variables():

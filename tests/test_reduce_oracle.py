@@ -13,10 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellgenus.cyclo import Cyclo, euler_phi
-from ellgenus.modforms import ModFormBasis, sturm_bound, weight_basis
+from ellgenus.modforms import sturm_bound, weight_basis
 from ellgenus.reduce import _plan, reduce_Uq, reduce_Wtilde
 from ellgenus.series import PQSeries, QSeries
-from oracles import eliminate, field_reduce_Uq, field_reduce_Wtilde, residual_of_one
+from oracles import (
+    basis_with_denominators,
+    eliminate,
+    field_reduce_Uq,
+    field_reduce_Wtilde,
+    reducing_over,
+    residual_of_one,
+)
 
 # (N, weight, prec); the ambient level L is 20, 42 and, at N = 12, N itself
 BASES = ((5, 3, 7), (7, 3, 13), (12, 2, 17))
@@ -94,29 +101,39 @@ def test_every_default_basis_has_the_pivot_0_first(N):
     # M_k(Gamma_1(N)) holds a form with a nonzero constant term: 1 at k = 0,
     # E_2(q) - t E_2(q^t) at k = 2, else an Eisenstein series E_k^{1,phi};
     # the reduction plan reads the residual of 1 off row 0 on that ground
+    # the default bases are N-integral too, so every verdict over them is complete
     for k in range(7):
-        assert weight_basis(N, k, sturm_bound(N, k)).pivots[0] == 0, k
+        basis = weight_basis(N, k, sturm_bound(N, k))
+        assert basis.pivots[0] == 0 and basis.is_integral(), k
 
 
-@pytest.mark.parametrize("integral", (True, False), ids=("exact", "fallback"))
+def assert_matches_the_oracle(s, N, degree, L):
+    got = as_bytes(reduce_Uq(s, N, degree))
+    assert got == as_bytes(field_reduce_Uq(s, N, degree))
+    # the field that carries the input does not change the answer
+    assert as_bytes(reduce_Uq(s.lift(L), N, degree)) == got
+
+
 @pytest.mark.parametrize("key", BASES, ids=lambda b: "-".join(map(str, b)))
 @settings(max_examples=15)
 @given(data=st.data())
-def test_reduce_Uq_matches_the_field_oracle(key, integral, data):
+def test_reduce_Uq_matches_the_field_oracle(key, data):
     N, weight, prec = key
     basis = weight_basis(*key)
     L = basis.field_level
     # every divisor of L: N, its proper divisors, L, and levels between
     level = data.draw(st.sampled_from(divisors(L)))
-    s = draw_series(data, N, basis, level)
-    with pytest.MonkeyPatch.context() as patch:
-        if not integral:
-            # the c* fallback is reached only on a basis that is not N-integral
-            patch.setattr(ModFormBasis, "is_integral", lambda self: False)
-        got = as_bytes(reduce_Uq(s, N, 2 * weight))
-        assert got == as_bytes(field_reduce_Uq(s, N, 2 * weight))
-        # the field that carries the input does not change the answer
-        assert as_bytes(reduce_Uq(s.lift(L), N, 2 * weight)) == got
+    assert_matches_the_oracle(draw_series(data, N, basis, level), N, 2 * weight, L)
+
+
+@settings(max_examples=15)
+@given(data=st.data())
+def test_reduce_Uq_matches_the_field_oracle_over_a_basis_that_is_not_N_integral(data):
+    basis = basis_with_denominators()
+    L = basis.field_level
+    s = draw_series(data, 5, basis, data.draw(st.sampled_from(divisors(L))))
+    with reducing_over(basis):
+        assert_matches_the_oracle(s, 5, 4, L)
 
 
 @pytest.mark.parametrize("key", BASES, ids=lambda b: "-".join(map(str, b)))
