@@ -330,7 +330,10 @@ class Cyclo:
         )
 
     def __hash__(self):
-        return hash((self.level, self.num, self.den))
+        # an element with no zeta part equals its rational value, so it hashes as that
+        if any(self.num[1:]):
+            return hash((self.level, self.num, self.den))
+        return hash(Fraction(self.num[0], self.den))
 
     def rational_part(self) -> Fraction:
         return Fraction(self.num[0], self.den)

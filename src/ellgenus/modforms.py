@@ -16,7 +16,7 @@ Bases are certified against the standard dimension formulas for the
 torsion-free groups Gamma_1(N), N >= 4.  Every basis is an integer
 echelon over Q (``linalg._integer_echelon``) of integer rows: the power-
 basis coordinate slices of the candidates, and for the default pool the
-integer products of lower-weight bases.
+integer products of the weight-1 basis with the weight-(k-1) basis.
 """
 
 from __future__ import annotations
@@ -455,12 +455,13 @@ def _weight_basis_cached(N: int, k: int, prec: int) -> ModFormBasis:
 def weight_basis(N: int, k: int, prec: int, candidates=None) -> ModFormBasis:
     """Certified basis of M_k(Gamma_1(N)) to q-precision prec.
 
-    Candidates default to all admissible Eisenstein series plus products
-    of lower-weight basis elements.  An explicit candidate list overrides
-    the pool: each candidate needs a level dividing L and at least prec
-    coefficients (it is read to prec), the pool's rank over Q(zeta_L) is
-    certified against the dimension, and a pool whose echelon form is
-    not rational is refused.  Either pool is reduced over Q in integers.
+    Candidates default to all admissible Eisenstein series plus the
+    products of the weight-1 and weight-(k-1) basis elements.  An
+    explicit candidate list overrides the pool: each candidate needs a
+    level dividing L and at least prec coefficients (it is read to
+    prec), the pool's rank over Q(zeta_L) is certified against the
+    dimension, and a pool whose echelon form is not rational is refused.
+    Either pool is reduced over Q in integers.
     """
     sb = sturm_bound(N, k)
     if prec < sb:
@@ -488,19 +489,24 @@ def _default_rows(N: int, k: int, prec: int) -> list[list[int]]:
     Each Eisenstein series gives its nonzero power-basis coordinate
     slices, each over the series' common denominator: the pool is
     Galois-stable, so the slices span over Q the rational points of its
-    span over Q(zeta_L).  Each product of two lower-weight basis elements
-    is the convolution of their integer rows, truncated at prec.
+    span over Q(zeta_L).  The other candidates are the products of the
+    weight-1 basis with the weight-(k-1) basis, each the convolution of
+    two integer rows truncated at prec.  At every supported N >= 5,
+    X_1(N) = P^1 with every cusp regular, so M_k = H^0(O(kd)) with
+    d = dim M_1 - 1, and these products alone span it, since
+    H^0(O(d)) x H^0(O((k-1)d)) -> H^0(O(kd)) is onto.  At N = 4 the
+    Eisenstein slices cover the rest (checked up to k = 12).  The rank
+    is certified against the dimension either way.
     """
     if k == 0:
         return [[1] + [0] * (prec - 1)]
     out = []
     for f in eisenstein_candidates(N, k, prec):
         out.extend(_slices(f.coeffs))
-    for k1 in range(1, k // 2 + 1):
-        b2 = _weight_basis_cached(N, k - k1, prec)
-        for f in _weight_basis_cached(N, k1, prec).rows:
-            for g in b2.rows:
-                out.append(_product(f, g, 0))
+    if k > 1:
+        b2 = _weight_basis_cached(N, k - 1, prec)
+        for f in _weight_basis_cached(N, 1, prec).rows:
+            out.extend(_product(f, g, 0) for g in b2.rows)
     return out
 
 

@@ -24,26 +24,28 @@ coefficients and constant are lifted to Q(zeta_L).
 
 The verdict is one exact decision: trivial exactly when some constant
 alpha leaves the residual coefficientwise in Z[1/N, zeta_N].  The
-residual r of the series 1 is rational too, so that decision splits into
-one congruence system over Z[1/N] per coordinate of Q(zeta_N), solved by
-an integer CRT.  A trivial verdict is sound on every basis: it comes with
-an explicit decomposition into a modular combination, a constant, and an
-N-integral remainder.  It is also complete when the basis is N-integral
+residual r of the series 1 is rational too.  The c* constant alpha*,
+which cancels the earliest nonzero coefficient r_c* of r, leaves a
+residual y, and every valid constant is alpha* - t/r_c* with t in
+Z[1/N, zeta_N]; so the decision is one congruence in one unknown per
+coordinate of Q(zeta_N), read off the cosets of y (``_classify``).  A
+trivial verdict is sound on every basis: it comes with an explicit
+decomposition into a modular combination, a constant, and an N-integral
+remainder.  It is also complete when the basis is N-integral
 (``ModFormBasis.is_integral``), as every default basis at the supported
 levels is: an N-integral shift then moves the modular coefficients by
-N-integral amounts only.  A nontrivial verdict reports the cosets of the
-residual left by the c* constant, which cancels the earliest nonzero
-coefficient of r; that constant, and so the ``rep``, depend on the input
-series and not only on its class.
+N-integral amounts only.  A nontrivial verdict reports the cosets of y;
+alpha*, and so the ``rep``, depend on the input series and not only on
+its class.
 
 Everything that does not depend on the input is built once per (N,
 weight, prec) into one cached plan (``_plan``): the basis, the free
 columns with r read off row 0 of its integer matrix (the pivot 0 comes
-first, so only basis coefficient 0 moves with the constant), and per
-free column with r_c != 0 the values 1/r_c and the prime-to-N parts of
-r_c that the congruences read.  Every residual is zero at the pivots of
-the echelon basis, so the residual, its descent and its coset are formed
-only at the free columns; each pivot gets the zero coset.
+first, so only basis coefficient 0 moves with the constant), and the
+ratios r_c/r_c* modulo Z[1/N] with the Bezout weights that solve the
+congruences (``_constant_lattice``).  Every residual is zero at the
+pivots of the echelon basis, so y, its descent and its coset are formed
+once, only at the free columns; each pivot gets the zero coset.
 """
 
 from __future__ import annotations
@@ -61,8 +63,6 @@ from .cyclo import (
     _split_denominator,
     _zero_coset,
     descend,
-    euler_phi,
-    in_NZ,
     reduce_mod_NZ,
 )
 from .errors import LevelMismatch, PrecisionInsufficient
@@ -75,17 +75,20 @@ class _Plan(NamedTuple):
 
     ``free`` holds (c, r_c) for each q-exponent c off the pivots, the only
     places a residual can be nonzero, with r the residual of the series 1
-    as Fractions.  ``null`` are the free columns where r vanishes and
-    ``terms`` the others, as (c, 1/r_c, u_c, v_c) with u_c/v_c the
-    prime-to-N part of r_c (see ``_constant_columns``); ``terms[0]`` is the
-    column c* of a nontrivial report, the earliest nonzero coefficient of r.
-    The Sturm bound, L and the digest are read off ``basis``.
+    as Fractions.  The other fields are ``_constant_lattice(free, N)``:
+    ``star`` is (c*, 1/r_c*) for c* the earliest column with r_c != 0, or
+    None when r vanishes; ``m`` is the order of the ratios r_c/r_c* modulo
+    Z[1/N], ``weights`` holds (h_c, lambda_c) per free column and ``g`` is
+    the generator of (m/r_c*) Z[1/N] with numerator and denominator prime
+    to N.  The Sturm bound, L and the digest are read off ``basis``.
     """
 
     basis: ModFormBasis
     free: tuple[tuple[int, Fraction], ...]
-    null: tuple[int, ...]
-    terms: tuple[tuple[int, Fraction, int, int], ...]
+    star: tuple[int, Fraction] | None
+    m: int
+    weights: tuple[tuple[int, int], ...]
+    g: Fraction | None
 
 
 @functools.lru_cache(maxsize=None)
@@ -99,100 +102,95 @@ def _plan(N: int, weight: int, prec: int) -> _Plan:
     # r is rational, as the reduced echelon form is Galois-fixed (Shimura 1971,
     # Thm 3.52; ``_build_basis`` certifies it)
     assert pivots[0] == 0
-    r = {c: Fraction(-x, D) for c, x in enumerate(basis.rows[0]) if c not in pivots}
-    return _Plan(basis, tuple(r.items()), *_constant_columns(r, r, N))
+    free = tuple((c, Fraction(-x, D)) for c, x in enumerate(basis.rows[0]) if c not in pivots)
+    return _Plan(basis, free, *_constant_lattice(free, N))
 
 
-def _constant_columns(r, cols, N: int) -> tuple[tuple, tuple]:
-    """(null, terms) of the rational residual r of 1 over the columns cols.
+def _constant_lattice(free, N: int) -> tuple:
+    """(star, m, weights, g) of the rational residual r of 1, given as (c, r_c) pairs.
 
-    ``null`` are the columns with r_c = 0; ``terms`` are (c, 1/r_c, u_c, v_c)
-    for the others, with u_c and v_c the prime-to-N parts of the numerator
-    and denominator of r_c, in column order.
+    With c* the earliest column where r_c != 0, each ratio r_c/r_c* is
+    h_c/m modulo Z[1/N], for m the lcm of the prime-to-N parts of their
+    denominators and h_c in [0, m).  The ratios generate the subgroup of
+    order m of Q/Z[1/N], so gcd(m, h_c over all c) = 1 and there are
+    weights lambda_c with sum(lambda_c * h_c) = 1 mod m.  They are built
+    column by column: with G the gcd of m and the h_c taken so far and
+    sum(lambda_c * h_c) = G mod m, the next h_c gives G' = gcd(G, h_c) =
+    b * h_c - k * G, so the weights so far are scaled by -k and b is
+    appended.  ``star`` is (c*, 1/r_c*) and g is
+    the positive generator of (m/r_c*) Z[1/N] with numerator and
+    denominator prime to N.  When r vanishes there is no c*: star and g
+    are None, m is 1 and every weight is (0, 0).
     """
-    # r is rational (see ``_plan``); the coordinatewise split of
-    # ``_solve_constant_direction`` needs it
-    assert all(isinstance(r[c], Fraction) for c in cols)
-    null = tuple(c for c in cols if not r[c])
-    terms = tuple(
-        (c, 1 / r[c],
-         _split_denominator(abs(r[c].numerator), N)[1],
-         _split_denominator(r[c].denominator, N)[1])
-        for c in cols if r[c]
-    )
-    return null, terms
+    star = next(((c, 1 / r) for c, r in free if r), None)
+    if star is None:
+        return None, 1, ((0, 0),) * len(free), None
+    ratios = [r * star[1] for _, r in free]
+    split = [_split_denominator(x.denominator, N) for x in ratios]
+    m = math.lcm(*(d for _, d in split))
+    h = [x.numerator * pow(dN, -1, d) % d * (m // d) for x, (dN, d) in zip(ratios, split)]
+    G, lam = m, []
+    for hc in h:
+        G1 = math.gcd(G, hc)
+        b = pow(hc // G1, -1, G // G1)
+        k = (b * hc - G1) // G
+        lam = [-k * x % m for x in lam] + [b]
+        G = G1
+    assert G == 1
+    g = m * star[1]
+    g = Fraction(_split_denominator(abs(g.numerator), N)[1],
+                 _split_denominator(g.denominator, N)[1])
+    return star, m, tuple(zip(h, lam)), g
 
 
-def _solve_constant_direction(s_res, null, terms, N: int, K: int) -> Cyclo | None:
-    """Find alpha in Q(zeta_K) with s - alpha*r coefficientwise in Z[1/N, zeta_N].
+def _classify(s_res, plan: _Plan, N: int, K: int) -> tuple[Cyclo, list, bool]:
+    """(alpha, cosets, trivial) for the residual s_res in Q(zeta_K), N | K.
 
-    s_res maps each column to its value in Q(zeta_K), N | K; ``null`` and
-    ``terms`` describe r at those columns (``_constant_columns``).  Returns
-    None when no such alpha exists.  This is an exact decision, and the
-    alpha returned depends only on the set of valid alphas.
+    ``cosets`` holds, per free column of ``plan``, the coset modulo
+    Z[1/N, zeta_N] of s_res[c] - alpha * r_c, or None when that value does
+    not lie in Q(zeta_N).  The class is trivial when some constant leaves
+    every such value in Z[1/N, zeta_N]; alpha is then the canonical such
+    constant and every coset is zero.  Otherwise alpha is the c* constant
+    alpha* = s_res[c*]/r_c*, which cancels the earliest nonzero r_c.
 
-    r is rational, so the conditions act coordinatewise.  A column with
-    r_c = 0 needs s_c in Z[1/N, zeta_N].  On the others, with x_c = s_c/r_c,
-    r_c * (x_c - alpha) in Z[1/N, zeta_N] needs x_c - alpha in Q(zeta_N),
-    so every x_c - x_c0 must lie in Q(zeta_N): x_c and x_c0 have the same
-    coordinates off Q(zeta_N) (``cyclo._split``, none at K = N),
-    compared in integers.  Then the valid alphas are x_c0 - pi(x_c0) +
-    theta, for pi the Q(zeta_N) part (also ``cyclo._split``) and theta
-    in Q(zeta_N) with r_c * (pi(x_c) - theta) in Z[1/N, zeta_N] for every
-    c: one congruence system over Z[1/N] per power-basis coordinate, see
-    ``_congruence_solution``.
+    Every constant beta that works is alpha* - t/r_c* with t = s_c* -
+    beta r_c* in Z[1/N, zeta_N], and it leaves y_c + t * r_c/r_c* at c, with
+    y_c = s_res[c] - alpha* r_c.  So the class is trivial iff every y_c
+    lies in Q(zeta_N) and, in each power-basis coordinate i, with y_ci =
+    a_ci/m modulo Z[1/N] (so the coset denominator of y_c divides m),
+    one t_i in Z / m solves t_i * h_c = -a_ci mod m for every c.  The
+    weights give the only candidate, t_i = -sum(lambda_c * a_ci) mod m,
+    which is then checked at every column.  The constants that work are
+    then alpha* - t/r_c* + g Z[1/N, zeta_N]; they share the part off
+    Q(zeta_N) (``cyclo._split``) and alpha moves their Q(zeta_N) part
+    theta to g * R(theta/g), with R the representative of
+    ``reduce_mod_NZ``, which depends only on the set of valid constants.
     """
-    for c in null:
-        part, off = _split(s_res[c], N)
-        if any(off) or not in_NZ(part):
-            return None
-    if not terms:
-        return Cyclo(K)
-    x_cols = [s_res[c] * inv_r for c, inv_r, _, _ in terms]
-    parts, offs = zip(*(_split(x, N) for x in x_cols))
-    # the coordinates of x off Q(zeta_N) are off / x.den, up to a shared scale
-    x0 = x_cols[0]
-    for x, off in zip(x_cols[1:], offs[1:]):
-        if any(a * x0.den != b * x.den for a, b in zip(off, offs[0])):
-            return None
-    theta = _congruence_solution(parts, terms, N)
-    if theta is None:
-        return None
-    return x0 - parts[0].lift(K) + theta.lift(K)
-
-
-def _congruence_solution(parts: list[Cyclo], terms, N: int) -> Cyclo | None:
-    """The canonical theta with r_c * (parts[c] - theta) in Z[1/N, zeta_N] for all c.
-
-    ``terms`` holds (c, 1/r_c, u_c, v_c) for each part, u_c/v_c the
-    prime-to-N part of r_c.  Returns None when there is no theta.
-    Coordinate i asks for theta_i = parts[c]_i modulo (v_c/u_c) Z[1/N].
-    For S = lcm(u_c * e_c), e_c the prime-to-N part of the
-    denominator of parts[c], T = S * theta_i must solve the integer system
-    T = S * parts[c]_i mod n_c, n_c = S * v_c / u_c, because n_c is prime
-    to N and so Z[1/N] / n_c Z[1/N] = Z / n_c.  The solutions are
-    beta + n Z[1/N], n = lcm(n_c), and theta_i = (beta mod n) / S is g * rho
-    for g = n / S, the generator of the solution coset g Z[1/N] with
-    numerator and denominator prime to N, and rho = (beta mod n) / n in
-    [0, 1) with denominator prime to N: the rule of ``reduce_mod_NZ``.
-    """
-    split = [_split_denominator(p.den, N) for p in parts]
-    S = math.lcm(*(e * u for (_, e), (_, _, u, _) in zip(split, terms)))
-    n, beta = 1, [0] * euler_phi(N)
-    for p, (dN, e), (_, _, u, v) in zip(parts, split, terms):
-        n_c = S // u * v
-        # S * p.num[i] / p.den = p.num[i] * unit modulo n_c
-        unit = S // e * pow(dN, -1, n_c)
-        h = math.gcd(n, n_c)
-        step = n * pow(n // h, -1, n_c // h)
-        for i, a in enumerate(p.num):
-            diff = a * unit - beta[i]
-            if diff % h:
-                return None
-            beta[i] += step * (diff // h)
-        n = n // h * n_c
-        beta = [b % n for b in beta]
-    return _reduced(N, tuple(beta), S)
+    star, m, weights = plan.star, plan.m, plan.weights
+    alpha = Cyclo(K) if star is None else s_res[star[0]] * star[1]
+    cosets = []
+    for c, r in plan.free:
+        value = s_res[c] - alpha * r
+        down = value if K == N else descend(value, N)
+        cosets.append(None if down is None else reduce_mod_NZ(down))
+    if not all(x is not None and m % x.rep.den == 0 for x in cosets):
+        return alpha, cosets, False
+    a = [[x * (m // coset.rep.den) for x in coset.rep.num] for coset in cosets]
+    t = [-sum(lam * x for (_, lam), x in zip(weights, column)) % m for column in zip(*a)]
+    if any((x + ti * h) % m for (h, _), a_c in zip(weights, a) for x, ti in zip(a_c, t)):
+        return alpha, cosets, False
+    cosets = [_zero_coset(N)] * len(cosets)
+    if star is None:
+        return alpha, cosets, True
+    # theta = part - t * u/v (u/v = 1/r_c*) and g * R(theta/g), g = p/q, in
+    # integers per coordinate
+    part = _split(alpha, N)[0]
+    (u, v), (p, q) = star[1].as_integer_ratio(), plan.g.as_integer_ratio()
+    dN, d = _split_denominator(part.den * v * p, N)
+    unit = q * pow(dN, -1, d)
+    rep = [(x * v - ti * u * part.den) * unit % d * p for x, ti in zip(part.num, t)]
+    canonical = _reduced(N, tuple(rep), d * q)
+    return canonical if K == N else alpha + (canonical - part).lift(K), cosets, True
 
 
 class UqClass:
@@ -205,16 +203,17 @@ class UqClass:
 
     ``modular_part["constant"]`` is the constant alpha of the recorded
     decomposition.  On a trivial verdict the valid alphas form one coset
-    of a Z[1/N]-module, and alpha is its canonical element: the
-    Q(zeta_N)-complement part shared by every valid alpha, plus in each
-    coordinate of Q(zeta_N) the representative g * rho of the solution
-    coset g Z[1/N], rho in [0, 1) with denominator prime to N (the rule of
-    ``reduce_mod_NZ``).  It depends only on the set of valid alphas, so it
-    does not change when s moves by a modular combination, nor, over an
-    N-integral basis, by an N-integral series.  On a nontrivial verdict alpha
-    is the c* constant, which cancels the earliest nonzero coefficient of
-    the residual of 1, so there alpha, the cosets and ``rep`` depend on s
-    itself, not only on its class.  The constant and ``coefficients`` lie
+    alpha_0 + g Z[1/N, zeta_N], g the generator of (m/r_c*) Z[1/N] with
+    numerator and denominator prime to N (see ``_Plan``), and alpha is its
+    canonical element: the Q(zeta_N)-complement part shared by every valid
+    alpha, plus g * rho in each coordinate of Q(zeta_N), rho in [0, 1) with
+    denominator prime to N (the rule of ``reduce_mod_NZ``).  It depends
+    only on the set of valid alphas, so it does not change when s moves by
+    a modular combination, nor, over an N-integral basis, by an N-integral
+    series.  On a nontrivial verdict alpha is the c* constant, which
+    cancels the earliest nonzero coefficient of the residual of 1, so there
+    alpha, the cosets and ``rep`` depend on s itself, not only on its
+    class.  The constant and ``coefficients`` lie
     in the ambient field Q(zeta_L) of the basis.
     """
 
@@ -284,34 +283,19 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
     K = N if N % s.level == 0 else L
     s_res, beta = plan.basis.eliminate([c.lift(K) for c in s.coeffs[:prec]])
 
-    alpha = _solve_constant_direction(s_res, plan.null, plan.terms, N, K)
-    if alpha is None:
-        # no constant works: report the residual left by the c* constant,
-        # which cancels the earliest nonzero coefficient of r
-        if plan.terms:
-            c_star, inv_r = plan.terms[0][:2]
-            alpha_used = s_res[c_star] * inv_r
-        else:
-            alpha_used = Cyclo(K)
-    else:
-        alpha_used = alpha
+    alpha, free_cosets, trivial = _classify(s_res, plan, N, K)
     # s_res and r vanish at every pivot, so only the free columns can carry
     # a nonzero coset
     cosets: list[NZCoset | None] = [_zero_coset(N)] * prec
-    for c, r in plan.free:
-        value = s_res[c] - alpha_used * r
-        down = value if K == N else descend(value, N)
-        cosets[c] = None if down is None else reduce_mod_NZ(down)
-    trivial = alpha is not None
-    if trivial:
-        assert all(c is not None and c.is_zero() for c in cosets)
+    for (c, _), coset in zip(plan.free, free_cosets):
+        cosets[c] = coset
     rep = QSeries(N, prec, [Cyclo(N) if c is None else c.rep for c in cosets])
     # 1 has basis coefficients (1, 0, ...), so only coefficient 0 moves with alpha
-    coeffs = [(beta[0] - alpha_used).lift(L)] + [b.lift(L) for b in beta[1:]]
+    coeffs = [(beta[0] - alpha).lift(L)] + [b.lift(L) for b in beta[1:]]
     modular_part = {
         "pivot_columns": list(plan.basis.pivots),
         "coefficients": coeffs,
-        "constant": alpha_used.lift(L),
+        "constant": alpha.lift(L),
         "sturm": plan.basis.certificate["sturm"],
         "basis_hash": plan.basis.digest(),
     }

@@ -157,7 +157,10 @@ class _Series:
         return self.coeffs == other.coeffs  # the coefficients fix level and shape
 
     def __hash__(self):
-        return hash((self.level, self._shape(), self.coeffs))
+        # a series with no terms past t^0 equals that scalar, so it hashes as that
+        if any(self.coeffs[1:]):
+            return hash((self.level, self._shape(), self.coeffs))
+        return hash(self.coeffs[0])
 
 
 class QSeries(_Series):

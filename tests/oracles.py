@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellgenus import reduce
+from ellgenus import modforms, reduce
 from ellgenus.cyclo import (
     Cyclo,
     NZCoset,
@@ -41,7 +41,7 @@ from ellgenus.modforms import (
     weight_basis,
 )
 from ellgenus.reduce import UqClass, WtClass
-from ellgenus.series import PQSeries, QSeries, XQSeries
+from ellgenus.series import PQSeries, QSeries, XQSeries, _product
 
 
 def rref(rows: list[list], width: int | None = None) -> tuple[list[int], list[list]]:
@@ -685,6 +685,18 @@ def todd_coefficients_by_loops(prec_x: int) -> list[Fraction]:
     out = [Fraction(1)] + [Fraction(0)] * (prec_x - 1)
     for n in range(1, prec_x):
         out[n] = -sum(g[k] * out[n - k] for k in range(1, n + 1))
+    return out
+
+
+def default_rows_all_pairs(N: int, k: int, prec: int) -> list[list[int]]:
+    """The default pool of weight k >= 1 as ``_default_rows`` built it before
+    the cut to M_1 * M_{k-1}: the Eisenstein slices and the integer products
+    of the bases of every pair of weights (k1, k - k1), k1 = 1 .. k/2."""
+    out = [row for f in eisenstein_candidates(N, k, prec) for row in modforms._slices(f.coeffs)]
+    for k1 in range(1, k // 2 + 1):
+        b2 = weight_basis(N, k - k1, prec)
+        for f in weight_basis(N, k1, prec).rows:
+            out.extend(_product(f, g, 0) for g in b2.rows)
     return out
 
 

@@ -1,4 +1,10 @@
-"""The per-coordinate constant-direction solve against the Fraction lattice solver it replaced."""
+"""The constant decision of ``reduce_Uq`` against two exact constant solvers.
+
+``_classify`` decides a class from the residual left by the c* constant and
+the per-plan ratios and Bezout weights of ``_constant_lattice``; the
+Fraction lattice solver below and ``oracles.field_solve_constant_direction``
+solve for the constant directly.
+"""
 
 from fractions import Fraction
 from math import gcd
@@ -7,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellgenus.cyclo import Cyclo, _split_denominator, descend, euler_phi, in_NZ
-from ellgenus.reduce import _constant_columns, _plan, _solve_constant_direction
+from ellgenus.cyclo import Cyclo, _split_denominator, descend, euler_phi, in_NZ, reduce_mod_NZ
+from ellgenus.modforms import sturm_bound
+from ellgenus.reduce import _classify, _constant_lattice, _plan, _Plan
 from oracles import eliminate, field_solve_constant_direction, rref_tracked
 
 
@@ -162,6 +169,35 @@ def _n_integral(value: Cyclo, N: int) -> bool:
     return down is not None and in_NZ(down)
 
 
+def _prime_to_N(x: int, N: int) -> int:
+    return _split_denominator(abs(x), N)[1]
+
+
+def assert_decides_like_the_lattice_oracle(s_cols, plan, N, K, L):
+    """_classify over the free columns of plan agrees with the Fraction lattice solve.
+
+    On a trivial verdict the constant is a witness, every coset is zero and
+    the constant differs from the oracle's by a period; otherwise the
+    constant is the c* constant and the cosets are those it leaves.
+    """
+    r_cols = [r for _, r in plan.free]
+    alpha, cosets, trivial = _classify(dict(zip((c for c, _ in plan.free), s_cols)), plan, N, K)
+    want = _oracle_solve_constant_direction([s.lift(L) for s in s_cols], r_cols, N, L)
+    assert trivial == (want is not None)
+    assert alpha.level == K and len(cosets) == len(r_cols)
+    if trivial:
+        assert all(c.is_zero() for c in cosets)
+        assert all(_n_integral(s - alpha * r, N) for s, r in zip(s_cols, r_cols))
+        assert all(_n_integral((alpha.lift(L) - want) * r, N) for r in r_cols)
+        return alpha
+    star = next((i for i, r in enumerate(r_cols) if r), None)
+    assert alpha == (Cyclo(K) if star is None else s_cols[star] * (1 / r_cols[star]))
+    for s, r, coset in zip(s_cols, r_cols, cosets):
+        down = descend(s - alpha * r, N)
+        assert coset == (None if down is None else reduce_mod_NZ(down))
+    return None
+
+
 @pytest.mark.parametrize("basis", BASES, ids=lambda b: "-".join(map(str, b)))
 @settings(max_examples=20)
 @given(data=st.data())
@@ -169,15 +205,34 @@ def test_integer_solve_matches_the_fraction_oracle(basis, data):
     N = basis[0]
     plan = _plan(*basis)
     L = plan.basis.field_level
-    free, r_cols = zip(*plan.free)
-    s_cols = data.draw(free_columns(N, L, r_cols))
-    want = _oracle_solve_constant_direction(s_cols, r_cols, N, L)
-    got = _solve_constant_direction(dict(zip(free, s_cols)), plan.null, plan.terms, N, L)
-    assert (got is None) == (want is None)
-    if got is not None:
-        # got is a witness, and it differs from the oracle's by a period
-        assert all(_n_integral(s - got * r, N) for s, r in zip(s_cols, r_cols))
-        assert all(_n_integral((got - want) * r, N) for r in r_cols)
+    s_cols = data.draw(free_columns(N, L, [r for _, r in plan.free]))
+    assert_decides_like_the_lattice_oracle(s_cols, plan, N, L, L)
+
+
+def assert_lattice_is_the_order_of_the_ratios(plan, N):
+    """m is the order of the ratios r_c/r_c* modulo Z[1/N], each ratio is
+    h_c/m there, the weights give sum(lambda_c * h_c) = 1 mod m, and g
+    generates (m/r_c*) Z[1/N] with numerator and denominator prime to N."""
+    r_cols = [r for _, r in plan.free]
+    star = next((i for i, r in enumerate(r_cols) if r), None)
+    if star is None:
+        assert (plan.star, plan.m, plan.g) == (None, 1, None)
+        assert set(plan.weights) <= {(0, 0)}
+        return
+    c_star, r_star = plan.free[star]
+    assert plan.star == (c_star, 1 / r_star)
+    m = plan.m
+    ratios = [r / r_star for r in r_cols]
+    assert all(_prime_to_N((m * x).denominator, N) == 1 for x in ratios)
+    for p in range(2, m + 1):
+        if m % p == 0 and all(m % d for d in range(2, p)):
+            assert any(_prime_to_N((m // p * x).denominator, N) != 1 for x in ratios)
+    for (h, _), x in zip(plan.weights, ratios):
+        assert 0 <= h < m and _prime_to_N((x - Fraction(h, m)).denominator, N) == 1
+    assert sum(h * lam for h, lam in plan.weights) % m == 1 % m
+    g, unit = plan.g, plan.g / (m / r_star)
+    assert g > 0 and gcd(g.numerator, N) == 1 and gcd(g.denominator, N) == 1
+    assert _prime_to_N(unit.numerator, N) == 1 and _prime_to_N(unit.denominator, N) == 1
 
 
 # rational r with zeros and denominators on both sides of N; every
@@ -195,8 +250,18 @@ RATIONAL_R = st.lists(
 def test_solve_in_the_input_field_matches_the_field_solve(N, K, L, data):
     r_cols = data.draw(RATIONAL_R)
     s_cols = data.draw(free_columns(N, K, r_cols))
+    free = tuple(enumerate(r_cols))
+    plan = _Plan(None, free, *_constant_lattice(free, N))
+    assert_lattice_is_the_order_of_the_ratios(plan, N)
+    got = assert_decides_like_the_lattice_oracle(s_cols, plan, N, K, L)
     want = field_solve_constant_direction([s.lift(L) for s in s_cols], r_cols, N, L)
-    got = _solve_constant_direction(s_cols, *_constant_columns(r_cols, range(len(r_cols)), N), N, K)
     assert (got is None) == (want is None)
     if got is not None:
-        assert got.level == K and got.lift(L) == want
+        # the canonical constant is the field solve's, read in the input field
+        assert got.lift(L) == want
+
+
+@pytest.mark.parametrize("N", (4, 5, 6, 7, 8, 9, 10, 12))
+def test_every_plan_has_the_order_and_Bezout_weights_of_its_ratios(N):
+    for k in range(5):
+        assert_lattice_is_the_order_of_the_ratios(_plan(N, k, sturm_bound(N, k)), N)

@@ -7,6 +7,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,7 @@ from ellgenus.series import QSeries
 from oracles import (
     all_characters_by_generators,
     basis_with_denominators,
+    default_rows_all_pairs,
     eisenstein_by_scan,
     eliminate,
     field_basis,
@@ -453,6 +455,28 @@ def test_the_default_path_runs_no_field_elimination_and_no_series_product(monkey
     basis = weight_basis(7, 4, sturm_bound(7, 4))
     monkeypatch.undo()
     assert basis.rows == weight_basis(7, 4, sturm_bound(7, 4)).rows
+
+
+@pytest.mark.parametrize("N", SUPPORTED_LEVELS)
+def test_the_M1_products_give_the_all_pairs_basis(N):
+    for k in range(1, 7):
+        basis = weight_basis(N, k, sturm_bound(N, k))
+        want = linalg._integer_echelon(default_rows_all_pairs(N, k, basis.prec))
+        assert (basis.pivots, basis.rows, basis.den) == want, k
+
+
+def test_the_cut_pool_is_guarded_by_the_rank_certificate(monkeypatch):
+    # with no weight-1 factor, the Eisenstein slices alone fall short at (4, 5)
+    real, prec = modforms._weight_basis_cached, sturm_bound(4, 5)
+    real(4, 4, prec)  # the weight-4 factor, built before the cut
+
+    def no_weight_1(N, k, prec):
+        return SimpleNamespace(rows=()) if k == 1 else real(N, k, prec)
+
+    monkeypatch.setattr(modforms, "_weight_basis_cached", no_weight_1)
+    with pytest.raises(SpanFailure) as info:
+        modforms._build_basis(4, 5, prec, None)
+    assert (info.value.rank, info.value.dimension) == (2, 3)
 
 
 def test_integer_echelon_does_not_depend_on_the_candidate_order():

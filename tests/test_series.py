@@ -381,3 +381,37 @@ def test_integer_product_matches_the_loop_oracle(data):
     row = st.lists(st.integers(-50, 50) | st.just(0), min_size=prec, max_size=prec)
     f, g = data.draw(row), data.draw(row)
     assert _product(f, g, 0) == integer_product_by_loops(f, g, prec)
+
+
+def test_a_value_equal_to_a_scalar_is_found_by_that_scalar():
+    assert len({Cyclo.from_rational(5, 1), 1}) == 1
+    assert {1: "x"}.get(Cyclo.from_rational(5, 1)) == "x"
+    assert {Fraction(1, 2): "x"}.get(Cyclo.from_rational(5, Fraction(1, 2))) == "x"
+    assert len({QSeries.one(5, 3), 1, XQSeries.one(5, 2, 3)}) == 1
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_equal_values_hash_equal(data):
+    # each value is drawn as the scalar x or near it, so equal pairs across
+    # the types come up often
+    x = data.draw(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+
+    def bumped():
+        return data.draw(st.booleans()) and data.draw(st.booleans())
+
+    def cyclo():
+        return Cyclo(5, [x]) + (Cyclo.zeta(5, data.draw(st.integers(1, 4))) if bumped() else 0)
+
+    def qseries():
+        return QSeries(5, 3, [cyclo()] + ([0, x] if bumped() else []))
+
+    values = [
+        int(x) if x.denominator == 1 else x, x, cyclo(), qseries(),
+        PQSeries(5, 2, 3, [qseries()] + ([qseries()] if bumped() else [])),
+        XQSeries([qseries()] + ([qseries()] if bumped() else []), 2),
+    ]
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
