@@ -18,8 +18,9 @@ genus 0, i.e. N in {4, ..., 10, 12}; other levels exit 3.
 The library types (ChernData, SplitChernData, QSeries, PQSeries) read
 every input document; files and integer options follow one number rule.
 
-Exit codes: 0 success, 2 span certification failure, 3 input/parse or
-usage error, 4 insufficient precision.  With --machine the report is a
+Exit codes: 0 success, 1 a self-check failed, 2 span certification
+failure, 3 input/parse or usage error (an output file that cannot be
+written included), 4 insufficient precision.  With --machine the report is a
 single deterministic JSON document (sorted keys, no whitespace).
 """
 
@@ -56,11 +57,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key is refused, not overwritten."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"key {key!r} is repeated")
+        out[key] = value
+    return out
+
+
 def _load(path: str, build):
     """``build`` applied to the JSON document at ``path``; any flaw is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return build(json.load(fh))
+            return build(json.load(fh, object_pairs_hook=_object))
     except (OSError, ValueError, KeyError, TypeError, IndexError, ZeroDivisionError,
             EllGenusError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
@@ -73,8 +84,11 @@ def _emit(report: dict, human: str, args) -> None:
         else human
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ParseError(f"{args.out}: {exc.strerror or exc}") from exc
     else:
         print(text)
 

@@ -14,20 +14,22 @@ The genus needs only log phi.  The logarithm of the product is a sum of
 logarithms, so each x^k coefficient of log phi is a twisted divisor sum in
 q (an Eisenstein series), and `log_phi_series` writes it down in closed
 form, with no series product or inversion.  Genus values are computed from
-Chern numbers: the degree-n multiplicative class F = exp(sum_k l_k p_k),
+Chern numbers, kept as dicts from partitions (monomials in Chern classes)
+to integers.  The degree-n multiplicative class F = exp(sum_k l_k p_k),
 with l = log phi and the power sums p_k written in elementary symmetric
 polynomials (= Chern classes) by Newton's identities, is built degree by
 degree from the recurrence d F_d = sum_{i<=d} i l_i p_i F_{d-i} that
-F' = A' F gives for F = exp(A) (Brent and Kung 1978), then paired against
-the Chern-number data.  `phi_series` = exp(log phi) and the product formula
-in `verify_Q_identity` serve as checks.
+F' = A' F gives for F = exp(A) (Brent and Kung 1978), as a dict from
+partitions to q-series, then paired against the Chern-number data.  The
+class of degree n reads l only to x^n.  `phi_series` = exp(log phi) and
+the product formula in `verify_Q_identity` serve as checks.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .cyclo import Cyclo, _integer
 from .errors import (
@@ -58,20 +60,20 @@ def _normalize_partition(key, error) -> Partition:
 
 
 def partitions_of(n: int) -> list[Partition]:
-    """All partitions of n, parts weakly decreasing."""
+    """All partitions of n, parts weakly decreasing, in reverse lexicographic order."""
+    return _partitions(n, n)
+
+
+def _partitions(n: int, largest: int) -> list[Partition]:
+    """The partitions of n with no part above ``largest``, in reverse lexicographic order."""
     if n == 0:
         return [()]
-    out = []
+    return [(p,) + rest for p in range(min(n, largest), 0, -1) for rest in _partitions(n - p, p)]
 
-    def rec(remaining, largest, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for p in range(min(largest, remaining), 0, -1):
-            rec(remaining - p, p, prefix + [p])
 
-    rec(n, n, [])
-    return out
+def _with(parts: Partition, i: int) -> Partition:
+    """``parts`` with one more part i, weakly decreasing; a part 0 adds nothing."""
+    return tuple(sorted(parts + (i,), reverse=True)) if i else parts
 
 
 class ChernData:
@@ -95,7 +97,9 @@ class ChernData:
             part = _normalize_partition(key, BadChernData)
             if sum(part) != dim:
                 raise BadChernData(f"{part} is not a partition of {dim}")
-            clean[part] = clean.get(part, 0) + _integer(value, BadChernData)
+            if part in clean:
+                raise BadChernData(f"two keys name the partition {part}")
+            clean[part] = _integer(value, BadChernData)
         self.numbers = clean
 
     def __eq__(self, other):
@@ -136,7 +140,9 @@ class SplitChernData:
                 raise BadSplitChernData(
                     f"({lam}, {mu}) has total degree != {total}"
                 )
-            clean[(lam, mu)] = clean.get((lam, mu), 0) + _integer(value, BadSplitChernData)
+            if (lam, mu) in clean:
+                raise BadSplitChernData(f"two keys name the pair ({lam}, {mu})")
+            clean[(lam, mu)] = _integer(value, BadSplitChernData)
         self.numbers = clean
 
     def swap(self) -> "SplitChernData":
@@ -155,48 +161,32 @@ class SplitChernData:
 
 def cp_chern(n: int) -> ChernData:
     """Chern numbers of CP^n: c_lam = prod_i binom(n+1, lam_i)."""
-    numbers = {}
-    for part in partitions_of(n):
-        value = 1
-        for p in part:
-            value *= comb(n + 1, p)
-        numbers[part] = value
-    return ChernData(n, numbers)
+    return ChernData(n, {lam: prod(comb(n + 1, p) for p in lam) for lam in partitions_of(n)})
 
 
 def chern_product(a: ChernData, b: ChernData) -> ChernData:
     """Chern numbers of a product manifold, by the Whitney formula.
 
-    c_k(A x B) = sum_{i+j=k} c_i(A) c_j(B); the Kunneth pairing keeps the
-    terms whose A-degrees sum to dim(A).
+    c_k(A x B) = sum_{i+j=k} c_i(A) c_j(B), so c_lam(A x B) sums
+    c_{(i_t)}(A) c_{(j_t)}(B) over the splittings lam_t = i_t + j_t of its
+    parts, and the Kunneth pairing keeps those whose A-parts sum to dim(A).
+    The splittings are counted part by part, smallest first (small parts
+    leave the fewest pairs), keyed by the pair of partitions they leave on
+    A and on B, so splittings that leave the same pair are counted once.
     """
     dim = a.dim + b.dim
     numbers = {}
-    for part in partitions_of(dim):
-        total = 0
-        # distribute each part lam_t = i_t + j_t over the two factors
-        def rec(idx, left_a, left_b, parts_a, parts_b):
-            nonlocal total
-            if idx == len(part):
-                if left_a == 0 and left_b == 0:
-                    ka = tuple(sorted(parts_a, reverse=True))
-                    kb = tuple(sorted(parts_b, reverse=True))
-                    total += a.numbers.get(ka, 0) * b.numbers.get(kb, 0)
-                return
-            p = part[idx]
-            for i in range(p + 1):
-                j = p - i
-                if i <= left_a and j <= left_b:
-                    rec(
-                        idx + 1,
-                        left_a - i,
-                        left_b - j,
-                        parts_a + [i] * (i > 0),
-                        parts_b + [j] * (j > 0),
-                    )
-
-        rec(0, a.dim, b.dim, [], [])
-        numbers[part] = total
+    for lam in partitions_of(dim):
+        ways = {((), ()): 1}
+        for p in reversed(lam):
+            split: dict[tuple[Partition, Partition], int] = {}
+            for (pa, pb), w in ways.items():
+                for i in range(max(0, p - b.dim + sum(pb)), min(p, a.dim - sum(pa)) + 1):
+                    key = (_with(pa, i), _with(pb, p - i))
+                    split[key] = split.get(key, 0) + w
+            ways = split
+        numbers[lam] = sum(w * a.numbers.get(pa, 0) * b.numbers.get(pb, 0)
+                           for (pa, pb), w in ways.items())
     return ChernData(dim, numbers)
 
 
@@ -207,13 +197,6 @@ def split_product(a: ChernData, b: ChernData) -> SplitChernData:
         for mu, vb in b.numbers.items():
             numbers[(lam, mu)] = va * vb
     return SplitChernData(a.dim, b.dim, numbers)
-
-
-def _q_monomial(level: int, prec: int, n: int) -> QSeries:
-    coeffs = [0] * prec
-    if n < prec:
-        coeffs[n] = 1
-    return QSeries(level, prec, coeffs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -253,19 +236,6 @@ def phi_series(N: int, prec_x: int, prec_q: int) -> XQSeries:
     return log_phi_series(N, prec_x, prec_q).exp()
 
 
-class GradedSymPoly:
-    """Homogeneous polynomial in Chern classes with QSeries coefficients.
-
-    Monomials are encoded as partitions: (2, 1) stands for c_2 * c_1.
-    """
-
-    __slots__ = ("degree", "terms")
-
-    def __init__(self, degree: int, terms: dict):
-        self.degree = degree
-        self.terms = dict(terms)
-
-
 def _newton_power_sum(k: int) -> dict[Partition, int]:
     """p_k in the elementary symmetric basis, by Newton's identities."""
     ps: list[dict[Partition, int]] = [dict() for _ in range(k + 1)]
@@ -274,7 +244,7 @@ def _newton_power_sum(k: int) -> dict[Partition, int]:
         for i in range(1, m):
             sign = (-1) ** (i - 1)
             for part, c in ps[m - i].items():
-                key = tuple(sorted(part + (i,), reverse=True))
+                key = _with(part, i)
                 acc[key] = acc.get(key, 0) + sign * c
         sign = (-1) ** (m - 1)
         acc[(m,)] = acc.get((m,), 0) + sign * m
@@ -282,10 +252,12 @@ def _newton_power_sum(k: int) -> dict[Partition, int]:
     return ps[k]
 
 
-def multiplicative_class(ell: XQSeries, n: int) -> GradedSymPoly:
+def multiplicative_class(ell: XQSeries, n: int) -> dict[Partition, QSeries]:
     """Degree-n piece of prod_i phi(x_i), in elementary symmetric basis.
 
-    ``ell`` is l = log(phi), whose x^0 coefficient is 0.  The class is
+    Returned as a dict from partitions of n (monomials: (2, 1) is c_2 c_1)
+    to their q-series coefficients.  ``ell`` is l = log(phi), whose x^0
+    coefficient is 0, read to x^n only.  The class is
     F = exp(A) with A = sum_k l_k p_k, and its pieces F_d of weight d
     follow from F' = A' F: d F_d = sum_{i=1}^{d} i l_i p_i F_{d-i}, with
     F_0 = 1, one q-series product l_i g per monomial g of F_{d-i}.
@@ -293,7 +265,7 @@ def multiplicative_class(ell: XQSeries, n: int) -> GradedSymPoly:
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     if n == 0:
-        return GradedSymPoly(0, {(): QSeries.one(ell.level, ell.prec_q)})
+        return {(): QSeries.one(ell.level, ell.prec_q)}
     if ell.prec_x <= n:
         raise InsufficientXPrecision(f"prec_x {ell.prec_x} <= degree {n}")
     power_sums = [
@@ -313,22 +285,22 @@ def multiplicative_class(ell: XQSeries, n: int) -> GradedSymPoly:
                     prev = Kd.get(key)
                     Kd[key] = term if prev is None else prev + term
         K.append(Kd)
-    return GradedSymPoly(n, K[n])
+    return K[n]
 
 
 @functools.lru_cache(maxsize=None)
-def _mclass(N: int, prec_x: int, prec_q: int, n: int) -> GradedSymPoly:
-    return multiplicative_class(log_phi_series(N, prec_x, prec_q), n)
+def _mclass(N: int, prec_q: int, n: int) -> dict[Partition, QSeries]:
+    return multiplicative_class(log_phi_series(N, n + 1, prec_q), n)
 
 
 def genus(M: ChernData, N: int, prec_q: int) -> QSeries:
     """The level-N complex elliptic genus of M as a q-expansion."""
-    K = _mclass(N, M.dim + 2, prec_q, M.dim)
+    K = _mclass(N, prec_q, M.dim)
     result = QSeries.zero(N, prec_q)
     for part, value in M.numbers.items():
         if not value:
             continue
-        coeff = K.terms.get(part)
+        coeff = K.get(part)
         if coeff is not None:
             result = result + coeff * value
     return result
@@ -346,15 +318,12 @@ def genus_bivariate(
     F(X) pairs prod phi(x_i)(p) * prod phi(y_j)(q) against the split
     Chern numbers.
     """
-    prec_x = X.dim0 + X.dim1 + 2
     result = PQSeries(N, prec_p, prec_q)
     for (lam, mu), value in X.numbers.items():
         if not value:
             continue
-        Kp = _mclass(N, prec_x, prec_p, sum(lam))
-        Kq = _mclass(N, prec_x, prec_q, sum(mu))
-        a = Kp.terms.get(lam)
-        b = Kq.terms.get(mu)
+        a = _mclass(N, prec_p, sum(lam)).get(lam)
+        b = _mclass(N, prec_q, sum(mu)).get(mu)
         if a is None or b is None:
             continue
         result = result + PQSeries.outer(a, b) * value
@@ -389,28 +358,12 @@ def verify_Q_identity(N: int, prec_x: int, prec_q: int) -> bool:
     the closed form of log phi.
     """
     y = -Cyclo.zeta(N)
-    yinv = y.inv()
     em = exp_x(N, prec_x, prec_q, -1)
     ep = exp_x(N, prec_x, prec_q, +1)
-    one = XQSeries.one(N, prec_x, prec_q)
-
-    def ch_lambda_dual(t: QSeries) -> XQSeries:
-        return one + em * t
-
-    def ch_lambda(t: QSeries) -> XQSeries:
-        return one + ep * t
-
-    def ch_sym(t: QSeries) -> XQSeries:
-        return (one - ep * t).inv()
-
-    def ch_sym_dual(t: QSeries) -> XQSeries:
-        return (one - em * t).inv()
-
-    y_const = QSeries.constant(N, prec_q, y)
-    rhs = todd_series(N, prec_x, prec_q) * ch_lambda_dual(y_const)
+    rhs = todd_series(N, prec_x, prec_q) * (1 + em * y)
     for n in range(1, prec_q):
-        qn = _q_monomial(N, prec_q, n)
-        rhs = rhs * ch_lambda_dual(qn * y)
-        rhs = rhs * ch_lambda(qn * yinv)
-        rhs = rhs * ch_sym(qn) * ch_sym_dual(qn)
+        qn = QSeries(N, prec_q, [0] * n + [1])
+        rhs = rhs * (1 + em * (qn * y))
+        rhs = rhs * (1 + ep * (qn * y.inv()))
+        rhs = rhs * (1 - ep * qn).inv() * (1 - em * qn).inv()
     return phi_series(N, prec_x, prec_q) * rhs[0] == rhs

@@ -305,9 +305,11 @@ def dim_Mk(N: int, k: int) -> int:
 
 
 def sturm_bound(N: int, k: int) -> int:
-    """floor(k * mu / 12) + 1, mu the index of Gamma_1(N) in SL_2(Z)."""
+    """floor(k * mu / 12) + 1, mu the index of Gamma_1(N) in SL_2(Z), for k >= 0."""
     if N < 4:
         raise UnsupportedLevel(f"level {N} < 4")
+    if k < 0:
+        raise ValueError(f"weight {k} is negative")
     return k * _gamma1_index(N) // 12 + 1
 
 

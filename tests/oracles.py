@@ -29,7 +29,7 @@ from ellgenus.errors import (
     RankExceedsDimension,
     SpanFailure,
 )
-from ellgenus.genus import GradedSymPoly, Partition, _newton_power_sum
+from ellgenus.genus import ChernData, Partition, _newton_power_sum, partitions_of
 from ellgenus.modforms import (
     DirichletCharacter,
     ModFormBasis,
@@ -522,14 +522,14 @@ def _sym_mul(a: dict, b: dict, cutoff: int) -> dict:
     return out
 
 
-def multiplicative_class_by_powers(ell: XQSeries, n: int) -> GradedSymPoly:
+def multiplicative_class_by_powers(ell: XQSeries, n: int) -> dict[Partition, QSeries]:
     """Degree-n piece of prod_i phi(x_i), in elementary symmetric basis.
 
     ``ell`` is l = log(phi), whose x^0 coefficient is 0.  Computed as
     exp(sum_k l_k p_k), truncated at symmetric-function weight n.
     """
     if n == 0:
-        return GradedSymPoly(0, {(): QSeries.one(ell.level, ell.prec_q)})
+        return {(): QSeries.one(ell.level, ell.prec_q)}
     if ell.prec_x <= n:
         raise InsufficientXPrecision(f"prec_x {ell.prec_x} <= degree {n}")
     one = QSeries.one(ell.level, ell.prec_q)
@@ -551,8 +551,44 @@ def multiplicative_class_by_powers(ell: XQSeries, n: int) -> GradedSymPoly:
         for key, v in term.items():
             prev = result.get(key)
             result[key] = v if prev is None else prev + v
-    top = {k: v for k, v in result.items() if sum(k) == n}
-    return GradedSymPoly(n, top)
+    return {k: v for k, v in result.items() if sum(k) == n}
+
+
+def chern_product_by_recursion(a: ChernData, b: ChernData) -> ChernData:
+    """Chern numbers of a product manifold, by the Whitney formula.
+
+    c_k(A x B) = sum_{i+j=k} c_i(A) c_j(B); the Kunneth pairing keeps the
+    terms whose A-degrees sum to dim(A).  Each splitting of each partition
+    is walked on its own.
+    """
+    dim = a.dim + b.dim
+    numbers = {}
+    for part in partitions_of(dim):
+        total = 0
+        # distribute each part lam_t = i_t + j_t over the two factors
+        def rec(idx, left_a, left_b, parts_a, parts_b):
+            nonlocal total
+            if idx == len(part):
+                if left_a == 0 and left_b == 0:
+                    ka = tuple(sorted(parts_a, reverse=True))
+                    kb = tuple(sorted(parts_b, reverse=True))
+                    total += a.numbers.get(ka, 0) * b.numbers.get(kb, 0)
+                return
+            p = part[idx]
+            for i in range(p + 1):
+                j = p - i
+                if i <= left_a and j <= left_b:
+                    rec(
+                        idx + 1,
+                        left_a - i,
+                        left_b - j,
+                        parts_a + [i] * (i > 0),
+                        parts_b + [j] * (j > 0),
+                    )
+
+        rec(0, a.dim, b.dim, [], [])
+        numbers[part] = total
+    return ChernData(dim, numbers)
 
 
 def xq_exp_by_powers(self: XQSeries) -> XQSeries:

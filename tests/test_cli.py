@@ -247,6 +247,31 @@ def test_genus_at_unsupported_level_fails_before_the_genus(cp2_file, monkeypatch
     assert "genus-0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["genus"], '{"dim": 2, "chern": {"1,1": 9, "1,1": 3, "2": 3}}'),
+    (["genus"], '{"dim": 2, "chern": {"1,1": 9, "2/2,1": 3, "2": 3}}'),
+    (["f-rep"], '{"dim0": 2, "dim1": 0, "chern": {"2": 3, "2|": 3, "1,1": 9}}'),
+    (["--degree", "6", "reduce-u"],
+     '{"level": 7, "level": 5, "coeffs": ' + json.dumps([["0/1"] * 4] * 7) + "}"),
+], ids=["repeated-key", "one-partition", "one-split-pair", "repeated-level"])
+def test_a_key_read_twice_exits_3(argv, text, tmp_path, capsys):
+    # json.load kept the last copy and the Chern data added the values, so
+    # each of these was read as some other input and exited 0
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    assert cli.main(["--level", "5"] + argv + [str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and ("repeated" in captured.err or "two keys" in captured.err)
+
+
+@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+def test_an_out_path_that_cannot_be_written_exits_3(where, tmp_path, capsys):
+    out = tmp_path / "missing" / "x" if where == "missing-parent" else tmp_path
+    code = cli.main(["--level", "5", "--degree", "4", "--out", str(out), "basis"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"error: {out}: ")
+
+
 def test_out_flag_writes_report_file(cp2_file, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = cli.main(

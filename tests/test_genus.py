@@ -1,5 +1,6 @@
 """The level-N genus: characteristic series, Chern pairing, F-hat."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,10 @@ from ellgenus.genus import (
 )
 from ellgenus.series import QSeries, XQSeries
 
-from oracles import multiplicative_class_by_powers
+from oracles import chern_product_by_recursion, multiplicative_class_by_powers
+
+# the package exports the function genus, which hides the module of that name
+genus_module = importlib.import_module("ellgenus.genus")
 
 
 def test_partitions_of_small_n():
@@ -38,6 +42,17 @@ def test_partitions_of_small_n():
     assert sorted(partitions_of(4)) == sorted(
         [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     )
+
+
+PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176]
+
+
+def test_partitions_of_are_all_the_partitions_in_reverse_lexicographic_order():
+    for n, count in enumerate(PARTITION_COUNTS):
+        parts = partitions_of(n)
+        assert len(parts) == len(set(parts)) == count
+        assert all(sum(p) == n and list(p) == sorted(p, reverse=True) for p in parts)
+        assert parts == sorted(parts, reverse=True)
 
 
 def test_projective_space_chern_numbers():
@@ -103,6 +118,18 @@ def test_a_split_key_must_be_a_pair_or_a_bar_string():
     assert SplitChernData(2, 0, {"2": 3, "1,1|": 9}).numbers == {((2,), ()): 3, ((1, 1), ()): 9}
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda: ChernData(2, {"1,1": 9, "2/2,1": 3, "2": 3}), BadChernData),
+    (lambda: ChernData(3, {(2, 1): 24, (1, 2): 24, (3,): 4}), BadChernData),
+    (lambda: SplitChernData(2, 0, {"2": 3, "2|": 3}), BadSplitChernData),
+    (lambda: SplitChernData(1, 1, {((1,), (1,)): 2, ("1", "1"): 2}), BadSplitChernData),
+], ids=["file-form", "tuple-order", "split-bar", "split-tuple"])
+def test_two_keys_for_one_partition_are_refused(build, error):
+    # the values were added up, so the first read as {"1,1": 12, "2": 3}
+    with pytest.raises(error, match="two keys name"):
+        build()
+
+
 def test_a_key_that_is_neither_a_tuple_nor_a_string_is_refused():
     # iterating the int 1 raised a bare TypeError, not the typed error
     with pytest.raises(BadChernData):
@@ -148,6 +175,22 @@ def test_chern_product_is_symmetric():
     assert chern_product(a, b).numbers == chern_product(b, a).numbers
 
 
+def _chern_data():
+    return st.integers(0, 5).flatmap(lambda n: st.builds(
+        ChernData, st.just(n),
+        st.dictionaries(st.sampled_from(partitions_of(n)), st.integers(-20, 20))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_chern_data(), _chern_data())
+@example(cp_chern(5), cp_chern(5))
+@example(ChernData(0, {}), ChernData(3, {(2, 1): 7}))
+def test_chern_product_matches_the_recursion_oracle(a, b):
+    # the same numbers, keys and key order as walking every splitting alone
+    got = chern_product(a, b).numbers
+    assert list(got.items()) == list(chern_product_by_recursion(a, b).numbers.items())
+
+
 def test_phi_zero_is_one():
     for N in (4, 5, 6):
         assert phi_series(N, 3, 8)[0] == QSeries.one(N, 8)
@@ -165,12 +208,12 @@ def test_multiplicative_class_of_quadratic_series():
     # phi(x) = 1 + x + x^2 gives K_1 = sigma_1 and K_2 = sigma_1^2 - sigma_2
     phi = XQSeries.from_x_poly(5, 3, 2, [1, 1, 1])
     k1 = multiplicative_class(phi.log(), 1)
-    assert set(k1.terms) == {(1,)}
-    assert k1.terms[(1,)] == QSeries.one(5, 2)
+    assert set(k1) == {(1,)}
+    assert k1[(1,)] == QSeries.one(5, 2)
     k2 = multiplicative_class(phi.log(), 2)
     one = QSeries.one(5, 2)
-    assert k2.terms[(1, 1)] == one
-    assert k2.terms[(2,)] == -one
+    assert k2[(1, 1)] == one
+    assert k2[(2,)] == -one
 
 
 @pytest.mark.parametrize("N", [4, 5, 7, 12])
@@ -178,8 +221,16 @@ def test_multiplicative_class_matches_the_power_series_oracle(N):
     # the recurrence keeps every monomial the powers of A produce, zero or not
     for n in range(7):
         ell = log_phi_series(N, n + 2, 6)
-        got = multiplicative_class(ell, n).terms
-        assert got == multiplicative_class_by_powers(ell, n).terms
+        got = multiplicative_class(ell, n)
+        assert got == multiplicative_class_by_powers(ell, n)
+
+
+@pytest.mark.parametrize("N", [4, 5, 7])
+def test_the_class_does_not_depend_on_the_x_precision(N):
+    # the genus caches each class by (N, prec_q, n) and reads log phi to x^n only
+    for n in range(5):
+        assert (multiplicative_class(log_phi_series(N, n + 1, 6), n)
+                == multiplicative_class(log_phi_series(N, n + 3, 6), n))
 
 
 def test_multiplicative_class_needs_x_precision():
@@ -242,6 +293,18 @@ def test_chi_y_cp1_is_the_paper_value():
 def test_bundle_identity_for_the_characteristic_series():
     assert verify_Q_identity(5, 4, 6)
     assert verify_Q_identity(4, 3, 5)
+
+
+def test_the_bundle_identity_fails_for_a_wrong_characteristic_series(monkeypatch):
+    real = genus_module.phi_series
+    assert verify_Q_identity(5, 4, 8)
+
+    def bumped(N, prec_x, prec_q):
+        zero, q = QSeries.zero(N, prec_q), QSeries(N, prec_q, [0, 1])
+        return real(N, prec_x, prec_q) + XQSeries([zero, zero, q], prec_x)
+
+    monkeypatch.setattr(genus_module, "phi_series", bumped)
+    assert not verify_Q_identity(5, 4, 8)
 
 
 @settings(max_examples=25)

@@ -38,6 +38,7 @@ from ellgenus.modforms import (
     unit_group_exponent,
     weight_basis,
 )
+from ellgenus.reduce import reduce_Uq
 from ellgenus.series import QSeries
 from oracles import (
     all_characters_by_generators,
@@ -141,6 +142,22 @@ def test_sturm_bounds():
     assert sturm_bound(4, 2) == 3
     assert sturm_bound(5, 3) == 7
     assert sturm_bound(6, 2) == 5
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sturm_bound(5, -3),
+    lambda: weight_basis(5, -1, 8),
+    lambda: reduce_Uq(QSeries.one(5, 8), 5, -2),
+], ids=["sturm_bound", "weight_basis", "reduce_Uq"])
+def test_a_negative_weight_is_refused_by_name(call):
+    # sturm_bound(5, -3) was -5, and the other two failed inside eisenstein
+    with pytest.raises(ValueError, match=r"weight -\d+ is negative"):
+        call()
+
+
+def test_weight_0_stays_valid():
+    assert sturm_bound(5, 0) == 1
+    assert reduce_Uq(QSeries.one(5, 8), 5, 0).trivial
 
 
 def test_levels_below_4_are_rejected():
