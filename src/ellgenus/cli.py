@@ -85,8 +85,9 @@ def _emit(report: dict, human: str, args) -> None:
     )
     if args.out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            args.out_file.truncate(0)
+            args.out_file.write(text + "\n")
+            args.out_file.flush()
         except OSError as exc:
             raise ParseError(f"{args.out}: {exc.strerror or exc}") from exc
     else:
@@ -98,7 +99,10 @@ def cmd_genus(args) -> int:
     weight = data.dim
     floor = sturm_bound(args.level, weight) if weight else 1
     prec = max(args.prec_q, floor)
-    # the basis first: an unsupported level fails before the genus is built
+    # the basis first: an unsupported level fails before the genus is built.
+    # Weight 0 needs no basis: M_0 is the constants, and is_in_span would
+    # lift every coefficient to Q(zeta_L), L = lcm(N, exponent of (Z/N)^*),
+    # which at large N costs far more than the genus itself
     basis = weight_basis(args.level, weight, prec) if weight else None
     g = genus(data, args.level, prec)
     integral = [bool(in_NZ(c)) for c in g.coeffs]
@@ -270,7 +274,17 @@ def main(argv=None) -> int:
             raise ParseError("level must be >= 4")
         if args.prec_q < 1 or args.prec_p < 1:
             raise ParseError("precisions must be positive")
-        return args.fn(args)
+        if not args.out:
+            return args.fn(args)
+        # opened before the command runs, so a path that cannot be written
+        # fails fast; "a" keeps an existing file until the report exists
+        try:
+            out_file = open(args.out, "a", encoding="utf-8")
+        except OSError as exc:
+            raise ParseError(f"{args.out}: {exc.strerror or exc}") from exc
+        with out_file:
+            args.out_file = out_file
+            return args.fn(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

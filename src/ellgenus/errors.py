@@ -49,7 +49,9 @@ class BadLevelDivisibility(EllGenusError):
 
 class UnsupportedLevel(EllGenusError):
     """The level is outside the supported range (N >= 4; modular bases
-    need a genus-0 X_1(N), i.e. N in {4, ..., 10, 12})."""
+    need a genus-0 X_1(N), i.e. N in {4, ..., 10, 12}).  A basis build
+    computes the dimensions it needs first, so it refuses an unsupported
+    level before any candidate is built."""
 
 
 class SpanFailure(EllGenusError):

@@ -99,17 +99,6 @@ class DirichletCharacter:
     def key(self) -> tuple:
         return (self.modulus, tuple(sorted(self.exponents.items())))
 
-    def __eq__(self, other):
-        if not isinstance(other, DirichletCharacter):
-            return NotImplemented
-        return self.field_level == other.field_level and self.key() == other.key()
-
-    def __hash__(self):
-        return hash((self.field_level, self.key()))
-
-    def __repr__(self):
-        return f"DirichletCharacter(mod={self.modulus}, L={self.field_level})"
-
 
 def all_characters(M: int, field_level: int) -> list[DirichletCharacter]:
     """All Dirichlet characters modulo M, values in Q(zeta_L), sorted by ``key()``.
@@ -313,6 +302,13 @@ def sturm_bound(N: int, k: int) -> int:
     return k * _gamma1_index(N) // 12 + 1
 
 
+def _certify_rank(rank: int, dim: int) -> None:
+    if rank < dim:
+        raise SpanFailure(rank, dim)
+    if rank > dim:
+        raise RankExceedsDimension(rank, dim)
+
+
 class ModFormBasis:
     """Certified echelonized q-expansion basis of M_k(Gamma_1(N)).
 
@@ -320,10 +316,12 @@ class ModFormBasis:
     ``linalg._integer_echelon`` computes, for either pool, is stored.  The
     basis is in reduced row echelon form with pivots at the earliest
     q-exponents: ``rows[j][c] / den`` is the q^c coefficient of the j-th
-    element, c < prec, with gcd(den, every entry) = 1.  The rest derives
-    from it: ``elements``, the basis as QSeries over Q(zeta_L), is a view
-    built at its first read and then kept, as ``digest`` is;
-    ``is_integral`` reads ``den``; ``eliminate`` works in integers.
+    element, c < prec, with gcd(den, every entry) = 1.  The constructor
+    derives ``field_level`` and ``certificate`` and refuses a rank other
+    than dim M_k, so no uncertified basis exists.  ``elements``, the basis
+    as QSeries over Q(zeta_L), is a view built at its first read and then
+    kept, as ``digest`` is; ``is_integral`` reads ``den``; ``eliminate``
+    works in integers.
     """
 
     __slots__ = (
@@ -331,13 +329,17 @@ class ModFormBasis:
         "rows", "den", "_free", "_elements", "_digest",
     )
 
-    def __init__(self, level, weight, prec, field_level, pivots, certificate, rows, den):
+    def __init__(self, level, weight, prec, pivots, rows, den):
+        dim = dim_Mk(level, weight)
+        _certify_rank(len(rows), dim)
         self.level = level
         self.weight = weight
         self.prec = prec
-        self.field_level = field_level
+        self.field_level = ambient_field_level(level)
         self.pivots = list(pivots)
-        self.certificate = dict(certificate)
+        self.certificate = {
+            "dimension": dim, "rank": len(rows), "sturm": sturm_bound(level, weight),
+        }
         self.rows = rows
         self.den = den
         # (c, column c of rows) for every q-exponent c off the pivots
@@ -451,25 +453,30 @@ _basis_lock = threading.Lock()
 
 @functools.lru_cache(maxsize=None)
 def _weight_basis_cached(N: int, k: int, prec: int) -> ModFormBasis:
-    return _build_basis(N, k, prec, None)
+    """The certified basis of the default pool; dim_Mk first, so an
+    unsupported level is refused before any candidate is built."""
+    dim_Mk(N, k)
+    return ModFormBasis(N, k, prec, *_integer_echelon(_default_rows(N, k, prec)))
 
 
 def weight_basis(N: int, k: int, prec: int, candidates=None) -> ModFormBasis:
     """Certified basis of M_k(Gamma_1(N)) to q-precision prec.
 
     Candidates default to all admissible Eisenstein series plus the
-    products of the weight-1 and weight-(k-1) basis elements.  An
-    explicit candidate list overrides the pool: each candidate needs a
-    level dividing L and at least prec coefficients (it is read to
-    prec), the pool's rank over Q(zeta_L) is certified against the
-    dimension, and a pool whose echelon form is not rational is refused.
-    Either pool is reduced over Q in integers.
+    products of the weight-1 and weight-(k-1) basis elements (cached).  An
+    explicit candidate list overrides the pool (``_pool_echelon``): each
+    candidate needs a level dividing L and at least prec coefficients (it
+    is read to prec), the pool's rank over Q(zeta_L) is certified against
+    the dimension, and a pool whose echelon form is not rational is
+    refused.  Either pool is reduced over Q in integers after the
+    dimension is known, so an unsupported level is refused before any
+    candidate is built, and ``ModFormBasis`` certifies rank = dim.
     """
     sb = sturm_bound(N, k)
     if prec < sb:
         raise PrecisionInsufficient(f"prec {prec} < sturm bound {sb}")
     if candidates is not None:
-        return _build_basis(N, k, prec, list(candidates))
+        return ModFormBasis(N, k, prec, *_pool_echelon(candidates, N, k, prec))
     with _basis_lock:
         return _weight_basis_cached(N, k, prec)
 
@@ -498,33 +505,35 @@ def _default_rows(N: int, k: int, prec: int) -> list[list[int]]:
     d = dim M_1 - 1, and these products alone span it, since
     H^0(O(d)) x H^0(O((k-1)d)) -> H^0(O(kd)) is onto.  At N = 4 the
     Eisenstein slices cover the rest (checked up to k = 12).  The rank
-    is certified against the dimension either way.
+    is certified against the dimension either way.  The two factor bases
+    are built before the weight-k Eisenstein series, so at a level whose
+    weight-1 dimension is unknown the recursion reaches dim_Mk(N, 1)
+    before any candidate is built.
     """
     if k == 0:
         return [[1] + [0] * (prec - 1)]
-    out = []
-    for f in eisenstein_candidates(N, k, prec):
-        out.extend(_slices(f.coeffs))
-    if k > 1:
-        b2 = _weight_basis_cached(N, k - 1, prec)
-        for f in _weight_basis_cached(N, 1, prec).rows:
-            out.extend(_product(f, g, 0) for g in b2.rows)
+    b1, b2 = [_weight_basis_cached(N, j, prec).rows for j in (1, k - 1)] if k > 1 else [(), ()]
+    out = [row for f in eisenstein_candidates(N, k, prec) for row in _slices(f.coeffs)]
+    out.extend(_product(f, g, 0) for f in b1 for g in b2)
     return out
 
 
-def _pool_echelon(candidates, N: int, k: int, prec: int, dim: int):
+def _pool_echelon(candidates, N: int, k: int, prec: int):
     """(pivots, rows, den) of an explicit pool, whose echelon form must be rational.
 
-    A candidate with fewer than prec coefficients is refused, and every
-    candidate is truncated to prec and lifted to the ambient level L.  The
-    power-basis coordinate slices of the pool span over Q a space S whose
-    Q(zeta_L)-span contains the pool, so a candidate is determined by its
-    values at the pivots of the echelon form of S.  The pool's rank r over
-    Q(zeta_L) is then the Q-rank of the rows zeta_L^i * f, i < phi(L),
-    read at those pivots, divided by phi(L), and is certified against the
-    dimension.  dim S >= r, with equality iff the pool's span is S tensor
-    Q(zeta_L), that is iff its echelon form is rational: that of S.
+    The dimension comes first, so an unsupported level is refused before
+    any candidate is read.  A candidate with fewer than prec coefficients
+    is refused, and every candidate is truncated to prec and lifted to the
+    ambient level L.  The power-basis coordinate slices of the pool span
+    over Q a space S whose Q(zeta_L)-span contains the pool, so a
+    candidate is determined by its values at the pivots of the echelon
+    form of S.  The pool's rank r over Q(zeta_L) is then the Q-rank of the
+    rows zeta_L^i * f, i < phi(L), read at those pivots, divided by
+    phi(L), and is certified against the dimension.  dim S >= r, with
+    equality iff the pool's span is S tensor Q(zeta_L), that is iff its
+    echelon form is rational: that of S.
     """
+    dim = dim_Mk(N, k)
     L = ambient_field_level(N)
     pool = []
     for i, f in enumerate(candidates):
@@ -552,34 +561,6 @@ def _pool_echelon(candidates, N: int, k: int, prec: int, dim: int):
             f"they do not span M_{k}(Gamma_1({N}))",
         )
     return pivots, rows, den
-
-
-def _certify_rank(rank: int, dim: int) -> None:
-    if rank < dim:
-        raise SpanFailure(rank, dim)
-    if rank > dim:
-        raise RankExceedsDimension(rank, dim)
-
-
-def _build_basis(N: int, k: int, prec: int, candidates) -> ModFormBasis:
-    """The certified basis from the default pool (candidates None) or an explicit one.
-
-    Both are reduced over Q by ``_integer_echelon``.  The default pool is
-    Galois-stable, so its coordinate slices span the rational points of
-    its span, and every candidate is reduced, so a rank above the
-    dimension is still caught.  An explicit pool need not be
-    Galois-stable: ``_pool_echelon`` certifies its rank over Q(zeta_L)
-    and checks that its slices have that rank.
-    """
-    L = ambient_field_level(N)
-    dim = dim_Mk(N, k)
-    if candidates is None:
-        pivots, rows, den = _integer_echelon(_default_rows(N, k, prec))
-        _certify_rank(len(rows), dim)
-    else:
-        pivots, rows, den = _pool_echelon(candidates, N, k, prec, dim)
-    certificate = {"dimension": dim, "rank": len(rows), "sturm": sturm_bound(N, k)}
-    return ModFormBasis(N, k, prec, L, pivots, certificate, rows, den)
 
 
 def is_in_span(s: QSeries, basis: ModFormBasis) -> tuple[bool, list[Cyclo]]:

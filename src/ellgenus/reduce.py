@@ -100,7 +100,7 @@ def _plan(N: int, weight: int, prec: int) -> _Plan:
     # at k = 0, E_2(q) - t E_2(q^t) at k = 2, else an E_k^{1,phi}), so the pivot
     # 0 comes first and 1 = row 0 / D + r, r_c = -rows[0][c] / D off the pivots;
     # r is rational, as the reduced echelon form is Galois-fixed (Shimura 1971,
-    # Thm 3.52; ``_build_basis`` certifies it)
+    # Thm 3.52; ``weight_basis`` certifies it)
     assert pivots[0] == 0
     free = tuple((c, Fraction(-x, D)) for c, x in enumerate(basis.rows[0]) if c not in pivots)
     return _Plan(basis, free, *_constant_lattice(free, N))

@@ -167,7 +167,6 @@ def field_basis(N: int, k: int, prec: int) -> ModFormBasis:
     QSeries products of lower-weight field-built bases, reduced by ``rref``,
     then checked to be rational and stored as its integer matrix."""
     L = ambient_field_level(N)
-    sb = sturm_bound(N, k)
     dim = dim_Mk(N, k)
     candidates = []
     if k == 0:
@@ -193,8 +192,7 @@ def field_basis(N: int, k: int, prec: int) -> ModFormBasis:
     rows = tuple(
         tuple(value.num[0] * (den // value.den) for value in row) for row in reduced
     )
-    certificate = {"dimension": dim, "rank": rank, "sturm": sb}
-    basis = ModFormBasis(N, k, prec, L, pivots, certificate, rows, den)
+    basis = ModFormBasis(N, k, prec, pivots, rows, den)
     # the elements view, built from rows/den, is the field-built echelon form
     assert [list(e.coeffs) for e in basis.elements] == reduced
     return basis
@@ -392,7 +390,7 @@ def field_solve_constant_direction(
     system over Z[1/N] per power-basis coordinate, see ``congruence_solution``.
     """
     # the reduced echelon form of the basis is Galois-fixed, so r is rational
-    # (Shimura 1971, Thm 3.52; ``_build_basis`` certifies it); the
+    # (Shimura 1971, Thm 3.52; ``weight_basis`` certifies it); the
     # coordinatewise split below needs it
     assert all(isinstance(r, Fraction) for r in r_cols)
     x_cols, r_vals = [], []

@@ -272,6 +272,44 @@ def test_an_out_path_that_cannot_be_written_exits_3(where, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {out}: ")
 
 
+@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+def test_an_out_path_that_cannot_be_written_fails_before_the_command(
+    where, tmp_path, monkeypatch, capsys
+):
+    # the basis was built and certified before the path was tried
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran before --out was opened")
+
+    monkeypatch.setattr(cli, "weight_basis", never)
+    out = tmp_path / "missing" / "x" if where == "missing-parent" else tmp_path
+    code = cli.main(["--level", "5", "--degree", "4", "--out", str(out), "basis"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"error: {out}: ")
+
+
+def test_an_existing_out_file_is_kept_when_the_command_fails(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    out.write_text("earlier report\n" * 1000)
+    bad = tmp_path / "broken.json"
+    bad.write_text("{not json")
+    assert cli.main(["--out", str(out), "genus", str(bad)]) == 3
+    assert out.read_text() == "earlier report\n" * 1000
+    assert cli.main(["--machine", "--out", str(out), "--degree", "4", "basis"]) == 0
+    assert json.loads(out.read_text())["command"] == "basis"
+
+
+def test_a_point_needs_no_basis_at_any_level(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a weight-0 genus built a basis")
+
+    monkeypatch.setattr(cli, "weight_basis", never)
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"dim": 0, "chern": {"": 1}}))
+    assert cli.main(["--level", "11", "--machine", "genus", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["modular"] is True and doc["all_integral"] is True
+
+
 def test_out_flag_writes_report_file(cp2_file, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = cli.main(

@@ -492,8 +492,51 @@ def test_the_cut_pool_is_guarded_by_the_rank_certificate(monkeypatch):
 
     monkeypatch.setattr(modforms, "_weight_basis_cached", no_weight_1)
     with pytest.raises(SpanFailure) as info:
-        modforms._build_basis(4, 5, prec, None)
+        real.__wrapped__(4, 5, prec)
     assert (info.value.rank, info.value.dimension) == (2, 3)
+
+
+def _no_candidate_is_built(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a candidate was built at an unsupported level")
+
+    monkeypatch.setattr(modforms, "eisenstein_candidates", refused)
+    monkeypatch.setattr(modforms, "_integer_echelon", refused)
+    monkeypatch.setattr(linalg, "_integer_echelon", refused)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("N", [11, 53, 97])
+def test_an_unsupported_level_is_refused_before_any_candidate_is_built(monkeypatch, N, k):
+    # the weight-k Eisenstein series were built before the weight-1 factor
+    # asked for its dimension: --level 97 --degree 4 basis ran for minutes
+    _no_candidate_is_built(monkeypatch)
+    with pytest.raises(UnsupportedLevel, match="genus-0"):
+        weight_basis(N, k, sturm_bound(N, k))
+
+
+def test_an_explicit_pool_at_an_unsupported_level_is_refused_before_its_echelon(monkeypatch):
+    prec = sturm_bound(11, 1)
+    pool = [QSeries.one(ambient_field_level(11), prec)]
+    _no_candidate_is_built(monkeypatch)
+    with pytest.raises(UnsupportedLevel, match="genus-0"):
+        weight_basis(11, 1, prec, candidates=pool)
+
+
+def test_a_basis_is_certified_by_its_constructor():
+    basis = weight_basis(5, 2, 8)
+    rows, den = basis.rows, basis.den
+    rebuilt = modforms.ModFormBasis(5, 2, 8, basis.pivots, rows, den)
+    assert rebuilt.certificate == basis.certificate == {"dimension": 3, "rank": 3, "sturm": 5}
+    assert rebuilt.field_level == basis.field_level and rebuilt.digest() == basis.digest()
+    with pytest.raises(SpanFailure) as info:
+        modforms.ModFormBasis(5, 2, 8, basis.pivots[:2], rows[:2], den)
+    assert type(info.value) is SpanFailure
+    assert (info.value.rank, info.value.dimension) == (2, 3)
+    extra = tuple(int(c == 7) for c in range(8))
+    with pytest.raises(RankExceedsDimension) as info:
+        modforms.ModFormBasis(5, 2, 8, basis.pivots + [7], rows + (extra,), den)
+    assert (info.value.rank, info.value.dimension) == (4, 3)
 
 
 def test_integer_echelon_does_not_depend_on_the_candidate_order():
