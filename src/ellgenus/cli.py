@@ -77,11 +77,16 @@ def _load(path: str, build):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _emit(report: dict, human: str, args) -> None:
+def _emit(report: dict, human, args) -> None:
+    """Write the report as JSON under --machine, else the text ``human()`` returns.
+
+    ``human`` is a function of no arguments, so a --machine run never
+    builds the text.
+    """
     text = (
         json.dumps(report, sort_keys=True, separators=(",", ":"))
         if args.machine
-        else human
+        else human()
     )
     if args.out:
         try:
@@ -121,12 +126,16 @@ def cmd_genus(args) -> int:
         "all_integral": all(integral),
         "modular": bool(modular),
     }
-    lines = [f"level-{args.level} genus, dim {data.dim}, prec {prec} (sturm floor {floor})"]
-    for n, (c, ok) in enumerate(zip(g.coeffs, integral)):
-        lines.append(f"  q^{n}: {c!r}  [{'integral' if ok else 'NOT integral'}]")
-    lines.append(f"  all coefficients integral: {all(integral)}")
-    lines.append(f"  modular of weight {weight}: {modular}")
-    _emit(report, "\n".join(lines), args)
+
+    def human():
+        lines = [f"level-{args.level} genus, dim {data.dim}, prec {prec} (sturm floor {floor})"]
+        for n, (c, ok) in enumerate(zip(g.coeffs, integral)):
+            lines.append(f"  q^{n}: {c!r}  [{'integral' if ok else 'NOT integral'}]")
+        lines.append(f"  all coefficients integral: {all(integral)}")
+        lines.append(f"  modular of weight {weight}: {modular}")
+        return "\n".join(lines)
+
+    _emit(report, human, args)
     return EXIT_OK
 
 
@@ -148,15 +157,19 @@ def cmd_frep(args) -> int:
         "rows": F.serialize(),
         "all_integral": bool(integral),
     }
-    lines = [
-        f"two-variable representative, level {args.level}, dims "
-        f"({data.dim0}, {data.dim1}), rectangle {prec_p} x {prec_q} (sturm floor {floor})",
-        f"  all coefficients integral: {integral}",
-    ]
-    for i in range(min(prec_p, 4)):
-        row = "  ".join(repr(F[i, j]) for j in range(min(prec_q, 4)))
-        lines.append(f"  p^{i}: {row}")
-    _emit(report, "\n".join(lines), args)
+
+    def human():
+        lines = [
+            f"two-variable representative, level {args.level}, dims "
+            f"({data.dim0}, {data.dim1}), rectangle {prec_p} x {prec_q} (sturm floor {floor})",
+            f"  all coefficients integral: {integral}",
+        ]
+        for i in range(min(prec_p, 4)):
+            row = "  ".join(repr(F[i, j]) for j in range(min(prec_q, 4)))
+            lines.append(f"  p^{i}: {row}")
+        return "\n".join(lines)
+
+    _emit(report, human, args)
     return EXIT_OK
 
 
@@ -173,13 +186,12 @@ def cmd_reduce_u(args) -> int:
     s = _load(args.input, lambda d: QSeries.deserialize(_integer(d["level"]), d["coeffs"]))
     cls = reduce_Uq(s, args.level, degree, min(args.prec_q, s.prec))
     report = {"command": "reduce-u", **cls.serialize()}
-    lines = [
+    _emit(report, lambda: "\n".join([
         f"one-variable reduction, level {args.level}, degree {degree}, "
         f"prec {cls.prec} (sturm floor {cls.modular_part['sturm']})",
         f"  trivial: {cls.trivial}",
         f"  residual: {cls.rep!r}",
-    ]
-    _emit(report, "\n".join(lines), args)
+    ]), args)
     return EXIT_OK
 
 
@@ -188,14 +200,13 @@ def cmd_reduce_w(args) -> int:
     s = _load(args.input, lambda d: PQSeries.deserialize(_integer(d["level"]), d["rows"]))
     cls = reduce_Wtilde(s, args.level, degree)
     report = {"command": "reduce-w", **cls.serialize()}
-    lines = [
+    _emit(report, lambda: "\n".join([
         f"two-variable reduction, level {args.level}, degree {degree}, "
         f"rectangle {cls.prec_p} x {cls.prec_q}",
         f"  trivial: {cls.trivial}",
         f"  p^0 row trivial: {cls.row_class.trivial}",
         f"  q^0 column trivial: {cls.column_class.trivial}",
-    ]
-    _emit(report, "\n".join(lines), args)
+    ]), args)
     return EXIT_OK
 
 
@@ -206,15 +217,19 @@ def cmd_basis(args) -> int:
     prec = max(args.prec_q, floor)
     basis = weight_basis(args.level, weight, prec)
     report = {"command": "basis", **basis.serialize()}
-    lines = [
-        f"basis of weight {weight} at level {args.level}, prec {prec} "
-        f"(sturm floor {floor})",
-        f"  dimension {basis.certificate['dimension']}, "
-        f"rank {basis.certificate['rank']}",
-    ]
-    for i, e in enumerate(basis.elements):
-        lines.append(f"  [{i}] {e!r}")
-    _emit(report, "\n".join(lines), args)
+
+    def human():
+        lines = [
+            f"basis of weight {weight} at level {args.level}, prec {prec} "
+            f"(sturm floor {floor})",
+            f"  dimension {basis.certificate['dimension']}, "
+            f"rank {basis.certificate['rank']}",
+        ]
+        for i, e in enumerate(basis.elements):
+            lines.append(f"  [{i}] {e!r}")
+        return "\n".join(lines)
+
+    _emit(report, human, args)
     return EXIT_OK
 
 
@@ -233,7 +248,7 @@ def cmd_selfcheck(args) -> int:
         ],
         "passed": all(r.passed for r in results),
     }
-    _emit(report, format_report(results), args)
+    _emit(report, lambda: format_report(results), args)
     return EXIT_OK if all(r.passed for r in results) else 1
 
 

@@ -124,7 +124,12 @@ def _rational(value) -> Fraction:
 
 
 def _integer(value, error=ValueError) -> int:
-    """``value`` read by ``_rational``, as an exact integer; ``error`` if it is not one."""
+    """``value`` read by ``_rational``, as an exact integer; ``error`` if it is not one.
+
+    An int (not a bool) is returned as itself, with no Fraction built.
+    """
+    if type(value) is int:
+        return value
     try:
         x = _rational(value)
     except (ValueError, ZeroDivisionError) as exc:

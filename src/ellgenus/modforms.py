@@ -22,7 +22,6 @@ integer products of the weight-1 basis with the weight-(k-1) basis.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import threading
@@ -320,8 +319,9 @@ class ModFormBasis:
     derives ``field_level`` and ``certificate`` and refuses a rank other
     than dim M_k, so no uncertified basis exists.  ``elements``, the basis
     as QSeries over Q(zeta_L), is a view built at its first read and then
-    kept, as ``digest`` is; ``is_integral`` reads ``den``; ``eliminate``
-    works in integers.
+    kept, as ``digest`` is; ``serialize`` writes the same bytes from
+    ``rows`` and ``den`` without it; ``is_integral`` reads ``den``;
+    ``eliminate`` works in integers.
     """
 
     __slots__ = (
@@ -407,18 +407,33 @@ class ModFormBasis:
     def digest(self) -> str:
         """First 16 hex digits of the sha256 of the serialized basis."""
         if self._digest is None:
+            import hashlib  # only here: a CLI basis job never digests
+
             text = json.dumps(self.serialize(), sort_keys=True)
             self._digest = hashlib.sha256(text.encode()).hexdigest()[:16]
         return self._digest
 
     def serialize(self) -> dict:
+        """The basis as JSON data, each element as ``QSeries.serialize`` writes it.
+
+        Written straight from ``rows`` and ``den``: the q^c coefficient of
+        element j is the rational rows[j][c] / den, whose power-basis
+        coordinates are that fraction in lowest terms and phi(L) - 1 zeros.
+        """
+        D = self.den
+        zeros = ["0/1"] * (euler_phi(self.field_level) - 1)
+
+        def coefficient(x: int) -> list[str]:
+            g = gcd(x, D)
+            return [f"{x // g}/{D // g}", *zeros]
+
         return {
             "level": self.level,
             "weight": self.weight,
             "prec": self.prec,
             "field_level": self.field_level,
             "sturm": self.certificate["sturm"],
-            "elements": [e.serialize() for e in self.elements],
+            "elements": [[coefficient(x) for x in row] for row in self.rows],
             "certificate": dict(self.certificate),
         }
 
@@ -462,13 +477,14 @@ def _weight_basis_cached(N: int, k: int, prec: int) -> ModFormBasis:
 def weight_basis(N: int, k: int, prec: int, candidates=None) -> ModFormBasis:
     """Certified basis of M_k(Gamma_1(N)) to q-precision prec.
 
-    Candidates default to all admissible Eisenstein series plus the
-    products of the weight-1 and weight-(k-1) basis elements (cached).  An
-    explicit candidate list overrides the pool (``_pool_echelon``): each
-    candidate needs a level dividing L and at least prec coefficients (it
-    is read to prec), the pool's rank over Q(zeta_L) is certified against
-    the dimension, and a pool whose echelon form is not rational is
-    refused.  Either pool is reduced over Q in integers after the
+    Candidates default to the products of the weight-1 and weight-(k-1)
+    basis elements (cached), plus the admissible Eisenstein series of
+    weight k where those products need not span (see ``_default_rows``):
+    at weight 1, and at N = 4 among the supported levels.  An explicit
+    candidate list overrides the pool (``_pool_echelon``): each candidate
+    needs a level dividing L and at least prec coefficients (it is read
+    to prec), the pool's rank over Q(zeta_L) is certified against the
+    dimension, and a pool whose echelon form is not rational is refused.  Either pool is reduced over Q in integers after the
     dimension is known, so an unsupported level is refused before any
     candidate is built, and ``ModFormBasis`` certifies rank = dim.
     """
@@ -495,27 +511,32 @@ def _slices(coeffs) -> list[list[int]]:
 def _default_rows(N: int, k: int, prec: int) -> list[list[int]]:
     """The default candidate pool of weight k as integer rows over Q.
 
-    Each Eisenstein series gives its nonzero power-basis coordinate
-    slices, each over the series' common denominator: the pool is
-    Galois-stable, so the slices span over Q the rational points of its
-    span over Q(zeta_L).  The other candidates are the products of the
-    weight-1 basis with the weight-(k-1) basis, each the convolution of
-    two integer rows truncated at prec.  At every supported N >= 5,
-    X_1(N) = P^1 with every cusp regular, so M_k = H^0(O(kd)) with
-    d = dim M_1 - 1, and these products alone span it, since
-    H^0(O(d)) x H^0(O((k-1)d)) -> H^0(O(kd)) is onto.  At N = 4 the
-    Eisenstein slices cover the rest (checked up to k = 12).  The rank
-    is certified against the dimension either way.  The two factor bases
-    are built before the weight-k Eisenstein series, so at a level whose
-    weight-1 dimension is unknown the recursion reaches dim_Mk(N, 1)
-    before any candidate is built.
+    For k >= 2 the candidates are the products of the weight-1 basis with
+    the weight-(k-1) basis, each the convolution of two integer rows
+    truncated at prec.  Where X_1(N) = P^1 with every cusp regular (every
+    supported N >= 5), M_k = H^0(O(kd)) with d = dim M_1 - 1, and these
+    products alone span it, since H^0(O(d)) x H^0(O((k-1)d)) -> H^0(O(kd))
+    is onto.  Elsewhere (N = 4, with its irregular cusp) the pool also
+    holds the weight-k Eisenstein series (checked to span up to k = 12),
+    and at k = 1 it holds only them.  Each Eisenstein series gives its
+    nonzero power-basis coordinate slices, each over the series' common
+    denominator: the pool is Galois-stable, so the slices span over Q the
+    rational points of its span over Q(zeta_L).  Every row goes to the
+    echelon, and the rank is certified against the dimension either way.
+    The two factor bases are built before any Eisenstein series, so at a
+    level whose weight-1 dimension is unknown the recursion reaches
+    dim_Mk(N, 1) before any candidate is built.
     """
     if k == 0:
         return [[1] + [0] * (prec - 1)]
-    b1, b2 = [_weight_basis_cached(N, j, prec).rows for j in (1, k - 1)] if k > 1 else [(), ()]
-    out = [row for f in eisenstein_candidates(N, k, prec) for row in _slices(f.coeffs)]
-    out.extend(_product(f, g, 0) for f in b1 for g in b2)
-    return out
+    products = []
+    if k > 1:
+        b1, b2 = (_weight_basis_cached(N, j, prec).rows for j in (1, k - 1))
+        products = [_product(f, g, 0) for f in b1 for g in b2]
+        if _genus_X1(N) == 0 and _cusp_counts(N)[2] == 0:
+            return products
+    slices = [row for f in eisenstein_candidates(N, k, prec) for row in _slices(f.coeffs)]
+    return slices + products
 
 
 def _pool_echelon(candidates, N: int, k: int, prec: int):

@@ -198,6 +198,20 @@ def field_basis(N: int, k: int, prec: int) -> ModFormBasis:
     return basis
 
 
+def serialize_by_elements(basis: ModFormBasis) -> dict:
+    """``ModFormBasis.serialize`` as it was written before it read ``rows`` and
+    ``den`` directly: every coefficient through its ``Cyclo`` in ``elements``."""
+    return {
+        "level": basis.level,
+        "weight": basis.weight,
+        "prec": basis.prec,
+        "field_level": basis.field_level,
+        "sturm": basis.certificate["sturm"],
+        "elements": [e.serialize() for e in basis.elements],
+        "certificate": dict(basis.certificate),
+    }
+
+
 def basis_with_denominators(at_q6=Fraction(-5, 3), at_q7=Fraction(2, 7)):
     """A rational basis whose integer rows need a common denominator (21 by default).
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ellgenus.cyclo import (
     Cyclo,
+    _integer,
     cyclotomic_poly,
     descend,
     euler_phi,
@@ -17,6 +18,17 @@ from ellgenus.cyclo import (
 )
 from ellgenus.series import QSeries
 from oracles import lift_by_table
+
+
+def test_an_int_is_read_as_itself_and_every_other_refusal_stays():
+    big = 3 ** 127  # a 202-bit int
+    assert _integer(big) is big and _integer(-7) == -7
+    assert _integer("12/4") == 3 and _integer(Fraction(6, 2)) == 3
+    for value in (True, False, 2.0, "1.5", "2e3", "7/2", None):
+        with pytest.raises(ValueError):
+            _integer(value)
+    with pytest.raises(TypeError):
+        _integer(True, error=TypeError)
 
 
 def test_euler_phi_small_values():

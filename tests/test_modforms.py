@@ -50,6 +50,7 @@ from oracles import (
     gamma1_index_by_primes,
     rational_rref,
     rref,
+    serialize_by_elements,
     unit_group_exponent_by_generators,
 )
 
@@ -439,25 +440,84 @@ def test_integer_built_basis_matches_the_field_build(N, k, prec):
     assert got.digest() == want.digest()
 
 
-@pytest.mark.parametrize("N,k,prec", [(5, 3, 7), (7, 3, 13)])
-def test_rank_above_the_dimension_is_caught_on_the_default_path(monkeypatch, N, k, prec):
+def _rank_above_the_dimension(monkeypatch, N, k, prec, name, add_monomial):
+    """The RankExceedsDimension that the default path of (N, k, prec) raises
+    once ``modforms.<name>`` also gives a monomial at a free column."""
     basis = weight_basis(N, k, prec)
     free = next(c for c in range(prec) if c not in basis.pivots)
-    monomial = QSeries(basis.field_level, prec, [0] * free + [1])
-    real = modforms.eisenstein_candidates
+    real = getattr(modforms, name)
 
     def with_monomial(*args):
         out = real(*args)
-        return out + [monomial] if args == (N, k, prec) else out
+        return add_monomial(out, free, basis.field_level) if args == (N, k, prec) else out
 
-    monkeypatch.setattr(modforms, "eisenstein_candidates", with_monomial)
+    monkeypatch.setattr(modforms, name, with_monomial)
     modforms._weight_basis_cached.cache_clear()
     try:
         with pytest.raises(RankExceedsDimension) as info:
             weight_basis(N, k, prec)
     finally:
         modforms._weight_basis_cached.cache_clear()
-    assert (info.value.rank, info.value.dimension) == (dim_Mk(N, k) + 1, dim_Mk(N, k))
+    return info.value
+
+
+@pytest.mark.parametrize("N,k,prec", [(5, 3, 7), (7, 3, 13)])
+def test_rank_above_the_dimension_is_caught_on_the_default_path(monkeypatch, N, k, prec):
+    # the pool of these levels is the M_1 products alone: the row goes in with them
+    exc = _rank_above_the_dimension(
+        monkeypatch, N, k, prec, "_default_rows",
+        lambda rows, free, L: rows + [[0] * free + [1] + [0] * (prec - free - 1)],
+    )
+    assert (exc.rank, exc.dimension) == (dim_Mk(N, k) + 1, dim_Mk(N, k))
+
+
+def test_rank_above_the_dimension_is_caught_among_the_eisenstein_series(monkeypatch):
+    N, k = 4, 2
+    prec = sturm_bound(N, k)
+    exc = _rank_above_the_dimension(
+        monkeypatch, N, k, prec, "eisenstein_candidates",
+        lambda series, free, L: series + [QSeries(L, prec, [0] * free + [1])],
+    )
+    assert (exc.rank, exc.dimension) == (dim_Mk(N, k) + 1, dim_Mk(N, k))
+
+
+def test_the_default_pool_builds_eisenstein_series_only_where_the_products_may_not_span(
+        monkeypatch):
+    calls = []
+    real = modforms.eisenstein_candidates
+
+    def recorded(N, k, prec):
+        calls.append((N, k))
+        return real(N, k, prec)
+
+    fresh = functools.lru_cache(maxsize=None)(modforms._weight_basis_cached.__wrapped__)
+    monkeypatch.setattr(modforms, "_weight_basis_cached", fresh)
+    monkeypatch.setattr(modforms, "eisenstein_candidates", recorded)
+    for N in SUPPORTED_LEVELS:
+        for k in range(1, 6):
+            weight_basis(N, k, sturm_bound(N, k))
+    assert all(k == 1 or N == 4 for N, k in calls), calls
+    assert {(4, k) for k in range(1, 6)} <= set(calls)
+
+
+@pytest.mark.parametrize("N", SUPPORTED_LEVELS)
+def test_serialize_matches_the_elements_view(N):
+    for k in range(1, 7):
+        basis = weight_basis(N, k, sturm_bound(N, k))
+        assert basis.serialize() == serialize_by_elements(basis), k
+
+
+def test_serialize_does_not_read_the_elements_view(monkeypatch):
+    # den 21 and negative entries: every fraction is brought to lowest terms
+    basis = basis_with_denominators()
+    assert basis.den == 21 and any(x < 0 for row in basis.rows for x in row)
+    want = serialize_by_elements(basis)
+
+    def refused(self):
+        raise AssertionError("elements read by serialize")
+
+    monkeypatch.setattr(modforms.ModFormBasis, "elements", property(refused))
+    assert basis.serialize() == want
 
 
 def test_the_default_path_runs_no_field_elimination_and_no_series_product(monkeypatch):
