@@ -1,8 +1,8 @@
 """Exact level-N complex elliptic genus and f-invariant quotient reduction.
 
-Everything is computed over Q(zeta_N) (or the ambient field Q(zeta_L)
-needed for Dirichlet characters) with exact rational coordinates; no
-floating point enters any result.
+Everything is computed over Q(zeta_N) (or the ambient field Q(zeta_L),
+L = lcm(N, exponent of (Z/N)^*), that bases are serialized over) with
+exact rational coordinates; no floating point enters any result.
 
 Layers
 ------
@@ -12,8 +12,8 @@ cyclo      cyclotomic field arithmetic and the subring Z[1/N, zeta_N]
 series     truncated power series in q, (p, q), and x over q-series
 genus      characteristic series, multiplicative sequences, Chern-number
            pairing, and the two-variable representative
-modforms   Eisenstein series, dimension formulas, certified bases of
-           M_k(Gamma_1(N)), Sturm bounds, span membership
+modforms   dimension formulas, certified bases of M_k(Gamma_1(N)) built
+           from rational divisor sums, Sturm bounds, span membership
 reduce     canonical representatives and triviality certificates in the
            one- and two-variable quotient targets
 selfcheck  built-in verification corpus (also via the CLI `selfcheck`)
@@ -54,11 +54,8 @@ from .genus import (
     verify_Q_identity,
 )
 from .modforms import (
-    DirichletCharacter,
     ModFormBasis,
     dim_Mk,
-    eisenstein,
-    eisenstein_candidates,
     is_in_span,
     sturm_bound,
     weight_basis,
@@ -98,11 +95,8 @@ __all__ = [
     "phi_series",
     "split_product",
     "verify_Q_identity",
-    "DirichletCharacter",
     "ModFormBasis",
     "dim_Mk",
-    "eisenstein",
-    "eisenstein_candidates",
     "is_in_span",
     "sturm_bound",
     "weight_basis",

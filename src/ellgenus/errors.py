@@ -39,14 +39,6 @@ class BadSplitChernData(EllGenusError):
     Chern number that is not an exact integer, as for BadChernData."""
 
 
-class IncompatibleParity(EllGenusError):
-    """Character pair parity does not match the weight."""
-
-
-class BadLevelDivisibility(EllGenusError):
-    """Character moduli times t do not divide the level."""
-
-
 class UnsupportedLevel(EllGenusError):
     """The level is outside the supported range (N >= 4; modular bases
     need a genus-0 X_1(N), i.e. N in {4, ..., 10, 12}).  A basis build

@@ -1,22 +1,21 @@
 """q-expansion bases of M_k(Gamma_1(N)).
 
-Conventions follow Diamond--Shurman, "A First Course in Modular Forms":
-the Eisenstein family E_k^{psi,phi,t} for pairs of primitive Dirichlet
-characters with (mod psi)(mod phi) t | N and psi(-1) phi(-1) = (-1)^k,
-coefficients sum_{d|n} psi(n/d) phi(d) d^{k-1}, constant term the
-generalized Bernoulli value -B_{k,phi}/(2k) when psi is trivial; weight 2
-with both characters trivial uses E_2(q) - t E_2(q^t); generalized
-Bernoulli numbers B_{k,chi} = M^{k-1} sum_a chi(a) B_k(a/M).
-
-Character values live in Q(zeta_L) with L = lcm(N, exponent of (Z/N)^*),
-which contains the value fields of every character of modulus dividing N;
-the characters mod M are built by extending the trivial one along the
-units of Z/M, one unit at a time, with no generators of (Z/M)^*.
 Bases are certified against the standard dimension formulas for the
 torsion-free groups Gamma_1(N), N >= 4.  Every basis is an integer
-echelon over Q (``linalg._integer_echelon``) of integer rows: the power-
-basis coordinate slices of the candidates, and for the default pool the
-integer products of the weight-1 basis with the weight-(k-1) basis.
+echelon over Q (``linalg._integer_echelon``) of integer rows.  The default
+pool is rational and is built from divisor sums and products alone.  At
+weight 1 it holds Hecke's series (Hecke 1927; Diamond--Shurman 4.8, the
+G_1^{(c,0)}(N tau) up to scale), for c = 1 .. (N-1)/2,
+
+    E1_c = (1/2 - c/N) + sum_{n >= 1} (#{d | n : d = c} - #{d | n : d = -c}) q^n,
+
+congruences mod N.  At weight k >= 2 it holds the products of the weight-1
+basis with the weight-(k-1) basis.  At N = 4, whose cusp 1/2 is
+irregular, it also holds E_2(q) - t E_2(q^t), t | N, t > 1, at weight 2,
+and the products of the weight-2 basis with the weight-(k-2) basis above
+it.  An explicit pool may hold series over Q(zeta_L), L the ambient field
+level; the power-basis coordinate slices of its candidates are
+echelonized.
 """
 
 from __future__ import annotations
@@ -26,13 +25,11 @@ import json
 import math
 import threading
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from operator import mul
 
-from .cyclo import Cyclo, _power_table, _reduced, _split_denominator, euler_phi
+from .cyclo import Cyclo, _reduced, _split_denominator, euler_phi
 from .errors import (
-    BadLevelDivisibility,
-    IncompatibleParity,
     LevelMismatch,
     PrecisionInsufficient,
     RankExceedsDimension,
@@ -40,7 +37,7 @@ from .errors import (
     UnsupportedLevel,
 )
 from .linalg import _integer_echelon
-from .series import QSeries, _product, bernoulli_number
+from .series import QSeries, _product
 
 
 def _unit_order(a: int, M: int) -> int:
@@ -58,188 +55,15 @@ def unit_group_exponent(M: int) -> int:
 
 
 def ambient_field_level(N: int) -> int:
-    """L = lcm(N, exponent of (Z/N)^*): contains all character values."""
+    """L = lcm(N, exponent of (Z/N)^*), the field of the characters mod N.
+
+    The default pool is rational and needs no character.  L is the field
+    that a basis of level N is serialized over (``field_level``) and its
+    ``elements`` view lives in, and the field an explicit candidate pool
+    is lifted to and certified over.
+    """
     e = unit_group_exponent(N)
     return N * e // gcd(N, e)
-
-
-class DirichletCharacter:
-    """A Dirichlet character mod M with values in Q(zeta_L).
-
-    Stored as the exponent table a -> e with chi(a) = zeta_L^e on units.
-    """
-
-    __slots__ = ("modulus", "field_level", "exponents")
-
-    def __init__(self, modulus: int, field_level: int, exponents: dict[int, int]):
-        self.modulus = modulus
-        self.field_level = field_level
-        self.exponents = dict(exponents)
-
-    def value(self, n: int) -> Cyclo:
-        n %= self.modulus
-        if gcd(n, self.modulus) != 1:
-            return Cyclo.from_rational(self.field_level, 0)
-        return Cyclo.zeta(self.field_level, self.exponents[n])
-
-    def parity(self) -> int:
-        """chi(-1), which is +1 or -1."""
-        return 1 if self.exponents[-1 % self.modulus] == 0 else -1
-
-    def conductor(self) -> int:
-        """The least f | M with chi trivial on the units that are 1 mod f."""
-        M = self.modulus
-        return next(f for f in range(1, M + 1) if M % f == 0 and all(
-            e == 0 for a, e in self.exponents.items() if a % f == 1 % f))
-
-    def is_primitive(self) -> bool:
-        return self.conductor() == self.modulus
-
-    def key(self) -> tuple:
-        return (self.modulus, tuple(sorted(self.exponents.items())))
-
-
-def all_characters(M: int, field_level: int) -> list[DirichletCharacter]:
-    """All Dirichlet characters modulo M, values in Q(zeta_L), sorted by ``key()``.
-
-    Built by extension, with no generators (Serre, A Course in Arithmetic,
-    VI.1, Prop. 1).  Start from the trivial character of H = {1}.  For each
-    unit g not yet in H, in increasing order, let m be the least m >= 1 with
-    g^m in H.  A character t of H extends to H<g> in exactly m ways,
-    t'(h g^i) = t(h) + i e_j mod L with e_j = t(g^m)/m + j L/m, j < m
-    (exponents of zeta_L).  The division is exact: m divides the order n
-    of g, and n divides L, so t(g^m), whose multiple by n/m = order(g^m)
-    is 0 mod L, is a multiple of (L/n) m.  L must be a multiple of the
-    exponent of (Z/M)^*, or some character takes a value outside Q(zeta_L).
-    """
-    L = field_level
-    e = unit_group_exponent(M)
-    if L % e:
-        raise ValueError(f"Q(zeta_{L}) lacks the values of the characters mod {M}: "
-                         f"{L} is not a multiple of the exponent {e} of (Z/{M})^*")
-    tables = [{1 % M: 0}]
-    for g in range(2, M):
-        if gcd(g, M) != 1 or g in tables[0]:
-            continue
-        m, x = 1, g
-        while x not in tables[0]:
-            m, x = m + 1, x * g % M
-        coset = [(h, i, h * pow(g, i, M) % M) for h in tables[0] for i in range(m)]
-        tables = [
-            {u: (t[h] + i * ej) % L for h, i, u in coset}
-            for t in tables
-            for ej in range(t[x] // m, L, L // m)
-        ]
-    return sorted((DirichletCharacter(M, L, t) for t in tables), key=DirichletCharacter.key)
-
-
-def primitive_characters(M: int, field_level: int) -> list[DirichletCharacter]:
-    return [c for c in all_characters(M, field_level) if c.is_primitive()]
-
-
-def bernoulli_polynomial(k: int, x: Fraction) -> Fraction:
-    """B_k(x) = sum_i binom(k, i) B_i x^(k-i)."""
-    acc = Fraction(0)
-    for i in range(k + 1):
-        acc += comb(k, i) * bernoulli_number(i) * x ** (k - i)
-    return acc
-
-
-def gen_bernoulli(chi: DirichletCharacter, k: int) -> Cyclo:
-    """Generalized Bernoulli number B_{k,chi}."""
-    M = chi.modulus
-    L = chi.field_level
-    total = Cyclo.from_rational(L, 0)
-    for a in range(1, M + 1):
-        v = chi.value(a)
-        if v:
-            total = total + v * bernoulli_polynomial(k, Fraction(a, M))
-    return total * Fraction(M) ** (k - 1)
-
-
-def eisenstein(
-    psi: DirichletCharacter,
-    phi_char: DirichletCharacter,
-    t: int,
-    k: int,
-    prec: int,
-    N: int,
-) -> QSeries:
-    """The Eisenstein series E_k^{psi,phi,t} to the given q-precision."""
-    if k < 1:
-        raise ValueError("weight must be >= 1")
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    L = psi.field_level
-    if phi_char.field_level != L:
-        raise BadLevelDivisibility("character field levels differ")
-    if N % (psi.modulus * phi_char.modulus * t) != 0:
-        raise BadLevelDivisibility(
-            f"{psi.modulus} * {phi_char.modulus} * {t} does not divide {N}"
-        )
-    if psi.parity() * phi_char.parity() != (-1) ** k:
-        raise IncompatibleParity(f"character parity incompatible with weight {k}")
-
-    quasimodular = k == 2 and psi.modulus == 1 and phi_char.modulus == 1
-    if quasimodular and t == 1:
-        raise BadLevelDivisibility("E_2 itself is not modular; need t > 1")
-
-    coeffs = [Cyclo.from_rational(L, 0)]
-    if k >= 2:
-        if psi.modulus == 1:
-            coeffs[0] = -gen_bernoulli(phi_char, k) * Fraction(1, 2 * k)
-    else:  # k == 1
-        if psi.modulus == 1:
-            coeffs[0] = -gen_bernoulli(phi_char, 1) * Fraction(1, 2)
-        elif phi_char.modulus == 1:
-            coeffs[0] = -gen_bernoulli(psi, 1) * Fraction(1, 2)
-    coeffs.extend(_twisted_divisor_sums(psi, phi_char, k, prec))
-    e = QSeries(L, prec, coeffs).shift(t)
-    if quasimodular:
-        # E_2 = -1/24 + sum sigma_1(n) q^n is quasimodular; E_2(q) - t E_2(q^t) is modular
-        return QSeries(L, prec, [a - b * t for a, b in zip(coeffs, e.coeffs)])
-    return e
-
-
-def _exponents(chi: DirichletCharacter, n: int) -> list[int | None]:
-    """chi(a) = zeta_L^e as the exponent e for a = 0 .. n-1; None where chi(a) = 0."""
-    M = chi.modulus
-    return [chi.exponents[a % M] if gcd(a, M) == 1 else None for a in range(n)]
-
-
-def _twisted_divisor_sums(
-    psi: DirichletCharacter, phi_char: DirichletCharacter, k: int, prec: int
-) -> list[Cyclo]:
-    """sum_{d | n} psi(n/d) phi(d) d^(k-1) for n = 1 .. prec-1.
-
-    A sieve over the pairs (d, m) with n = d * m < prec.  Every term is
-    the integer d^(k-1) times zeta_L^e, e the sum of the exponents of
-    phi(d) and psi(m), so each n collects integer weights per exponent
-    and folds them through the power table once.
-    """
-    L = psi.field_level
-    psi_e, phi_e = _exponents(psi, prec), _exponents(phi_char, prec)
-    buckets: list[dict[int, int]] = [{} for _ in range(prec)]
-    for d in range(1, prec):
-        ed = phi_e[d]
-        if ed is None:
-            continue
-        w = d ** (k - 1)
-        for m in range(1, (prec - 1) // d + 1):
-            em = psi_e[m]
-            if em is not None:
-                bucket = buckets[d * m]
-                e = (ed + em) % L
-                bucket[e] = bucket.get(e, 0) + w
-    table = _power_table(L)
-    zero = [0] * euler_phi(L)
-    out = []
-    for bucket in buckets[1:]:
-        num = zero
-        for e, w in bucket.items():
-            num = [x + w * t for x, t in zip(num, table[e])]
-        out.append(_reduced(L, tuple(num), 1))
-    return out
 
 
 def _gamma1_index(N: int) -> int:
@@ -438,31 +262,6 @@ class ModFormBasis:
         }
 
 
-def eisenstein_candidates(N: int, k: int, prec: int) -> list[QSeries]:
-    """All admissible E_k^{psi,phi,t} at level N, weight k."""
-    L = ambient_field_level(N)
-    out = []
-    divisors = [d for d in range(1, N + 1) if N % d == 0]
-    prims = {d: primitive_characters(d, L) for d in divisors}
-    for u in divisors:
-        for v in divisors:
-            if N % (u * v) != 0:
-                continue
-            for t in divisors:
-                if N % (u * v * t) != 0:
-                    continue
-                for psi in prims[u]:
-                    for phic in prims[v]:
-                        if psi.parity() * phic.parity() != (-1) ** k:
-                            continue
-                        if k == 2 and u == 1 and v == 1 and t == 1:
-                            continue
-                        if k == 1 and (v, phic.key()) < (u, psi.key()):
-                            continue  # E_1^{psi,phi} = E_1^{phi,psi}
-                        out.append(eisenstein(psi, phic, t, k, prec, N))
-    return out
-
-
 _basis_lock = threading.Lock()
 
 
@@ -477,16 +276,18 @@ def _weight_basis_cached(N: int, k: int, prec: int) -> ModFormBasis:
 def weight_basis(N: int, k: int, prec: int, candidates=None) -> ModFormBasis:
     """Certified basis of M_k(Gamma_1(N)) to q-precision prec.
 
-    Candidates default to the products of the weight-1 and weight-(k-1)
-    basis elements (cached), plus the admissible Eisenstein series of
-    weight k where those products need not span (see ``_default_rows``):
-    at weight 1, and at N = 4 among the supported levels.  An explicit
-    candidate list overrides the pool (``_pool_echelon``): each candidate
-    needs a level dividing L and at least prec coefficients (it is read
-    to prec), the pool's rank over Q(zeta_L) is certified against the
-    dimension, and a pool whose echelon form is not rational is refused.  Either pool is reduced over Q in integers after the
-    dimension is known, so an unsupported level is refused before any
-    candidate is built, and ``ModFormBasis`` certifies rank = dim.
+    Candidates default to the rational pool of ``_default_rows`` (cached):
+    Hecke's weight-1 series, and at weight k >= 2 the products of lower-
+    weight bases, with E_2(q) - t E_2(q^t) at weight 2 where those
+    products need not span.  An explicit candidate list overrides the
+    pool (``_pool_echelon``).  Each candidate needs a level dividing L and
+    at least prec coefficients, and is read to prec.  The pool's rank over
+    Q(zeta_L) is certified against the dimension, and a pool whose echelon
+    form is not rational is refused.
+
+    Either pool is reduced over Q in integers after the dimension is
+    known, so an unsupported level is refused before any candidate is
+    built, and ``ModFormBasis`` certifies rank = dim.
     """
     sb = sturm_bound(N, k)
     if prec < sb:
@@ -511,32 +312,70 @@ def _slices(coeffs) -> list[list[int]]:
 def _default_rows(N: int, k: int, prec: int) -> list[list[int]]:
     """The default candidate pool of weight k as integer rows over Q.
 
-    For k >= 2 the candidates are the products of the weight-1 basis with
-    the weight-(k-1) basis, each the convolution of two integer rows
-    truncated at prec.  Where X_1(N) = P^1 with every cusp regular (every
-    supported N >= 5), M_k = H^0(O(kd)) with d = dim M_1 - 1, and these
-    products alone span it, since H^0(O(d)) x H^0(O((k-1)d)) -> H^0(O(kd))
-    is onto.  Elsewhere (N = 4, with its irregular cusp) the pool also
-    holds the weight-k Eisenstein series (checked to span up to k = 12),
-    and at k = 1 it holds only them.  Each Eisenstein series gives its
-    nonzero power-basis coordinate slices, each over the series' common
-    denominator: the pool is Galois-stable, so the slices span over Q the
-    rational points of its span over Q(zeta_L).  Every row goes to the
-    echelon, and the rank is certified against the dimension either way.
-    The two factor bases are built before any Eisenstein series, so at a
-    level whose weight-1 dimension is unknown the recursion reaches
-    dim_Mk(N, 1) before any candidate is built.
+    At k = 1 the pool is Hecke's series (``_hecke_rows``).  For k >= 2 it
+    is the products of the weight-1 basis with the weight-(k-1) basis,
+    each the convolution of two integer rows truncated at prec.  Where
+    X_1(N) = P^1 with every cusp regular (every supported N >= 5),
+    M_k = H^0(O(kd)) with d = dim M_1 - 1, and these products alone span
+    it, since H^0(O(d)) x H^0(O((k-1)d)) -> H^0(O(kd)) is onto.  At N = 4,
+    with its irregular cusp, M_*(Gamma_1(4)) is generated in weights 1 and
+    2, with dim M_k = floor(k/2) + 1.  So the pool there adds
+    E_2(q) - t E_2(q^t) (``_e2_rows``) at k = 2, where M_1 * M_1 has rank
+    1, and the products of the weight-2 basis with the weight-(k-2) basis
+    for k >= 3.  The rank is certified against the dimension either way.
+    The factor bases are built before any series, so at a level whose
+    weight-1 dimension is unknown the recursion reaches dim_Mk(N, 1)
+    before any candidate is built.
     """
     if k == 0:
         return [[1] + [0] * (prec - 1)]
-    products = []
-    if k > 1:
-        b1, b2 = (_weight_basis_cached(N, j, prec).rows for j in (1, k - 1))
-        products = [_product(f, g, 0) for f in b1 for g in b2]
-        if _genus_X1(N) == 0 and _cusp_counts(N)[2] == 0:
-            return products
-    slices = [row for f in eisenstein_candidates(N, k, prec) for row in _slices(f.coeffs)]
-    return slices + products
+    if k == 1:
+        return _hecke_rows(N, prec)
+    regular = _genus_X1(N) == 0 and _cusp_counts(N)[2] == 0
+    pairs = [(1, k - 1)] if regular or k == 2 else [(1, k - 1), (2, k - 2)]
+    rows = []
+    for j, l in pairs:
+        left, right = (_weight_basis_cached(N, w, prec).rows for w in (j, l))
+        rows.extend(_product(f, g, 0) for f in left for g in right)
+    if not regular and k == 2:
+        rows.extend(_e2_rows(N, prec))
+    return rows
+
+
+def _hecke_rows(N: int, prec: int) -> list[list[int]]:
+    """2N * E1_c for c = 1 .. (N-1)/2, by a divisor sieve.
+
+    E1_c = (1/2 - c/N) + sum_{n >= 1} (#{d | n : d = c} - #{d | n : d = -c}) q^n,
+    congruences mod N, lies in M_1(Gamma_1(N)) (Hecke 1927; Diamond--
+    Shurman 4.8), so each row is N - 2c followed by 2N times that count.
+    """
+    half = (N - 1) // 2
+    rows = [[N - 2 * c] + [0] * (prec - 1) for c in range(1, half + 1)]
+    for d in range(1, prec):
+        r = d % N
+        c, step = (r, 2 * N) if r <= half else (N - r, -2 * N)
+        if 1 <= c <= half:
+            row = rows[c - 1]
+            for n in range(d, prec, d):
+                row[n] += step
+    return rows
+
+
+def _e2_rows(N: int, prec: int) -> list[list[int]]:
+    """24 (E_2(q) - t E_2(q^t)) for t | N, t > 1: weight 2, level t.
+
+    E_2 = -1/24 + sum sigma_1(n) q^n is only quasimodular, but these
+    differences are modular, with constant term t - 1.
+    """
+    sigma = [0] * prec
+    for d in range(1, prec):
+        for n in range(d, prec, d):
+            sigma[n] += d
+    return [
+        [t - 1] + [24 * (sigma[n] - (t * sigma[n // t] if n % t == 0 else 0))
+                   for n in range(1, prec)]
+        for t in range(2, N + 1) if N % t == 0
+    ]
 
 
 def _pool_echelon(candidates, N: int, k: int, prec: int):

@@ -5,6 +5,7 @@ import functools
 import math
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -21,8 +22,6 @@ from ellgenus.cyclo import (
 )
 from ellgenus.errors import (
     BadConstantTerm,
-    BadLevelDivisibility,
-    IncompatibleParity,
     InsufficientXPrecision,
     LevelMismatch,
     PrecisionInsufficient,
@@ -31,17 +30,14 @@ from ellgenus.errors import (
 )
 from ellgenus.genus import ChernData, Partition, _newton_power_sum, partitions_of
 from ellgenus.modforms import (
-    DirichletCharacter,
     ModFormBasis,
     ambient_field_level,
     dim_Mk,
-    eisenstein_candidates,
-    gen_bernoulli,
     sturm_bound,
     weight_basis,
 )
 from ellgenus.reduce import UqClass, WtClass
-from ellgenus.series import PQSeries, QSeries, XQSeries, _product
+from ellgenus.series import PQSeries, QSeries, XQSeries, _product, bernoulli_number
 
 
 def rref(rows: list[list], width: int | None = None) -> tuple[list[int], list[list]]:
@@ -112,24 +108,76 @@ def eliminate(vec: list, pivots: list[int], rows: list[list]) -> tuple[list, lis
     return vec, coeffs
 
 
+# The Eisenstein series E_k^{psi,phi,t} of Diamond--Shurman 4.5-4.8, as the
+# default pool was built before Hecke's rational weight-1 series replaced
+# them: pairs of primitive Dirichlet characters with (mod psi)(mod phi) t | N
+# and psi(-1) phi(-1) = (-1)^k, coefficients sum_{d|n} psi(n/d) phi(d) d^(k-1),
+# constant term -B_{k,phi}/(2k) when psi is trivial; weight 2 with both
+# characters trivial uses E_2(q) - t E_2(q^t).
+
+
+class DirichletCharacter:
+    """A Dirichlet character mod M with values in Q(zeta_L).
+
+    Stored as the exponent table a -> e with chi(a) = zeta_L^e on units.
+    """
+
+    __slots__ = ("modulus", "field_level", "exponents")
+
+    def __init__(self, modulus: int, field_level: int, exponents: dict[int, int]):
+        self.modulus = modulus
+        self.field_level = field_level
+        self.exponents = dict(exponents)
+
+    def value(self, n: int) -> Cyclo:
+        n %= self.modulus
+        if math.gcd(n, self.modulus) != 1:
+            return Cyclo.from_rational(self.field_level, 0)
+        return Cyclo.zeta(self.field_level, self.exponents[n])
+
+    def parity(self) -> int:
+        """chi(-1), which is +1 or -1."""
+        return 1 if self.exponents[-1 % self.modulus] == 0 else -1
+
+    def conductor(self) -> int:
+        """The least f | M with chi trivial on the units that are 1 mod f."""
+        M = self.modulus
+        return next(f for f in range(1, M + 1) if M % f == 0 and all(
+            e == 0 for a, e in self.exponents.items() if a % f == 1 % f))
+
+    def is_primitive(self) -> bool:
+        return self.conductor() == self.modulus
+
+    def key(self) -> tuple:
+        return (self.modulus, tuple(sorted(self.exponents.items())))
+
+
+def bernoulli_polynomial(k: int, x: Fraction) -> Fraction:
+    """B_k(x) = sum_i binom(k, i) B_i x^(k-i)."""
+    return sum(comb(k, i) * bernoulli_number(i) * x ** (k - i) for i in range(k + 1))
+
+
+def gen_bernoulli(chi: DirichletCharacter, k: int) -> Cyclo:
+    """Generalized Bernoulli number B_{k,chi} = M^(k-1) sum_a chi(a) B_k(a/M)."""
+    M = chi.modulus
+    total = Cyclo.from_rational(chi.field_level, 0)
+    for a in range(1, M + 1):
+        total = total + chi.value(a) * bernoulli_polynomial(k, Fraction(a, M))
+    return total * Fraction(M) ** (k - 1)
+
+
 def eisenstein_by_scan(psi, phi_char, t: int, k: int, prec: int, N: int) -> QSeries:
     """E_k^{psi,phi,t} by a scan over every d <= n per coefficient, in Cyclo arithmetic."""
-    if k < 1:
-        raise ValueError("weight must be >= 1")
     L = psi.field_level
-    if phi_char.field_level != L:
-        raise BadLevelDivisibility("character field levels differ")
-    if N % (psi.modulus * phi_char.modulus * t) != 0:
-        raise BadLevelDivisibility(
-            f"{psi.modulus} * {phi_char.modulus} * {t} does not divide {N}"
-        )
-    if psi.parity() * phi_char.parity() != (-1) ** k:
-        raise IncompatibleParity(f"character parity incompatible with weight {k}")
+    if k < 1 or t < 1 or phi_char.field_level != L \
+            or N % (psi.modulus * phi_char.modulus * t) \
+            or psi.parity() * phi_char.parity() != (-1) ** k:
+        raise ValueError(f"E_{k} at t = {t} is not admissible at level {N}")
 
     both_trivial = psi.modulus == 1 and phi_char.modulus == 1
     if k == 2 and both_trivial:
         if t == 1:
-            raise BadLevelDivisibility("E_2 itself is not modular; need t > 1")
+            raise ValueError("E_2 itself is not modular; need t > 1")
         e2 = _weight2_level1_by_scan(L, prec)
         return e2 - e2.shift(t) * t
 
@@ -161,18 +209,44 @@ def _weight2_level1_by_scan(L: int, prec: int) -> QSeries:
     return QSeries(L, prec, coeffs)
 
 
+def eisenstein_candidates_by_scan(N: int, k: int, prec: int) -> list[QSeries]:
+    """All admissible E_k^{psi,phi,t} at level N, weight k, over Q(zeta_L).
+
+    Ordered by (mod psi, mod phi, t, psi, phi), with E_2 at t = 1 and, at
+    weight 1, the copy E_1^{phi,psi} of E_1^{psi,phi} left out.
+    """
+    L = ambient_field_level(N)
+    divisors = [d for d in range(1, N + 1) if N % d == 0]
+    prims = {d: [c for c in all_characters_by_generators(d, L) if c.is_primitive()]
+             for d in divisors}
+    out = []
+    for u in divisors:
+        for v in divisors:
+            for t in divisors:
+                if N % (u * v * t) or (k == 2 and u == v == t == 1):
+                    continue
+                for psi in prims[u]:
+                    for phic in prims[v]:
+                        if psi.parity() * phic.parity() != (-1) ** k:
+                            continue
+                        if k == 1 and (v, phic.key()) < (u, psi.key()):
+                            continue  # E_1^{psi,phi} = E_1^{phi,psi}
+                        out.append(eisenstein_by_scan(psi, phic, t, k, prec, N))
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def field_basis(N: int, k: int, prec: int) -> ModFormBasis:
-    """The default basis built over Q(zeta_L): the Eisenstein series and the
-    QSeries products of lower-weight field-built bases, reduced by ``rref``,
-    then checked to be rational and stored as its integer matrix."""
+    """The basis built over Q(zeta_L): the character-built Eisenstein series
+    and the QSeries products of lower-weight field-built bases, reduced by
+    ``rref``, then checked to be rational and stored as its integer matrix."""
     L = ambient_field_level(N)
     dim = dim_Mk(N, k)
     candidates = []
     if k == 0:
         candidates.append(QSeries.one(L, prec))
     else:
-        candidates.extend(eisenstein_candidates(N, k, prec))
+        candidates.extend(eisenstein_candidates_by_scan(N, k, prec))
         for k1 in range(1, k // 2 + 1):
             k2 = k - k1
             b1 = field_basis(N, k1, prec)
@@ -737,10 +811,14 @@ def todd_coefficients_by_loops(prec_x: int) -> list[Fraction]:
 
 
 def default_rows_all_pairs(N: int, k: int, prec: int) -> list[list[int]]:
-    """The default pool of weight k >= 1 as ``_default_rows`` built it before
-    the cut to M_1 * M_{k-1}: the Eisenstein slices and the integer products
+    """The pool of weight k >= 1 that ``_default_rows`` built before its cut to
+    M_1 * M_{k-1} and before Hecke's series replaced the characters: the
+    slices of the character-built Eisenstein series and the integer products
     of the bases of every pair of weights (k1, k - k1), k1 = 1 .. k/2."""
-    out = [row for f in eisenstein_candidates(N, k, prec) for row in modforms._slices(f.coeffs)]
+    out = [
+        row for f in eisenstein_candidates_by_scan(N, k, prec)
+        for row in modforms._slices(f.coeffs)
+    ]
     for k1 in range(1, k // 2 + 1):
         b2 = weight_basis(N, k - k1, prec)
         for f in weight_basis(N, k1, prec).rows:

@@ -1,4 +1,4 @@
-"""Dirichlet characters, Eisenstein series, and certified bases."""
+"""Certified bases of M_k(Gamma_1(N)) and their rational candidate pools."""
 
 import functools
 import hashlib
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from ellgenus.cyclo import Cyclo, descend, euler_phi, in_NZ
 from ellgenus.errors import (
-    BadLevelDivisibility,
     LevelMismatch,
     PrecisionInsufficient,
     RankExceedsDimension,
@@ -25,29 +24,24 @@ from ellgenus.errors import (
 from ellgenus import linalg, modforms
 from ellgenus.genus import cp_chern, genus, log_phi_series, phi_series
 from ellgenus.modforms import (
-    all_characters,
     ambient_field_level,
-    bernoulli_number,
     dim_Mk,
-    eisenstein,
-    eisenstein_candidates,
-    gen_bernoulli,
     is_in_span,
-    primitive_characters,
     sturm_bound,
     unit_group_exponent,
     weight_basis,
 )
 from ellgenus.reduce import reduce_Uq
-from ellgenus.series import QSeries
+from ellgenus.series import QSeries, bernoulli_number
 from oracles import (
     all_characters_by_generators,
     basis_with_denominators,
     default_rows_all_pairs,
-    eisenstein_by_scan,
+    eisenstein_candidates_by_scan,
     eliminate,
     field_basis,
     gamma1_index_by_primes,
+    gen_bernoulli,
     rational_rref,
     rref,
     serialize_by_elements,
@@ -71,7 +65,7 @@ def test_bernoulli_numbers():
 
 
 def test_characters_mod_4():
-    chars = all_characters(4, 4)
+    chars = all_characters_by_generators(4, 4)
     assert len(chars) == 2
     odd = [ch for ch in chars if ch.parity() == -1]
     assert len(odd) == 1
@@ -81,19 +75,8 @@ def test_characters_mod_4():
     assert chi.value(2) == Cyclo(4)
 
 
-def test_eisenstein_needs_moduli_times_t_to_divide_the_level():
-    chi = [ch for ch in all_characters(4, 4) if ch.parity() == -1][0]
-    trivial = all_characters(1, 4)[0]
-    assert eisenstein(trivial, chi, 2, 1, 5, 8).prec == 5
-    with pytest.raises(BadLevelDivisibility):
-        eisenstein(trivial, chi, 3, 1, 5, 8)
-    for t in (0, -1):
-        with pytest.raises(ValueError, match="t must be >= 1"):
-            eisenstein(trivial, chi, t, 1, 5, 8)
-
-
 def test_generalized_bernoulli_of_the_odd_character_mod_4():
-    chi = [ch for ch in all_characters(4, 4) if ch.parity() == -1][0]
+    chi = [ch for ch in all_characters_by_generators(4, 4) if ch.parity() == -1][0]
     assert gen_bernoulli(chi, 1) == Cyclo.from_rational(4, Fraction(-1, 2))
 
 
@@ -109,27 +92,10 @@ def test_unit_group_exponents():
     assert unit_group_exponent(12) == 2
 
 
-def test_characters_by_extension_match_the_generator_oracle():
+def test_unit_group_exponent_and_index_match_the_generator_oracle():
     for M in range(1, 201):
         assert unit_group_exponent(M) == unit_group_exponent_by_generators(M), M
         assert modforms._gamma1_index(M) == gamma1_index_by_primes(M), M
-    for N in range(4, 61):
-        L = ambient_field_level(N)
-        for d in (d for d in range(1, N + 1) if N % d == 0):
-            chars = all_characters_by_generators(d, L)
-            assert [c.key() for c in all_characters(d, L)] == [c.key() for c in chars], (N, d)
-            assert [c.key() for c in primitive_characters(d, L)] == [
-                c.key() for c in chars if c.is_primitive()
-            ], (N, d)
-
-
-def test_characters_need_a_field_level_that_the_exponent_divides():
-    # the generator walk returned four trivial tables at L = 2, and tables
-    # that are not characters at L = 6 (one had chi(1) = zeta_6^4)
-    for L in (2, 6):
-        with pytest.raises(ValueError, match="not a multiple of the exponent 4"):
-            all_characters(5, L)
-    assert len(all_characters(5, 4)) == 4 and len(all_characters(5, 40)) == 4
 
 
 def test_dimension_table():
@@ -151,7 +117,8 @@ def test_sturm_bounds():
     lambda: reduce_Uq(QSeries.one(5, 8), 5, -2),
 ], ids=["sturm_bound", "weight_basis", "reduce_Uq"])
 def test_a_negative_weight_is_refused_by_name(call):
-    # sturm_bound(5, -3) was -5, and the other two failed inside eisenstein
+    # sturm_bound(5, -3) was -5, and the other two failed inside the
+    # Eisenstein series of the pool
     with pytest.raises(ValueError, match=r"weight -\d+ is negative"):
         call()
 
@@ -206,7 +173,7 @@ def test_precision_below_sturm_bound_is_refused():
 
 
 def test_span_failure_on_a_starved_candidate_pool():
-    pool = eisenstein_candidates(5, 2, 8)[:1]
+    pool = eisenstein_candidates_by_scan(5, 2, 8)[:1]
     with pytest.raises(SpanFailure) as info:
         weight_basis(5, 2, 8, candidates=pool)
     assert info.value.rank < info.value.dimension
@@ -225,16 +192,16 @@ def test_rank_above_the_dimension_is_a_typed_error():
 
 def test_a_pool_shorter_than_prec_is_refused():
     with pytest.raises(PrecisionInsufficient, match="candidate 0 has 6 coefficients < prec 8"):
-        weight_basis(5, 2, 8, candidates=eisenstein_candidates(5, 2, 6))
+        weight_basis(5, 2, 8, candidates=eisenstein_candidates_by_scan(5, 2, 6))
 
 
 def test_a_pool_longer_than_prec_is_read_to_prec():
-    basis = weight_basis(5, 2, 8, candidates=eisenstein_candidates(5, 2, 12))
+    basis = weight_basis(5, 2, 8, candidates=eisenstein_candidates_by_scan(5, 2, 12))
     assert basis.prec == 8 and basis.rows == weight_basis(5, 2, 8).rows
 
 
 def test_a_short_candidate_in_a_mixed_pool_is_refused():
-    pool = eisenstein_candidates(5, 2, 8) + eisenstein_candidates(5, 2, 6)[:1]
+    pool = eisenstein_candidates_by_scan(5, 2, 8) + eisenstein_candidates_by_scan(5, 2, 6)[:1]
     with pytest.raises(PrecisionInsufficient, match="candidate 3 has 6 coefficients < prec 8"):
         weight_basis(5, 2, 8, candidates=pool)
 
@@ -290,7 +257,7 @@ def test_weight_basis_results_are_cached():
 
 def test_integrality_and_digest_are_computed_once_on_first_use(monkeypatch):
     # an explicit pool bypasses the cache, so the basis is freshly built
-    basis = weight_basis(5, 2, 8, candidates=eisenstein_candidates(5, 2, 8))
+    basis = weight_basis(5, 2, 8, candidates=eisenstein_candidates_by_scan(5, 2, 8))
     assert basis._elements is None and basis._digest is None
     text = json.dumps(basis.serialize(), sort_keys=True)
     assert basis.digest() == hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -407,24 +374,6 @@ def test_integer_elimination_matches_the_field_oracle(key, data):
 SUPPORTED_LEVELS = (4, 5, 6, 7, 8, 9, 10, 12)
 
 
-def test_eisenstein_sieve_matches_the_divisor_scan(monkeypatch):
-    calls = []
-    real = modforms.eisenstein
-
-    def recorded(*args):
-        out = real(*args)
-        calls.append((args, out))
-        return out
-
-    monkeypatch.setattr(modforms, "eisenstein", recorded)
-    for N in SUPPORTED_LEVELS:
-        for k in (1, 2, 3, 4):
-            eisenstein_candidates(N, k, sturm_bound(N, k) + 2)
-    assert any(args[3] == 2 and args[0].modulus == args[1].modulus == 1 for args, _ in calls)
-    for args, out in calls:
-        assert out == eisenstein_by_scan(*args), args
-
-
 # (N, k, prec): every supported level and weight k <= 4 at the Sturm bound,
 # and two bases above it
 DIFFERENTIAL_BASES = [
@@ -440,16 +389,17 @@ def test_integer_built_basis_matches_the_field_build(N, k, prec):
     assert got.digest() == want.digest()
 
 
-def _rank_above_the_dimension(monkeypatch, N, k, prec, name, add_monomial):
+def _rank_above_the_dimension(monkeypatch, N, k, prec, name, args):
     """The RankExceedsDimension that the default path of (N, k, prec) raises
-    once ``modforms.<name>`` also gives a monomial at a free column."""
+    once ``modforms.<name>``, called with args, also gives a monomial row at
+    a free column."""
     basis = weight_basis(N, k, prec)
     free = next(c for c in range(prec) if c not in basis.pivots)
     real = getattr(modforms, name)
 
-    def with_monomial(*args):
-        out = real(*args)
-        return add_monomial(out, free, basis.field_level) if args == (N, k, prec) else out
+    def with_monomial(*got):
+        rows = real(*got)
+        return rows + [[int(c == free) for c in range(prec)]] if got == args else rows
 
     monkeypatch.setattr(modforms, name, with_monomial)
     modforms._weight_basis_cached.cache_clear()
@@ -464,40 +414,91 @@ def _rank_above_the_dimension(monkeypatch, N, k, prec, name, add_monomial):
 @pytest.mark.parametrize("N,k,prec", [(5, 3, 7), (7, 3, 13)])
 def test_rank_above_the_dimension_is_caught_on_the_default_path(monkeypatch, N, k, prec):
     # the pool of these levels is the M_1 products alone: the row goes in with them
-    exc = _rank_above_the_dimension(
-        monkeypatch, N, k, prec, "_default_rows",
-        lambda rows, free, L: rows + [[0] * free + [1] + [0] * (prec - free - 1)],
-    )
+    exc = _rank_above_the_dimension(monkeypatch, N, k, prec, "_default_rows", (N, k, prec))
     assert (exc.rank, exc.dimension) == (dim_Mk(N, k) + 1, dim_Mk(N, k))
 
 
 def test_rank_above_the_dimension_is_caught_among_the_eisenstein_series(monkeypatch):
     N, k = 4, 2
     prec = sturm_bound(N, k)
-    exc = _rank_above_the_dimension(
-        monkeypatch, N, k, prec, "eisenstein_candidates",
-        lambda series, free, L: series + [QSeries(L, prec, [0] * free + [1])],
-    )
+    exc = _rank_above_the_dimension(monkeypatch, N, k, prec, "_e2_rows", (N, prec))
     assert (exc.rank, exc.dimension) == (dim_Mk(N, k) + 1, dim_Mk(N, k))
 
 
 def test_the_default_pool_builds_eisenstein_series_only_where_the_products_may_not_span(
         monkeypatch):
-    calls = []
-    real = modforms.eisenstein_candidates
+    # (builder, N, weight of the pool being built) for every series built
+    calls, weights = [], []
+    real_rows = modforms._default_rows
 
-    def recorded(N, k, prec):
-        calls.append((N, k))
-        return real(N, k, prec)
+    def default_rows(N, k, prec):
+        weights.append(k)
+        try:
+            return real_rows(N, k, prec)
+        finally:
+            weights.pop()
+
+    def recorded(name):
+        real = getattr(modforms, name)
+
+        def build(N, prec):
+            calls.append((name, N, weights[-1]))
+            return real(N, prec)
+        return build
 
     fresh = functools.lru_cache(maxsize=None)(modforms._weight_basis_cached.__wrapped__)
     monkeypatch.setattr(modforms, "_weight_basis_cached", fresh)
-    monkeypatch.setattr(modforms, "eisenstein_candidates", recorded)
+    monkeypatch.setattr(modforms, "_default_rows", default_rows)
+    for name in ("_hecke_rows", "_e2_rows"):
+        monkeypatch.setattr(modforms, name, recorded(name))
     for N in SUPPORTED_LEVELS:
         for k in range(1, 6):
             weight_basis(N, k, sturm_bound(N, k))
-    assert all(k == 1 or N == 4 for N, k in calls), calls
-    assert {(4, k) for k in range(1, 6)} <= set(calls)
+    built = {name: {(N, k) for n, N, k in calls if n == name} for name in ("_hecke_rows", "_e2_rows")}
+    assert built == {"_hecke_rows": {(N, 1) for N in SUPPORTED_LEVELS}, "_e2_rows": {(4, 2)}}
+
+
+def _e1_by_scan(N: int, c: int, prec: int) -> list[Fraction]:
+    """E1_c by its definition, a scan over the divisors d of each n."""
+    return [Fraction(1, 2) - Fraction(c, N)] + [
+        sum((d - c) % N == 0 for d in range(1, n + 1) if n % d == 0)
+        - sum((d + c) % N == 0 for d in range(1, n + 1) if n % d == 0)
+        for n in range(1, prec)
+    ]
+
+
+@pytest.mark.parametrize("N", SUPPORTED_LEVELS)
+def test_hecke_series_lie_in_the_character_built_weight_1_space(N):
+    prec = sturm_bound(N, 1) + 3
+    basis = field_basis(N, 1, prec)
+    L = basis.field_level
+    rows = modforms._hecke_rows(N, prec)
+    assert len(rows) == (N - 1) // 2
+    # 1 is not in M_1, so membership forces the constant term 1/2 - c/N
+    assert not is_in_span(QSeries.one(L, prec), basis)[0]
+    for c, row in enumerate(rows, start=1):
+        e1 = _e1_by_scan(N, c, prec)
+        assert [Fraction(x, 2 * N) for x in row] == e1, c
+        assert is_in_span(QSeries(L, prec, e1), basis)[0], c
+
+
+@pytest.mark.parametrize("N", SUPPORTED_LEVELS)
+def test_a_weight_1_pool_short_of_one_hecke_series_is_refused(monkeypatch, N):
+    prec = sturm_bound(N, 1)
+    rows, dim = modforms._hecke_rows(N, prec), dim_Mk(N, 1)
+    for c in range(len(rows)):
+        monkeypatch.setattr(modforms, "_hecke_rows", lambda N, prec: rows[:c] + rows[c + 1:])
+        with pytest.raises(SpanFailure) as info:
+            modforms._weight_basis_cached.__wrapped__(N, 1, prec)
+        assert (info.value.rank, info.value.dimension) == (dim - 1, dim), c
+
+
+def test_the_weight_1_products_alone_fall_short_at_level_4_weight_2(monkeypatch):
+    # M_1(Gamma_1(4)) is a line, so M_1 * M_1 is too: E_2(q) - t E_2(q^t) is needed
+    monkeypatch.setattr(modforms, "_e2_rows", lambda N, prec: [])
+    with pytest.raises(SpanFailure) as info:
+        modforms._weight_basis_cached.__wrapped__(4, 2, sturm_bound(4, 2))
+    assert (info.value.rank, info.value.dimension) == (1, 2)
 
 
 @pytest.mark.parametrize("N", SUPPORTED_LEVELS)
@@ -536,23 +537,25 @@ def test_the_default_path_runs_no_field_elimination_and_no_series_product(monkey
 
 @pytest.mark.parametrize("N", SUPPORTED_LEVELS)
 def test_the_M1_products_give_the_all_pairs_basis(N):
-    for k in range(1, 7):
+    # the oracle pool: the character-built Eisenstein series and the
+    # products of every pair of weights; N = 4 alone has weight-2 factors
+    for k in range(1, 13 if N == 4 else 7):
         basis = weight_basis(N, k, sturm_bound(N, k))
         want = linalg._integer_echelon(default_rows_all_pairs(N, k, basis.prec))
         assert (basis.pivots, basis.rows, basis.den) == want, k
 
 
 def test_the_cut_pool_is_guarded_by_the_rank_certificate(monkeypatch):
-    # with no weight-1 factor, the Eisenstein slices alone fall short at (4, 5)
-    real, prec = modforms._weight_basis_cached, sturm_bound(4, 5)
-    real(4, 4, prec)  # the weight-4 factor, built before the cut
+    # without M_2 * M_2, the M_1 * M_3 products alone fall short at (4, 4)
+    real, prec = modforms._weight_basis_cached, sturm_bound(4, 4)
+    real(4, 3, prec)  # the weight-1 and weight-3 factors, built before the cut
 
-    def no_weight_1(N, k, prec):
-        return SimpleNamespace(rows=()) if k == 1 else real(N, k, prec)
+    def no_weight_2(N, k, prec):
+        return SimpleNamespace(rows=()) if k == 2 else real(N, k, prec)
 
-    monkeypatch.setattr(modforms, "_weight_basis_cached", no_weight_1)
+    monkeypatch.setattr(modforms, "_weight_basis_cached", no_weight_2)
     with pytest.raises(SpanFailure) as info:
-        real.__wrapped__(4, 5, prec)
+        real.__wrapped__(4, 4, prec)
     assert (info.value.rank, info.value.dimension) == (2, 3)
 
 
@@ -560,16 +563,16 @@ def _no_candidate_is_built(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("a candidate was built at an unsupported level")
 
-    monkeypatch.setattr(modforms, "eisenstein_candidates", refused)
-    monkeypatch.setattr(modforms, "_integer_echelon", refused)
+    for name in ("_hecke_rows", "_e2_rows", "_integer_echelon"):
+        monkeypatch.setattr(modforms, name, refused)
     monkeypatch.setattr(linalg, "_integer_echelon", refused)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("N", [11, 53, 97])
 def test_an_unsupported_level_is_refused_before_any_candidate_is_built(monkeypatch, N, k):
-    # the weight-k Eisenstein series were built before the weight-1 factor
-    # asked for its dimension: --level 97 --degree 4 basis ran for minutes
+    # the weight-k series were once built before the weight-1 factor asked
+    # for its dimension: --level 97 --degree 4 basis ran for minutes
     _no_candidate_is_built(monkeypatch)
     with pytest.raises(UnsupportedLevel, match="genus-0"):
         weight_basis(N, k, sturm_bound(N, k))
