@@ -47,12 +47,10 @@ class UnsupportedLevel(EllGenusError):
 
 
 class SpanFailure(EllGenusError):
-    """The candidate pool does not span the full space of modular forms.
+    """A basis has a rank other than the dimension of M_k(Gamma_1(N)).
 
-    Raised when the candidates span a smaller rank than the dimension, and
-    when they reach full rank but their reduced echelon form is not
-    rational: the echelon form of M_k(Gamma_1(N)) is Galois-fixed, so such
-    a span is not M_k.
+    ``ModFormBasis``, through which every basis is built, raises it when
+    its echelon rows number fewer than the dimension formula gives.
     """
 
     def __init__(self, rank, dimension, message=None):

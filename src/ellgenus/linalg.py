@@ -1,10 +1,9 @@
 """Exact Gaussian elimination over Q, fraction-free on integer rows.
 
 ``_integer_echelon`` is the package's one elimination.  It builds every
-Gamma_1(N) basis, the default pool's and an explicit pool's alike (an
-explicit pool over Q(zeta_L) goes in as its power-basis coordinate
-slices, see ``modforms._pool_echelon``), and the tracked echelon forms
-that descend elements of Q(zeta_L) to subfields (``cyclo._descent_echelon``).
+Gamma_1(N) basis from the rational pool of ``modforms._default_rows``,
+and the tracked echelon forms that descend elements of Q(zeta_L) to
+subfields (``cyclo._descent_echelon``).
 A finished basis is rational, so reductions eliminate against it in
 integers (``ModFormBasis.eliminate``), and the constant-direction solve
 works on the residual coordinate by coordinate; neither echelons again.

@@ -1,10 +1,10 @@
 """q-expansion bases of M_k(Gamma_1(N)).
 
 Bases are certified against the standard dimension formulas for the
-torsion-free groups Gamma_1(N), N >= 4.  Every basis is an integer
-echelon over Q (``linalg._integer_echelon``) of integer rows.  The default
-pool is rational and is built from divisor sums and products alone.  At
-weight 1 it holds Hecke's series (Hecke 1927; Diamond--Shurman 4.8, the
+torsion-free groups Gamma_1(N), N >= 4.  Every basis is the integer
+echelon over Q (``linalg._integer_echelon``) of one rational pool of
+integer rows, built from divisor sums and products alone.  At weight 1
+it holds Hecke's series (Hecke 1927; Diamond--Shurman 4.8, the
 G_1^{(c,0)}(N tau) up to scale), for c = 1 .. (N-1)/2,
 
     E1_c = (1/2 - c/N) + sum_{n >= 1} (#{d | n : d = c} - #{d | n : d = -c}) q^n,
@@ -13,9 +13,7 @@ congruences mod N.  At weight k >= 2 it holds the products of the weight-1
 basis with the weight-(k-1) basis.  At N = 4, whose cusp 1/2 is
 irregular, it also holds E_2(q) - t E_2(q^t), t | N, t > 1, at weight 2,
 and the products of the weight-2 basis with the weight-(k-2) basis above
-it.  An explicit pool may hold series over Q(zeta_L), L the ambient field
-level; the power-basis coordinate slices of its candidates are
-echelonized.
+it.
 """
 
 from __future__ import annotations
@@ -57,10 +55,9 @@ def unit_group_exponent(M: int) -> int:
 def ambient_field_level(N: int) -> int:
     """L = lcm(N, exponent of (Z/N)^*), the field of the characters mod N.
 
-    The default pool is rational and needs no character.  L is the field
-    that a basis of level N is serialized over (``field_level``) and its
-    ``elements`` view lives in, and the field an explicit candidate pool
-    is lifted to and certified over.
+    The pool of every basis is rational and needs no character.  L is the
+    field that a basis of level N is serialized over (``field_level``) and
+    its ``elements`` view lives in.
     """
     e = unit_group_exponent(N)
     return N * e // gcd(N, e)
@@ -125,27 +122,20 @@ def sturm_bound(N: int, k: int) -> int:
     return k * _gamma1_index(N) // 12 + 1
 
 
-def _certify_rank(rank: int, dim: int) -> None:
-    if rank < dim:
-        raise SpanFailure(rank, dim)
-    if rank > dim:
-        raise RankExceedsDimension(rank, dim)
-
-
 class ModFormBasis:
     """Certified echelonized q-expansion basis of M_k(Gamma_1(N)).
 
     Only the integer echelon (``pivots``, ``rows``, ``den``) that
-    ``linalg._integer_echelon`` computes, for either pool, is stored.  The
-    basis is in reduced row echelon form with pivots at the earliest
+    ``linalg._integer_echelon`` computes from the default pool is stored.
+    The basis is in reduced row echelon form with pivots at the earliest
     q-exponents: ``rows[j][c] / den`` is the q^c coefficient of the j-th
     element, c < prec, with gcd(den, every entry) = 1.  The constructor
     derives ``field_level`` and ``certificate`` and refuses a rank other
-    than dim M_k, so no uncertified basis exists.  ``elements``, the basis
-    as QSeries over Q(zeta_L), is a view built at its first read and then
-    kept, as ``digest`` is; ``serialize`` writes the same bytes from
-    ``rows`` and ``den`` without it; ``is_integral`` reads ``den``;
-    ``eliminate`` works in integers.
+    than dim M_k.  Every basis passes through it, so no uncertified basis
+    exists.  ``elements``, the basis as QSeries over Q(zeta_L), is a view
+    built at its first read and then kept, as ``digest`` is; ``serialize``
+    writes the same bytes from ``rows`` and ``den`` without it;
+    ``is_integral`` reads ``den``; ``eliminate`` works in integers.
     """
 
     __slots__ = (
@@ -155,7 +145,10 @@ class ModFormBasis:
 
     def __init__(self, level, weight, prec, pivots, rows, den):
         dim = dim_Mk(level, weight)
-        _certify_rank(len(rows), dim)
+        if len(rows) < dim:
+            raise SpanFailure(len(rows), dim)
+        if len(rows) > dim:
+            raise RankExceedsDimension(len(rows), dim)
         self.level = level
         self.weight = weight
         self.prec = prec
@@ -273,40 +266,22 @@ def _weight_basis_cached(N: int, k: int, prec: int) -> ModFormBasis:
     return ModFormBasis(N, k, prec, *_integer_echelon(_default_rows(N, k, prec)))
 
 
-def weight_basis(N: int, k: int, prec: int, candidates=None) -> ModFormBasis:
-    """Certified basis of M_k(Gamma_1(N)) to q-precision prec.
+def weight_basis(N: int, k: int, prec: int) -> ModFormBasis:
+    """Certified basis of M_k(Gamma_1(N)) to q-precision prec, prec at least
+    the Sturm bound.
 
-    Candidates default to the rational pool of ``_default_rows`` (cached):
-    Hecke's weight-1 series, and at weight k >= 2 the products of lower-
-    weight bases, with E_2(q) - t E_2(q^t) at weight 2 where those
-    products need not span.  An explicit candidate list overrides the
-    pool (``_pool_echelon``).  Each candidate needs a level dividing L and
-    at least prec coefficients, and is read to prec.  The pool's rank over
-    Q(zeta_L) is certified against the dimension, and a pool whose echelon
-    form is not rational is refused.
-
-    Either pool is reduced over Q in integers after the dimension is
-    known, so an unsupported level is refused before any candidate is
-    built, and ``ModFormBasis`` certifies rank = dim.
+    The rational pool of ``_default_rows`` (Hecke's weight-1 series, and
+    at weight k >= 2 the products of lower-weight bases, with
+    E_2(q) - t E_2(q^t) at weight 2 where those products need not span)
+    is reduced over Q in integers after the dimension is known, so an
+    unsupported level is refused before any candidate is built, and
+    ``ModFormBasis`` certifies rank = dim.  The result is cached.
     """
     sb = sturm_bound(N, k)
     if prec < sb:
         raise PrecisionInsufficient(f"prec {prec} < sturm bound {sb}")
-    if candidates is not None:
-        return ModFormBasis(N, k, prec, *_pool_echelon(candidates, N, k, prec))
     with _basis_lock:
         return _weight_basis_cached(N, k, prec)
-
-
-def _scaled(coeffs) -> list[list[int]]:
-    """The numerators of the coefficients over their common denominator."""
-    E = math.lcm(*(c.den for c in coeffs))
-    return [[x * (E // c.den) for x in c.num] for c in coeffs]
-
-
-def _slices(coeffs) -> list[list[int]]:
-    """The nonzero power-basis coordinate slices of a series, as integer rows."""
-    return [row for row in map(list, zip(*_scaled(coeffs))) if any(row)]
 
 
 def _default_rows(N: int, k: int, prec: int) -> list[list[int]]:
@@ -376,51 +351,6 @@ def _e2_rows(N: int, prec: int) -> list[list[int]]:
                    for n in range(1, prec)]
         for t in range(2, N + 1) if N % t == 0
     ]
-
-
-def _pool_echelon(candidates, N: int, k: int, prec: int):
-    """(pivots, rows, den) of an explicit pool, whose echelon form must be rational.
-
-    The dimension comes first, so an unsupported level is refused before
-    any candidate is read.  A candidate with fewer than prec coefficients
-    is refused, and every candidate is truncated to prec and lifted to the
-    ambient level L.  The power-basis coordinate slices of the pool span
-    over Q a space S whose Q(zeta_L)-span contains the pool, so a
-    candidate is determined by its values at the pivots of the echelon
-    form of S.  The pool's rank r over Q(zeta_L) is then the Q-rank of the
-    rows zeta_L^i * f, i < phi(L), read at those pivots, divided by
-    phi(L), and is certified against the dimension.  dim S >= r, with
-    equality iff the pool's span is S tensor Q(zeta_L), that is iff its
-    echelon form is rational: that of S.
-    """
-    dim = dim_Mk(N, k)
-    L = ambient_field_level(N)
-    pool = []
-    for i, f in enumerate(candidates):
-        if f.prec < prec:
-            raise PrecisionInsufficient(f"candidate {i} has {f.prec} coefficients < prec {prec}")
-        pool.append(f.truncate(prec).lift(L))
-    pivots, rows, den = _integer_echelon([row for f in pool for row in _slices(f.coeffs)])
-    phi = euler_phi(L)
-    zeta = Cyclo.zeta(L)
-    turns = []
-    for f in pool:
-        values = [f[p] for p in pivots]
-        for _ in range(phi):
-            turns.append([x for row in _scaled(values) for x in row])
-            values = [c * zeta for c in values]
-    rank = len(_integer_echelon(turns)[1]) // phi
-    _certify_rank(rank, dim)
-    # the echelon form of M_k tensor Q(zeta_L) is Galois-fixed, hence
-    # rational (Shimura 1971, Thm 3.52): slices of a higher rank prove
-    # that the candidates, though of full rank, do not span M_k
-    if len(rows) != rank:
-        raise SpanFailure(
-            rank, dim,
-            f"the reduced echelon form of the candidates is not rational, so "
-            f"they do not span M_{k}(Gamma_1({N}))",
-        )
-    return pivots, rows, den
 
 
 def is_in_span(s: QSeries, basis: ModFormBasis) -> tuple[bool, list[Cyclo]]:

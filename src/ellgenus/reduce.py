@@ -32,9 +32,11 @@ coordinate of Q(zeta_N), read off the cosets of y (``_classify``).  A
 trivial verdict is sound on every basis: it comes with an explicit
 decomposition into a modular combination, a constant, and an N-integral
 remainder.  It is also complete when the basis is N-integral
-(``ModFormBasis.is_integral``), as every default basis at the supported
-levels is: an N-integral shift then moves the modular coefficients by
-N-integral amounts only.  A nontrivial verdict reports the cosets of y;
+(``ModFormBasis.is_integral``): an N-integral shift then moves the
+modular coefficients by N-integral amounts only.  Reductions read only
+the bases of ``weight_basis``, all built from its one integer pool, and
+every such basis at the supported levels is N-integral, so every
+verdict is complete.  A nontrivial verdict reports the cosets of y;
 alpha*, and so the ``rep``, depend on the input series and not only on
 its class.
 
@@ -99,8 +101,8 @@ def _plan(N: int, weight: int, prec: int) -> _Plan:
     # every M_k(Gamma_1(N)), N >= 4, has a form with a nonzero constant term (1
     # at k = 0, E_2(q) - t E_2(q^t) at k = 2, else an E_k^{1,phi}), so the pivot
     # 0 comes first and 1 = row 0 / D + r, r_c = -rows[0][c] / D off the pivots;
-    # r is rational, as the reduced echelon form is Galois-fixed (Shimura 1971,
-    # Thm 3.52; ``weight_basis`` certifies it)
+    # r is rational, as every basis is an integer matrix over D; D is N-smooth
+    # for every basis that ``weight_basis`` builds, so every verdict is complete
     assert pivots[0] == 0
     free = tuple((c, Fraction(-x, D)) for c, x in enumerate(basis.rows[0]) if c not in pivots)
     return _Plan(basis, free, *_constant_lattice(free, N))

@@ -32,7 +32,8 @@ from .genus import (
     split_product,
     verify_Q_identity,
 )
-from .modforms import dim_Mk, is_in_span, sturm_bound, weight_basis
+from .linalg import _integer_echelon
+from .modforms import ModFormBasis, dim_Mk, is_in_span, sturm_bound, weight_basis
 from .reduce import reduce_Uq, reduce_Wtilde
 from .series import QSeries, project_q0
 
@@ -194,7 +195,7 @@ def check_dimension_certificates() -> tuple[bool, str]:
     if basis.certificate["rank"] != 3:
         return False, f"certificate rank {basis.certificate['rank']}, expected 3"
     try:
-        weight_basis(5, 2, 8, candidates=basis.elements[:1])
+        ModFormBasis(5, 2, 8, *_integer_echelon(basis.rows[:1]))
     except SpanFailure:
         pass
     else:

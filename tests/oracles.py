@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from ellgenus import modforms, reduce
+from ellgenus import reduce
 from ellgenus.cyclo import (
     Cyclo,
     NZCoset,
@@ -29,6 +29,7 @@ from ellgenus.errors import (
     SpanFailure,
 )
 from ellgenus.genus import ChernData, Partition, _newton_power_sum, partitions_of
+from ellgenus.linalg import _integer_echelon
 from ellgenus.modforms import (
     ModFormBasis,
     ambient_field_level,
@@ -290,15 +291,15 @@ def basis_with_denominators(at_q6=Fraction(-5, 3), at_q7=Fraction(2, 7)):
     """A rational basis whose integer rows need a common denominator (21 by default).
 
     Every default basis at the supported levels has integer entries (D = 1),
-    so this one perturbs the (5, 2, 8) basis by rational multiples of q^6 and
-    q^7; the pool is not M_2, but its echelon form is rational of full rank.
+    so this one adds at_q7 q^7 to its row 0 and at_q6 q^6 to its row 2, each
+    row scaled to integers; the rows no longer span M_2, but they have full
+    rank, so the constructor takes their echelon form.
     """
-    basis = weight_basis(5, 2, 8)
-    L = basis.field_level
-    pool = list(basis.elements)
-    pool[0] = pool[0] + QSeries(L, 8, [0] * 7 + [at_q7])
-    pool[2] = pool[2] + QSeries(L, 8, [0] * 6 + [at_q6])
-    return weight_basis(5, 2, 8, candidates=pool)
+    rows = [list(row) for row in weight_basis(5, 2, 8).rows]
+    for j, c, x in ((0, 7, at_q7), (2, 6, at_q6)):
+        rows[j] = [a * x.denominator for a in rows[j]]
+        rows[j][c] += x.numerator
+    return ModFormBasis(5, 2, 8, *_integer_echelon(rows))
 
 
 @contextlib.contextmanager
@@ -325,28 +326,6 @@ def reducing_over(basis):
         residual_of_one.cache_clear()
 
 
-def rational_rref(candidates, N: int, k: int, dim: int):
-    """(pivots, rows, den) of an explicit pool, reduced over Q(zeta_L) by ``rref``."""
-    pivots, reduced = rref([list(c.coeffs) for c in candidates])
-    rank = len(reduced)
-    if rank < dim:
-        raise SpanFailure(rank, dim)
-    if rank > dim:
-        raise RankExceedsDimension(rank, dim)
-    if any(x for row in reduced for value in row for x in value.num[1:]):
-        raise SpanFailure(
-            rank, dim,
-            f"the reduced echelon form of the candidates is not rational, so "
-            f"they do not span M_{k}(Gamma_1({N}))",
-        )
-    den = math.lcm(*(value.den for row in reduced for value in row))
-    rows = tuple(
-        tuple(value.num[0] * (den // value.den) for value in row) for row in reduced
-    )
-    return pivots, rows, den
-
-
-@functools.lru_cache(maxsize=None)
 def descent_echelon(L: int, n: int):
     """The (pivots, free, tags, scale) descent table built by ``rref_tracked``."""
     table = _power_table(L)
@@ -810,15 +789,19 @@ def todd_coefficients_by_loops(prec_x: int) -> list[Fraction]:
     return out
 
 
+def _slices(f: QSeries) -> list[list[int]]:
+    """The nonzero power-basis coordinate slices of a series, as integer rows."""
+    E = math.lcm(*(c.den for c in f.coeffs))
+    scaled = [[x * (E // c.den) for x in c.num] for c in f.coeffs]
+    return [row for row in map(list, zip(*scaled)) if any(row)]
+
+
 def default_rows_all_pairs(N: int, k: int, prec: int) -> list[list[int]]:
     """The pool of weight k >= 1 that ``_default_rows`` built before its cut to
     M_1 * M_{k-1} and before Hecke's series replaced the characters: the
     slices of the character-built Eisenstein series and the integer products
     of the bases of every pair of weights (k1, k - k1), k1 = 1 .. k/2."""
-    out = [
-        row for f in eisenstein_candidates_by_scan(N, k, prec)
-        for row in modforms._slices(f.coeffs)
-    ]
+    out = [row for f in eisenstein_candidates_by_scan(N, k, prec) for row in _slices(f)]
     for k1 in range(1, k // 2 + 1):
         b2 = weight_basis(N, k - k1, prec)
         for f in weight_basis(N, k1, prec).rows:

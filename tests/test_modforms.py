@@ -2,7 +2,6 @@
 
 import functools
 import hashlib
-import itertools
 import json
 import math
 import random
@@ -37,12 +36,10 @@ from oracles import (
     all_characters_by_generators,
     basis_with_denominators,
     default_rows_all_pairs,
-    eisenstein_candidates_by_scan,
     eliminate,
     field_basis,
     gamma1_index_by_primes,
     gen_bernoulli,
-    rational_rref,
     rref,
     serialize_by_elements,
     unit_group_exponent_by_generators,
@@ -172,40 +169,6 @@ def test_precision_below_sturm_bound_is_refused():
         weight_basis(5, 2, 4)
 
 
-def test_span_failure_on_a_starved_candidate_pool():
-    pool = eisenstein_candidates_by_scan(5, 2, 8)[:1]
-    with pytest.raises(SpanFailure) as info:
-        weight_basis(5, 2, 8, candidates=pool)
-    assert info.value.rank < info.value.dimension
-
-
-def test_rank_above_the_dimension_is_a_typed_error():
-    # the monomials q^0 .. q^4 are independent, but dim M_2(Gamma_1(5)) = 3
-    L = ambient_field_level(5)
-    monomials = [QSeries(L, 5, [0] * n + [1]) for n in range(5)]
-    with pytest.raises(RankExceedsDimension) as info:
-        weight_basis(5, 2, 5, candidates=monomials)
-    assert isinstance(info.value, SpanFailure)
-    assert (info.value.rank, info.value.dimension) == (5, 3)
-    assert "rank 5 exceeds dimension 3" in str(info.value)
-
-
-def test_a_pool_shorter_than_prec_is_refused():
-    with pytest.raises(PrecisionInsufficient, match="candidate 0 has 6 coefficients < prec 8"):
-        weight_basis(5, 2, 8, candidates=eisenstein_candidates_by_scan(5, 2, 6))
-
-
-def test_a_pool_longer_than_prec_is_read_to_prec():
-    basis = weight_basis(5, 2, 8, candidates=eisenstein_candidates_by_scan(5, 2, 12))
-    assert basis.prec == 8 and basis.rows == weight_basis(5, 2, 8).rows
-
-
-def test_a_short_candidate_in_a_mixed_pool_is_refused():
-    pool = eisenstein_candidates_by_scan(5, 2, 8) + eisenstein_candidates_by_scan(5, 2, 6)[:1]
-    with pytest.raises(PrecisionInsufficient, match="candidate 3 has 6 coefficients < prec 8"):
-        weight_basis(5, 2, 8, candidates=pool)
-
-
 def test_phi_coefficients_are_modular():
     for N in (4, 5):
         for n in (1, 2, 3):
@@ -256,8 +219,9 @@ def test_weight_basis_results_are_cached():
 
 
 def test_integrality_and_digest_are_computed_once_on_first_use(monkeypatch):
-    # an explicit pool bypasses the cache, so the basis is freshly built
-    basis = weight_basis(5, 2, 8, candidates=eisenstein_candidates_by_scan(5, 2, 8))
+    # a basis built by the constructor bypasses the cache, so it is fresh
+    rows = modforms._default_rows(5, 2, 8)
+    basis = modforms.ModFormBasis(5, 2, 8, *linalg._integer_echelon(rows))
     assert basis._elements is None and basis._digest is None
     text = json.dumps(basis.serialize(), sort_keys=True)
     assert basis.digest() == hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -285,19 +249,6 @@ def test_basis_serialization_shape():
     assert doc["level"] == 4 and doc["weight"] == 2
     assert doc["sturm"] == sturm_bound(4, 2)
     assert len(doc["elements"]) == doc["certificate"]["rank"]
-
-
-def test_a_full_rank_pool_with_an_irrational_echelon_is_not_Mk():
-    basis = weight_basis(5, 2, 8)
-    L = basis.field_level
-    pool = list(basis.elements)
-    # rank and dimension still agree, but the span is no longer Galois-stable
-    pool[1] = pool[1] + QSeries(L, 8, [0] * 7 + [Cyclo.zeta(L)])
-    assert weight_basis(5, 2, 8, candidates=basis.elements).rows == basis.rows
-    with pytest.raises(SpanFailure) as info:
-        weight_basis(5, 2, 8, candidates=pool)
-    assert (info.value.rank, info.value.dimension) == (3, 3)
-    assert "not rational" in str(info.value)
 
 
 def test_integer_rows_reproduce_the_elements():
@@ -578,14 +529,6 @@ def test_an_unsupported_level_is_refused_before_any_candidate_is_built(monkeypat
         weight_basis(N, k, sturm_bound(N, k))
 
 
-def test_an_explicit_pool_at_an_unsupported_level_is_refused_before_its_echelon(monkeypatch):
-    prec = sturm_bound(11, 1)
-    pool = [QSeries.one(ambient_field_level(11), prec)]
-    _no_candidate_is_built(monkeypatch)
-    with pytest.raises(UnsupportedLevel, match="genus-0"):
-        weight_basis(11, 1, prec, candidates=pool)
-
-
 def test_a_basis_is_certified_by_its_constructor():
     basis = weight_basis(5, 2, 8)
     rows, den = basis.rows, basis.den
@@ -599,7 +542,9 @@ def test_a_basis_is_certified_by_its_constructor():
     extra = tuple(int(c == 7) for c in range(8))
     with pytest.raises(RankExceedsDimension) as info:
         modforms.ModFormBasis(5, 2, 8, basis.pivots + [7], rows + (extra,), den)
+    assert isinstance(info.value, SpanFailure)
     assert (info.value.rank, info.value.dimension) == (4, 3)
+    assert "rank 4 exceeds dimension 3" in str(info.value)
 
 
 def test_integer_echelon_does_not_depend_on_the_candidate_order():
@@ -629,75 +574,3 @@ def test_integer_echelon_is_the_reduced_echelon_form_over_Q(matrix):
     assert pivots == want_pivots
     assert [[Fraction(x, den) for x in row] for row in rows] == want
     assert den > 0 and math.gcd(den, *(x for row in rows for x in row)) == 1
-
-
-def test_a_mixed_level_pool_gives_one_basis_in_every_order():
-    # the (5, 2, 8) basis is rational, so its elements also live at level 5
-    basis = weight_basis(5, 2, 8)
-    at_5 = [QSeries(5, 8, [descend(c, 5) for c in e.coeffs]) for e in basis.elements]
-    pool = [*at_5[:2], *basis.elements[1:]]
-    for order in itertools.permutations(pool):
-        got = weight_basis(5, 2, 8, candidates=order)
-        assert (got.pivots, got.rows, got.den) == (basis.pivots, basis.rows, basis.den)
-    with pytest.raises(LevelMismatch):
-        weight_basis(5, 2, 8, candidates=pool + [QSeries(3, 8, [1])])
-
-
-@st.composite
-def field_elements(draw, L):
-    """A sum of one or two rational multiples of powers of zeta_L."""
-    out = Cyclo(L)
-    for _ in range(draw(st.integers(1, 2))):
-        r = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
-        out = out + Cyclo.zeta(L, draw(st.integers(0, L - 1))) * r
-    return out
-
-
-@st.composite
-def perturbed_pools(draw, basis):
-    """Q(zeta_L) or Q combinations of the basis elements, one of them perturbed
-    at one q-exponent by zeta_L or a rational, or a monomial q^j added."""
-    L, prec, dim = basis.field_level, basis.prec, len(basis.elements)
-    scalars = draw(st.sampled_from([
-        field_elements(L), st.fractions(-3, 3, max_denominator=4)
-    ]))
-    pool = []
-    for _ in range(draw(st.one_of(st.just(dim), st.integers(0, dim + 1)))):
-        coeffs = [Cyclo(L)] * prec
-        for e in basis.elements:
-            c = draw(scalars)
-            coeffs = [a + c * b for a, b in zip(coeffs, e.coeffs)]
-        pool.append(coeffs)
-    kind = draw(st.sampled_from(["none", "irrational", "rational", "monomial"]))
-    j = draw(st.integers(0, prec - 1))
-    if kind == "monomial":
-        pool.append([0] * j + [1] + [0] * (prec - j - 1))
-    elif kind != "none" and pool:
-        coeffs = pool[draw(st.integers(0, len(pool) - 1))]
-        x = Cyclo.zeta(L) if kind == "irrational" else draw(
-            st.fractions(-3, 3, max_denominator=7).filter(bool)
-        )
-        coeffs[j] = coeffs[j] + x
-    return [QSeries(L, prec, coeffs) for coeffs in draw(st.permutations(pool))]
-
-
-def _echelon_or_failure(build):
-    """(pivots, rows, den), or the failure's (type, rank, dimension)."""
-    try:
-        return build()
-    except SpanFailure as exc:
-        return type(exc), exc.rank, exc.dimension
-
-
-@pytest.mark.parametrize("N,k,prec", [(5, 2, 8), (9, 2, 13), (12, 2, 17), (7, 3, 13)])
-@settings(max_examples=15)
-@given(data=st.data())
-def test_explicit_pools_match_the_field_rref_oracle(N, k, prec, data):
-    pool = data.draw(perturbed_pools(weight_basis(N, k, prec)))
-
-    def built():
-        basis = weight_basis(N, k, prec, candidates=pool)
-        return basis.pivots, basis.rows, basis.den
-
-    want = _echelon_or_failure(lambda: rational_rref(pool, N, k, dim_Mk(N, k)))
-    assert _echelon_or_failure(built) == want
