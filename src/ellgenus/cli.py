@@ -33,10 +33,7 @@ import sys
 
 from .cyclo import _integer, in_NZ
 from .errors import EllGenusError, PrecisionInsufficient, SpanFailure
-from .genus import ChernData, SplitChernData, genus, genus_bivariate
 from .modforms import is_in_span, sturm_bound, weight_basis
-from .reduce import reduce_Uq, reduce_Wtilde
-from .selfcheck import format_report, run_checks
 from .series import PQSeries, QSeries
 
 EXIT_OK = 0
@@ -100,6 +97,8 @@ def _emit(report: dict, human, args) -> None:
 
 
 def cmd_genus(args) -> int:
+    from .genus import ChernData, genus
+
     data = _load(args.input, lambda d: ChernData(d["dim"], dict(d["chern"])))
     weight = data.dim
     floor = sturm_bound(args.level, weight) if weight else 1
@@ -140,6 +139,8 @@ def cmd_genus(args) -> int:
 
 
 def cmd_frep(args) -> int:
+    from .genus import SplitChernData, genus_bivariate
+
     data = _load(args.input, lambda d: SplitChernData(d["dim0"], d["dim1"], dict(d["chern"])))
     weight = (data.dim0 + data.dim1)
     floor = sturm_bound(args.level, weight) if weight else 1
@@ -182,6 +183,8 @@ def _require_degree(args) -> int:
 
 
 def cmd_reduce_u(args) -> int:
+    from .reduce import reduce_Uq
+
     degree = _require_degree(args)
     s = _load(args.input, lambda d: QSeries.deserialize(_integer(d["level"]), d["coeffs"]))
     cls = reduce_Uq(s, args.level, degree, min(args.prec_q, s.prec))
@@ -196,6 +199,8 @@ def cmd_reduce_u(args) -> int:
 
 
 def cmd_reduce_w(args) -> int:
+    from .reduce import reduce_Wtilde
+
     degree = _require_degree(args)
     s = _load(args.input, lambda d: PQSeries.deserialize(_integer(d["level"]), d["rows"]))
     cls = reduce_Wtilde(s, args.level, degree)
@@ -234,6 +239,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    from .selfcheck import format_report, run_checks
+
     results = run_checks()
     report = {
         "command": "selfcheck",

@@ -73,5 +73,12 @@ class RankExceedsDimension(SpanFailure):
         )
 
 
+class NotEchelon(EllGenusError):
+    """Rows given to ``ModFormBasis`` are not the reduced echelon form that
+    its rank certificate counts: the pivots must increase strictly below
+    prec, one per row; each row must have prec entries; den must be
+    positive; and row j must be den at its own pivot and 0 at the others."""
+
+
 class PrecisionInsufficient(EllGenusError):
     """The working precision is below the required Sturm floor."""

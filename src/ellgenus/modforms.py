@@ -29,6 +29,7 @@ from operator import mul
 from .cyclo import Cyclo, _reduced, _split_denominator, euler_phi
 from .errors import (
     LevelMismatch,
+    NotEchelon,
     PrecisionInsufficient,
     RankExceedsDimension,
     SpanFailure,
@@ -122,6 +123,22 @@ def sturm_bound(N: int, k: int) -> int:
     return k * _gamma1_index(N) // 12 + 1
 
 
+def _check_echelon(prec, pivots, rows, den) -> None:
+    """Raise NotEchelon unless rows over den are a reduced echelon form with
+    these pivots, so that their number is their rank.  O(dim * prec)."""
+    if not den > 0:
+        raise NotEchelon(f"denominator {den} is not positive")
+    if len(pivots) != len(rows):
+        raise NotEchelon(f"{len(pivots)} pivots for {len(rows)} rows")
+    if any(len(row) != prec for row in rows):
+        raise NotEchelon(f"a row does not have prec = {prec} entries")
+    if not all(0 <= a < b for a, b in zip(pivots, [*pivots[1:], prec])):
+        raise NotEchelon(f"pivots {list(pivots)} do not increase strictly below prec = {prec}")
+    for i, p in enumerate(pivots):
+        if any(row[p] != (den if i == j else 0) for j, row in enumerate(rows)):
+            raise NotEchelon(f"pivot column {p} is not den = {den} in its own row and 0 elsewhere")
+
+
 class ModFormBasis:
     """Certified echelonized q-expansion basis of M_k(Gamma_1(N)).
 
@@ -130,12 +147,14 @@ class ModFormBasis:
     The basis is in reduced row echelon form with pivots at the earliest
     q-exponents: ``rows[j][c] / den`` is the q^c coefficient of the j-th
     element, c < prec, with gcd(den, every entry) = 1.  The constructor
-    derives ``field_level`` and ``certificate`` and refuses a rank other
-    than dim M_k.  Every basis passes through it, so no uncertified basis
-    exists.  ``elements``, the basis as QSeries over Q(zeta_L), is a view
-    built at its first read and then kept, as ``digest`` is; ``serialize``
-    writes the same bytes from ``rows`` and ``den`` without it;
-    ``is_integral`` reads ``den``; ``eliminate`` works in integers.
+    derives ``field_level`` and ``certificate``, refuses a rank other
+    than dim M_k, and refuses rows that are not that echelon form
+    (``NotEchelon``), since only then is their number their rank.  Every
+    basis passes through it, so no uncertified basis exists.
+    ``elements``, the basis as QSeries over Q(zeta_L), is a view built at
+    its first read and then kept, as ``digest`` is; ``serialize`` writes
+    the same bytes from ``rows`` and ``den`` without it; ``is_integral``
+    reads ``den``; ``eliminate`` works in integers.
     """
 
     __slots__ = (
@@ -149,6 +168,7 @@ class ModFormBasis:
             raise SpanFailure(len(rows), dim)
         if len(rows) > dim:
             raise RankExceedsDimension(len(rows), dim)
+        _check_echelon(prec, pivots, rows, den)
         self.level = level
         self.weight = weight
         self.prec = prec

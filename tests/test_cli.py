@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import importlib
 import json
 from fractions import Fraction
 
@@ -242,7 +243,8 @@ def test_genus_at_unsupported_level_fails_before_the_genus(cp2_file, monkeypatch
     def never(*args, **kwargs):
         raise AssertionError("genus must not run at an unsupported level")
 
-    monkeypatch.setattr(cli, "genus", never)
+    # cli imports genus when the command runs, so the layer's own binding is patched
+    monkeypatch.setattr(importlib.import_module("ellgenus.genus"), "genus", never)
     assert cli.main(["--level", "11", "genus", cp2_file]) == 3
     assert "genus-0" in capsys.readouterr().err
 

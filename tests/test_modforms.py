@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ellgenus.cyclo import Cyclo, descend, euler_phi, in_NZ
 from ellgenus.errors import (
     LevelMismatch,
+    NotEchelon,
     PrecisionInsufficient,
     RankExceedsDimension,
     SpanFailure,
@@ -545,6 +546,51 @@ def test_a_basis_is_certified_by_its_constructor():
     assert isinstance(info.value, SpanFailure)
     assert (info.value.rank, info.value.dimension) == (4, 3)
     assert "rank 4 exceeds dimension 3" in str(info.value)
+
+
+def _bad_echelons():
+    """(id, pivots, rows, den) of M_2(Gamma_1(5)) at prec 8, each breaking one
+    condition of the echelon form that rank = dim counts."""
+    basis = weight_basis(5, 2, 8)
+    pivots, rows, den = basis.pivots, basis.rows, basis.den
+    swapped = [pivots[1], pivots[0], pivots[2]]
+    row0_at_pivot1 = (tuple(x + (c == pivots[1]) for c, x in enumerate(rows[0])),) + rows[1:]
+    return [
+        ("three-equal-rows", [0, 0, 0], ((1,) * 8,) * 3, 1),
+        ("short-rows", [0, 1, 2], ((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1),
+        ("long-row", pivots, rows[:2] + (rows[2] + (0,),), den),
+        ("decreasing-pivots", swapped, (rows[1], rows[0], rows[2]), den),
+        ("pivot-at-prec", pivots[:2] + [8], rows, den),
+        ("negative-pivot", [-1] + pivots[1:], rows, den),
+        ("pivot-count", pivots[:2], rows, den),
+        ("zero-den", pivots, rows, 0),
+        ("negative-den", pivots, tuple(tuple(-x for x in row) for row in rows), -den),
+        ("pivot-not-den", pivots, tuple(tuple(2 * x for x in row) for row in rows), den),
+        ("pivot-column-not-clear", pivots, row0_at_pivot1, den),
+    ]
+
+
+def test_the_constructor_refuses_rows_that_are_not_a_reduced_echelon_form():
+    # the rank certificate counts rows, which is their rank only for an echelon
+    # form; three equal rows were once certified at rank 3, and short rows
+    # raised a bare IndexError
+    accepted = []
+    for name, pivots, rows, den in _bad_echelons():
+        assert len(rows) == dim_Mk(5, 2), name
+        try:
+            modforms.ModFormBasis(5, 2, 8, pivots, rows, den)
+        except NotEchelon:
+            continue
+        accepted.append(name)
+    assert accepted == []
+
+
+@pytest.mark.parametrize("N", SUPPORTED_LEVELS)
+def test_every_default_basis_is_a_reduced_echelon_form(N):
+    for k in range(9):
+        basis = weight_basis(N, k, sturm_bound(N, k))
+        rebuilt = modforms.ModFormBasis(N, k, basis.prec, basis.pivots, basis.rows, basis.den)
+        assert rebuilt.certificate == basis.certificate
 
 
 def test_integer_echelon_does_not_depend_on_the_candidate_order():
