@@ -57,53 +57,7 @@ _SUBMODULES = frozenset(_LAYERS) | {"linalg"}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Cyclo",
-    "NZCoset",
-    "cyclotomic_poly",
-    "descend",
-    "euler_phi",
-    "in_NZ",
-    "reduce_mod_NZ",
-    "EllGenusError",
-    "LevelMismatch",
-    "PrecMismatch",
-    "PrecisionInsufficient",
-    "RankExceedsDimension",
-    "SpanFailure",
-    "UnsupportedLevel",
-    "BadChernData",
-    "BadSplitChernData",
-    "ChernData",
-    "SplitChernData",
-    "chern_product",
-    "chi_y_cp",
-    "cp_chern",
-    "genus",
-    "genus_bivariate",
-    "log_phi_series",
-    "multiplicative_class",
-    "phi_series",
-    "split_product",
-    "verify_Q_identity",
-    "ModFormBasis",
-    "dim_Mk",
-    "is_in_span",
-    "sturm_bound",
-    "weight_basis",
-    "UqClass",
-    "WtClass",
-    "project_q0",
-    "reduce_Uq",
-    "reduce_Wtilde",
-    "CheckResult",
-    "format_report",
-    "run_checks",
-    "PQSeries",
-    "QSeries",
-    "XQSeries",
-    "todd_coefficients",
-]
+__all__ = [name for names in _LAYERS.values() for name in names]
 
 
 def __getattr__(name):

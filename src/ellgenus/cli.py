@@ -33,7 +33,7 @@ import sys
 
 from .cyclo import _integer, in_NZ
 from .errors import EllGenusError, PrecisionInsufficient, SpanFailure
-from .modforms import is_in_span, sturm_bound, weight_basis
+from .modforms import ambient_field_level, is_in_span, sturm_bound, weight_basis
 from .series import PQSeries, QSeries
 
 EXIT_OK = 0
@@ -101,7 +101,7 @@ def cmd_genus(args) -> int:
 
     data = _load(args.input, lambda d: ChernData(d["dim"], dict(d["chern"])))
     weight = data.dim
-    floor = sturm_bound(args.level, weight) if weight else 1
+    floor = sturm_bound(args.level, weight)
     prec = max(args.prec_q, floor)
     # the basis first: an unsupported level fails before the genus is built.
     # Weight 0 needs no basis: M_0 is the constants, and is_in_span would
@@ -143,7 +143,7 @@ def cmd_frep(args) -> int:
 
     data = _load(args.input, lambda d: SplitChernData(d["dim0"], d["dim1"], dict(d["chern"])))
     weight = (data.dim0 + data.dim1)
-    floor = sturm_bound(args.level, weight) if weight else 1
+    floor = sturm_bound(args.level, weight)
     prec_p = max(args.prec_p, floor)
     prec_q = max(args.prec_q, floor)
     F = genus_bivariate(data, args.level, prec_p, prec_q)
@@ -182,11 +182,20 @@ def _require_degree(args) -> int:
     return args.degree
 
 
+def _series_level(doc: dict, K: int) -> int:
+    """The level of a series document, refused unless it divides K, before a coefficient exists."""
+    level = _integer(doc["level"])
+    if level >= 1 and K % level:  # a level below 1 is refused as its coefficients are read
+        raise ValueError(f"series level {level} does not divide {K}")
+    return level
+
+
 def cmd_reduce_u(args) -> int:
     from .reduce import reduce_Uq
 
     degree = _require_degree(args)
-    s = _load(args.input, lambda d: QSeries.deserialize(_integer(d["level"]), d["coeffs"]))
+    L = ambient_field_level(args.level)  # the level reduce_Uq lifts a series to
+    s = _load(args.input, lambda d: QSeries.deserialize(_series_level(d, L), d["coeffs"]))
     cls = reduce_Uq(s, args.level, degree, min(args.prec_q, s.prec))
     report = {"command": "reduce-u", **cls.serialize()}
     _emit(report, lambda: "\n".join([
@@ -202,7 +211,7 @@ def cmd_reduce_w(args) -> int:
     from .reduce import reduce_Wtilde
 
     degree = _require_degree(args)
-    s = _load(args.input, lambda d: PQSeries.deserialize(_integer(d["level"]), d["rows"]))
+    s = _load(args.input, lambda d: PQSeries.deserialize(_series_level(d, args.level), d["rows"]))
     cls = reduce_Wtilde(s, args.level, degree)
     report = {"command": "reduce-w", **cls.serialize()}
     _emit(report, lambda: "\n".join([

@@ -28,22 +28,25 @@ from .linalg import _integer_echelon
 
 
 @functools.lru_cache(maxsize=None)
+def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (p, e), p ascending, with p^e exactly dividing n >= 1; O(sqrt(n))."""
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return tuple(out) + (((n, 1),) if n > 1 else ())
+
+
+@functools.lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    """Euler totient of n; every level reaches it, so a level below 1 is refused here."""
+    """Euler totient, prod p^(e-1) (p-1); every level reaches it, so a level below 1 is refused."""
     if n < 1:
         raise ValueError(f"level {n} is not positive")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in _prime_factors(n))
 
 
 def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -339,9 +342,6 @@ class Cyclo:
         if any(self.num[1:]):
             return hash((self.level, self.num, self.den))
         return hash(Fraction(self.num[0], self.den))
-
-    def rational_part(self) -> Fraction:
-        return Fraction(self.num[0], self.den)
 
     def lift(self, new_level: int) -> "Cyclo":
         """Embed into Q(zeta_L) for N | L via zeta_N -> zeta_L^(L/N).

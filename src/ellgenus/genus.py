@@ -11,18 +11,19 @@ The characteristic series is
     a(q) = Q_{-zeta_N}(0)(q)^{-1}.
 
 The genus needs only log phi.  The logarithm of the product is a sum of
-logarithms, so each x^k coefficient of log phi is a twisted divisor sum in
-q (an Eisenstein series), and `log_phi_series` writes it down in closed
-form, with no series product or inversion.  Genus values are computed from
-Chern numbers, kept as dicts from partitions (monomials in Chern classes)
-to integers.  The degree-n multiplicative class F = exp(sum_k l_k p_k),
-with l = log phi and the power sums p_k written in elementary symmetric
-polynomials (= Chern classes) by Newton's identities, is built degree by
-degree from the recurrence d F_d = sum_{i<=d} i l_i p_i F_{d-i} that
-F' = A' F gives for F = exp(A) (Brent and Kung 1978), as a dict from
-partitions to q-series, then paired against the Chern-number data.  The
-class of degree n reads l only to x^n.  `phi_series` = exp(log phi) and
-the product formula in `verify_Q_identity` serve as checks.
+logarithms, so at q^j, j >= 1, each x^k coefficient of log phi is a twisted
+divisor sum (an Eisenstein series) that `log_phi_series` writes in closed
+form; its q^0 row is one x-series product, one inversion in Q(zeta_N) and
+the log recurrence.  Genus values are computed from Chern numbers, kept as
+dicts from partitions (monomials in Chern classes) to integers.  The
+degree-n multiplicative class F = exp(sum_k l_k p_k), with l = log phi and
+the power sums p_k written in elementary symmetric polynomials (= Chern
+classes) by Newton's identities, is built degree by degree from the
+recurrence d F_d = sum_{i<=d} i l_i p_i F_{d-i} that F' = A' F gives for
+F = exp(A) (Brent and Kung 1978), as a dict from partitions to q-series,
+then paired against the Chern-number data.  The class of degree n reads l
+only to x^n.  `phi_series` = exp(log phi) and the product formula in
+`verify_Q_identity` serve as checks.
 """
 
 from __future__ import annotations
@@ -144,13 +145,6 @@ class SplitChernData:
                 raise BadSplitChernData(f"two keys name the pair ({lam}, {mu})")
             clean[(lam, mu)] = _integer(value, BadSplitChernData)
         self.numbers = clean
-
-    def swap(self) -> "SplitChernData":
-        return SplitChernData(
-            self.dim1,
-            self.dim0,
-            {(mu, lam): v for (lam, mu), v in self.numbers.items()},
-        )
 
     def __repr__(self):
         return (

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .cyclo import Cyclo, _reduced, _split_denominator, euler_phi
+from .cyclo import Cyclo, _prime_factors, _reduced, _split_denominator, euler_phi
 from .errors import (
     LevelMismatch,
     NotEchelon,
@@ -39,18 +39,10 @@ from .linalg import _integer_echelon
 from .series import QSeries, _product
 
 
-def _unit_order(a: int, M: int) -> int:
-    """The multiplicative order of the unit a mod M."""
-    m, x = 1, a % M
-    while x != 1 % M:
-        x = x * a % M
-        m += 1
-    return m
-
-
 def unit_group_exponent(M: int) -> int:
-    """The exponent of (Z/M)^*: the lcm of the orders of its units."""
-    return math.lcm(*(_unit_order(a, M) for a in range(1, M + 1) if gcd(a, M) == 1))
+    """The exponent of (Z/M)^*, Carmichael's lambda: lcm of phi(p^e), but 2^(e-2) at 2^e, e > 2."""
+    factors = _prime_factors(M)
+    return math.lcm(*(2 ** (e - 2) if p == 2 and e > 2 else euler_phi(p**e) for p, e in factors))
 
 
 def ambient_field_level(N: int) -> int:
@@ -60,24 +52,24 @@ def ambient_field_level(N: int) -> int:
     field that a basis of level N is serialized over (``field_level``) and
     its ``elements`` view lives in.
     """
-    e = unit_group_exponent(N)
-    return N * e // gcd(N, e)
+    return math.lcm(N, unit_group_exponent(N))
 
 
 def _gamma1_index(N: int) -> int:
-    """[SL_2(Z) : Gamma_1(N)]: the pairs (c, d) mod N with gcd(c, d, N) = 1.
-
-    Grouped by g = gcd(c, N): phi(N/g) residues c have it, and each pairs
-    with the (N/g) phi(g) residues d prime to g.
-    """
-    return sum(euler_phi(N // g) * (N // g) * euler_phi(g) for g in range(1, N + 1) if N % g == 0)
+    """[SL_2(Z) : Gamma_1(N)], the pairs (c, d) mod N with gcd(c, d, N) = 1:
+    N^2 prod_{p | N} (1 - p^-2)."""
+    factors = _prime_factors(N)
+    return N * N // math.prod(p * p for p, _ in factors) * math.prod(p * p - 1 for p, _ in factors)
 
 
 def _cusp_counts(N: int) -> tuple[int, int, int]:
-    """(total, regular, irregular) cusps of Gamma_1(N), N >= 4."""
+    """(total, regular, irregular) cusps of Gamma_1(N), N >= 4; 2 total is
+    sum_{d | N} phi(d) phi(N/d), multiplicative in N, so a product over p^e || N."""
     if N == 4:
         return 3, 2, 1
-    total = sum(euler_phi(d) * euler_phi(N // d) for d in range(1, N + 1) if N % d == 0)
+    total = 1
+    for p, e in _prime_factors(N):
+        total *= sum(euler_phi(p**i) * euler_phi(p ** (e - i)) for i in range(e + 1))
     assert total % 2 == 0
     return total // 2, total // 2, 0
 

@@ -212,14 +212,6 @@ class QSeries(_Series):
             raise PrecMismatch("cannot extend precision")
         return QSeries(self.level, new_prec, self.coeffs[:new_prec])
 
-    def shift(self, t: int) -> "QSeries":
-        """Substitute q -> q^t, for t >= 1."""
-        if t < 1:
-            raise ValueError(f"shift needs t >= 1, got {t}")
-        out = [Cyclo(self.level)] * self.prec
-        out[::t] = self.coeffs[: -(-self.prec // t)]
-        return QSeries(self.level, self.prec, out)
-
     def lift(self, new_level: int) -> "QSeries":
         return QSeries(new_level, self.prec, tuple(c.lift(new_level) for c in self.coeffs))
 
@@ -239,9 +231,9 @@ class QSeries(_Series):
 class PQSeries(_Series):
     """Truncated series in (p, q): a series in p whose coefficients, the p-rows, are QSeries.
 
-    ``coeffs[i]`` is the p^i row, a QSeries in q at precision prec_q;
-    ``rows`` gives the same rectangle as tuples of Cyclo.  A QSeries row of
-    another q-precision raises PrecMismatch; a list row is cut or padded.
+    ``coeffs[i]`` is the p^i row, a QSeries in q at precision prec_q, and
+    ``F[i, j]`` its coefficient of q^j.  A QSeries row of another
+    q-precision raises PrecMismatch; a list row is cut or padded.
     """
 
     __slots__ = ("level", "prec_p", "prec_q")
@@ -263,10 +255,6 @@ class PQSeries(_Series):
             for r in rows
         )
 
-    @property
-    def rows(self) -> tuple[tuple[Cyclo, ...], ...]:
-        return tuple(r.coeffs for r in self.coeffs)
-
     def _shape(self) -> tuple[int, int]:
         return (self.prec_p, self.prec_q)
 
@@ -276,10 +264,6 @@ class PQSeries(_Series):
 
     def _new(self, rows) -> "PQSeries":
         return PQSeries(self.level, self.prec_p, self.prec_q, rows)
-
-    @classmethod
-    def constant(cls, level: int, prec_p: int, prec_q: int, value) -> "PQSeries":
-        return cls(level, prec_p, prec_q, [QSeries.constant(level, prec_q, value)])
 
     @classmethod
     def outer(cls, fp: QSeries, fq: QSeries) -> "PQSeries":
@@ -299,10 +283,6 @@ class PQSeries(_Series):
     def q_column(self, j: int) -> QSeries:
         """The coefficient of q^j as a series in p."""
         return QSeries(self.level, self.prec_p, [r[j] for r in self.coeffs])
-
-    def transpose(self) -> "PQSeries":
-        columns = [self.q_column(j) for j in range(self.prec_q)]
-        return PQSeries(self.level, self.prec_q, self.prec_p, columns)
 
     def serialize(self) -> list[list[list[str]]]:
         return [r.serialize() for r in self.coeffs]
@@ -367,14 +347,6 @@ class XQSeries(_Series):
 
     def _new(self, coeffs) -> "XQSeries":
         return XQSeries(coeffs, self.prec_x)
-
-    @classmethod
-    def one(cls, level: int, prec_x: int, prec_q: int) -> "XQSeries":
-        return cls([QSeries.one(level, prec_q)], prec_x)
-
-    @classmethod
-    def zero(cls, level: int, prec_x: int, prec_q: int) -> "XQSeries":
-        return cls([QSeries.zero(level, prec_q)], prec_x)
 
     @classmethod
     def from_x_poly(cls, level: int, prec_x: int, prec_q: int, coeffs) -> "XQSeries":

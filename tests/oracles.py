@@ -14,6 +14,7 @@ from ellgenus.cyclo import (
     Cyclo,
     NZCoset,
     _power_table,
+    _prime_factors,
     _reduced,
     _split_denominator,
     euler_phi,
@@ -180,7 +181,7 @@ def eisenstein_by_scan(psi, phi_char, t: int, k: int, prec: int, N: int) -> QSer
         if t == 1:
             raise ValueError("E_2 itself is not modular; need t > 1")
         e2 = _weight2_level1_by_scan(L, prec)
-        return e2 - e2.shift(t) * t
+        return e2 - _shift(e2, t) * t
 
     coeffs = [Cyclo.from_rational(L, 0)]
     if k >= 2:
@@ -197,7 +198,16 @@ def eisenstein_by_scan(psi, phi_char, t: int, k: int, prec: int, N: int) -> QSer
             if n % d == 0:
                 acc = acc + psi.value(n // d) * phi_char.value(d) * d ** (k - 1)
         coeffs.append(acc)
-    return QSeries(L, prec, coeffs).shift(t) if t > 1 else QSeries(L, prec, coeffs)
+    return _shift(QSeries(L, prec, coeffs), t)
+
+
+def _shift(f: QSeries, t: int) -> QSeries:
+    """f(q^t), for t >= 1."""
+    if t < 1:
+        raise ValueError(f"shift needs t >= 1, got {t}")
+    out = [Cyclo(f.level)] * f.prec
+    out[::t] = f.coeffs[: -(-f.prec // t)]
+    return QSeries(f.level, f.prec, out)
 
 
 def _weight2_level1_by_scan(L: int, prec: int) -> QSeries:
@@ -395,8 +405,8 @@ def residual_of_one(N: int, weight: int, prec: int) -> tuple[tuple, tuple, tuple
     assert not any(x for value in one_res + gamma for x in value.num[1:])
     pivots = set(basis.pivots)
     return (
-        tuple(value.rational_part() for value in one_res),
-        tuple(value.rational_part() for value in gamma),
+        tuple(value.coords[0] for value in one_res),
+        tuple(value.coords[0] for value in gamma),
         tuple(c for c in range(prec) if c not in pivots),
     )
 
@@ -660,8 +670,7 @@ def xq_exp_by_powers(self: XQSeries) -> XQSeries:
     """exp of an element with zero x^0 coefficient."""
     if not self.coeffs[0].is_zero():
         raise BadConstantTerm("exp needs x^0 coefficient 0")
-    result = XQSeries.one(self.level, self.prec_x, self.prec_q)
-    term = XQSeries.one(self.level, self.prec_x, self.prec_q)
+    result = term = XQSeries.from_x_poly(self.level, self.prec_x, self.prec_q, [1])
     for k in range(1, self.prec_x):
         term = term * self * Fraction(1, k)
         result = result + term
@@ -673,9 +682,9 @@ def xq_log_by_powers(self: XQSeries) -> XQSeries:
     one = QSeries.one(self.level, self.prec_q)
     if self.coeffs[0] != one:
         raise BadConstantTerm("log needs x^0 coefficient 1")
-    u = self - XQSeries.one(self.level, self.prec_x, self.prec_q)
-    result = XQSeries.zero(self.level, self.prec_x, self.prec_q)
-    term = XQSeries.one(self.level, self.prec_x, self.prec_q)
+    term = XQSeries.from_x_poly(self.level, self.prec_x, self.prec_q, [1])
+    u = self - term
+    result = XQSeries.from_x_poly(self.level, self.prec_x, self.prec_q, [0])
     for k in range(1, self.prec_x):
         term = term * u
         result = result + term * Fraction((-1) ** (k + 1), k)
@@ -715,12 +724,12 @@ def pqseries_mul_by_loops(self: PQSeries, other: PQSeries) -> PQSeries:
     out = [[zero] * self.prec_q for _ in range(self.prec_p)]
     for i in range(self.prec_p):
         for j in range(self.prec_q):
-            a = self.rows[i][j]
+            a = self[i, j]
             if not a:
                 continue
             for k in range(self.prec_p - i):
                 for l in range(self.prec_q - j):
-                    b = other.rows[k][l]
+                    b = other[k, l]
                     if b:
                         out[i + k][j + l] = out[i + k][j + l] + a * b
     return PQSeries(self.level, self.prec_p, self.prec_q, out)
@@ -824,35 +833,9 @@ def integer_product_by_loops(f: list[int], g: list[int], prec: int) -> list[int]
 # exponent vectors.
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _prime_power_factors(n: int) -> list[tuple[int, int]]:
-    out = []
-    for p in _prime_factors(n):
-        e = 0
-        m = n
-        while m % p == 0:
-            m //= p
-            e += 1
-        out.append((p, e))
-    return out
-
-
 def _primitive_root(p: int, e: int) -> int:
     phi = p - 1
-    factors = _prime_factors(phi)
+    factors = [f for f, _ in _prime_factors(phi)]
     g = 2
     while True:
         if all(pow(g, phi // f, p) != 1 for f in factors):
@@ -870,7 +853,7 @@ def unit_group_generators(M: int) -> list[tuple[int, int]]:
     if M in (1, 2):
         return []
     gens = []
-    for p, e in _prime_power_factors(M):
+    for p, e in _prime_factors(M):
         pe = p**e
         rest = M // pe
         if p == 2:
@@ -929,8 +912,35 @@ def all_characters_by_generators(M: int, field_level: int) -> list[DirichletChar
     return chars
 
 
-def gamma1_index_by_primes(N: int) -> int:
-    mu = N * N
-    for p in _prime_factors(N):
-        mu = mu // (p * p) * (p * p - 1)
-    return mu
+# The level invariants by their definitions: loops over every residue or
+# divisor of N, O(N^2) at worst.  Production uses the closed forms in the
+# prime factorization of N, which cost O(sqrt(N)).
+
+
+def euler_phi_by_gcd(n: int) -> int:
+    return sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
+
+
+def unit_group_exponent_by_orders(M: int) -> int:
+    """The lcm of the multiplicative orders of the units mod M."""
+    def order(a):
+        m, x = 1, a % M
+        while x != 1 % M:
+            x = x * a % M
+            m += 1
+        return m
+    return math.lcm(*(order(a) for a in range(1, M + 1) if math.gcd(a, M) == 1))
+
+
+def gamma1_index_by_divisors(N: int) -> int:
+    """The pairs (c, d) mod N with gcd(c, d, N) = 1, grouped by g = gcd(c, N):
+    phi(N/g) residues c have it, and each pairs with the (N/g) phi(g)
+    residues d prime to g."""
+    phi = euler_phi_by_gcd
+    return sum(phi(N // g) * (N // g) * phi(g) for g in range(1, N + 1) if N % g == 0)
+
+
+def cusp_sum_by_divisors(N: int) -> int:
+    """sum_{d | N} phi(d) phi(N/d), twice the number of cusps of Gamma_1(N), N >= 5."""
+    phi = euler_phi_by_gcd
+    return sum(phi(d) * phi(N // d) for d in range(1, N + 1) if N % d == 0)

@@ -326,6 +326,13 @@ def test_level_below_4_is_rejected():
     assert cli.main(["--level", "3", "--degree", "4", "basis"]) == 3
 
 
+def test_a_large_unsupported_level_is_refused(capsys):
+    # the index, the cusp count and the exponent of (Z/N)^* looped over every
+    # residue or divisor of N, so this refusal took seconds
+    assert cli.main(["--level", "10000019", "--degree", "4", "basis"]) == 3
+    assert "genus-0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     [],
     ["--level", "abc", "basis"],
@@ -526,6 +533,20 @@ def test_reduce_commands_refuse_a_series_level_below_1_exits_3(level, tmp_path, 
     assert cli.main(["--degree", "6", "reduce-u", str(u)]) == 3
     assert cli.main(["--degree", "4", "reduce-w", str(w)]) == 3
     assert capsys.readouterr().err.count(f"level {level} is not positive") == 2
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["--degree", "6", "reduce-u"], {"level": 10**12 + 39, "coeffs": [["1"], ["1/3"], ["0"]]}),
+    (["--degree", "4", "reduce-w"], {"level": 10**12 + 39, "rows": [[["1"]]]}),
+], ids=["reduce-u", "reduce-w"])
+def test_a_series_level_the_command_cannot_reduce_exits_3(argv, doc, tmp_path, capsys):
+    # both built phi(level) coordinates per coefficient before the level was
+    # checked, and died of a MemoryError with exit 1
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--level", "5"] + argv + [str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"series level {doc['level']} does not divide" in err
 
 
 @pytest.mark.parametrize("command,doc", [

@@ -29,7 +29,7 @@ from ellgenus.genus import (
     split_product,
     verify_Q_identity,
 )
-from ellgenus.series import QSeries, XQSeries
+from ellgenus.series import PQSeries, QSeries, XQSeries
 
 from oracles import chern_product_by_recursion, multiplicative_class_by_powers
 
@@ -331,8 +331,9 @@ def test_bivariate_degenerates_to_genus_when_one_factor_is_trivial():
 def test_bivariate_swap_transposes_the_rectangle():
     sp = split_product(cp_chern(1), cp_chern(2))
     F = genus_bivariate(sp, 5, 6, 6)
-    G = genus_bivariate(sp.swap(), 5, 6, 6)
-    assert G == F.transpose()
+    swapped = {(mu, lam): v for (lam, mu), v in sp.numbers.items()}
+    G = genus_bivariate(SplitChernData(sp.dim1, sp.dim0, swapped), 5, 6, 6)
+    assert G == PQSeries(5, 6, 6, [F.q_column(j) for j in range(6)])
 
 
 def test_bivariate_coefficients_are_N_integral():

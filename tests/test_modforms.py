@@ -37,13 +37,16 @@ from oracles import (
     all_characters_by_generators,
     basis_with_denominators,
     default_rows_all_pairs,
+    cusp_sum_by_divisors,
     eliminate,
+    euler_phi_by_gcd,
     field_basis,
-    gamma1_index_by_primes,
+    gamma1_index_by_divisors,
     gen_bernoulli,
     rref,
     serialize_by_elements,
     unit_group_exponent_by_generators,
+    unit_group_exponent_by_orders,
 )
 
 
@@ -93,7 +96,17 @@ def test_unit_group_exponents():
 def test_unit_group_exponent_and_index_match_the_generator_oracle():
     for M in range(1, 201):
         assert unit_group_exponent(M) == unit_group_exponent_by_generators(M), M
-        assert modforms._gamma1_index(M) == gamma1_index_by_primes(M), M
+        assert modforms._gamma1_index(M) == gamma1_index_by_divisors(M), M
+
+
+def test_closed_forms_match_the_definitional_loops():
+    # the index is pinned to its loop above; the loops are O(N^2), so the
+    # bound keeps this to seconds
+    for N in range(1, 600):
+        assert euler_phi(N) == euler_phi_by_gcd(N), N
+        assert unit_group_exponent(N) == unit_group_exponent_by_orders(N), N
+        if N >= 5:
+            assert 2 * modforms._cusp_counts(N)[0] == cusp_sum_by_divisors(N), N
 
 
 def test_dimension_table():
@@ -161,7 +174,7 @@ def test_basis_elements_are_N_integral():
 
 def test_weight2_level5_frozen_leading_element():
     basis = weight_basis(5, 2, 8)
-    first = [descend(c, 5).rational_part() for c in basis.elements[0].coeffs]
+    first = [descend(c, 5).coords[0] for c in basis.elements[0].coeffs]
     assert first == [1, 0, 0, 60, -120, 240, -300, 300]
 
 

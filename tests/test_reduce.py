@@ -243,7 +243,7 @@ def test_closed_product_degree6_vanishes_in_two_variables():
 
 def test_single_mixed_half_coefficient_is_detected():
     F = PQSeries(5, 5, 5)
-    rows = [list(r) for r in F.rows]
+    rows = [list(r.coeffs) for r in F.coeffs]
     rows[1][1] = Cyclo.from_rational(5, Fraction(1, 2))
     F = PQSeries(5, 5, 5, rows)
     cls = reduce_Wtilde(F, 5, 4)
@@ -252,7 +252,7 @@ def test_single_mixed_half_coefficient_is_detected():
 
 
 def test_constant_rectangle_is_trivial():
-    F = PQSeries.constant(5, 5, 5, Fraction(11, 6))
+    F = PQSeries(5, 5, 5, [[Fraction(11, 6)]])
     assert reduce_Wtilde(F, 5, 4).trivial
 
 
@@ -268,7 +268,7 @@ def test_projection_compatibility():
 
 def test_projection_of_positive_q_support_is_trivially_trivial():
     F = PQSeries(5, 5, 5)
-    rows = [list(r) for r in F.rows]
+    rows = [list(r.coeffs) for r in F.coeffs]
     rows[2][3] = Cyclo.from_rational(5, Fraction(1, 7))
     F = PQSeries(5, 5, 5, rows)
     assert project_q0(F).is_zero()

@@ -27,6 +27,7 @@ from ellgenus.series import (
 )
 
 from oracles import (
+    _shift,
     integer_product_by_loops,
     pqseries_mul_by_loops,
     qseries_inv_by_loops,
@@ -114,15 +115,15 @@ def test_exp_requires_zero_constant_term():
 
 def test_shift_substitutes_q_power():
     s = qs(5, 1, 2, 3, 0, 0, 0)
-    assert s.shift(2) == qs(5, 1, 0, 2, 0, 3, 0)
-    assert s.shift(1) == s
-    assert s.shift(7) == qs(5, 1, 0, 0, 0, 0, 0)
+    assert _shift(s, 2) == qs(5, 1, 0, 2, 0, 3, 0)
+    assert _shift(s, 1) == s
+    assert _shift(s, 7) == qs(5, 1, 0, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("t", [0, -1])
 def test_shift_refuses_t_below_one(t):
     with pytest.raises(ValueError, match="t >= 1"):
-        qs(5, 1, 2, 3, 4, 5).shift(t)
+        _shift(qs(5, 1, 2, 3, 4, 5), t)
 
 
 @pytest.mark.parametrize("build", [
@@ -171,10 +172,10 @@ def test_todd_series_inverts_its_defining_factor():
     # td(x) * (1 - e^{-x})/x == 1
     td = todd_series(5, 5, 3)
     em = exp_x(5, 6, 3, -1)
-    one = XQSeries.one(5, 6, 3)
+    one = XQSeries.from_x_poly(5, 6, 3, [1])
     # x^0 of (1 - e^-x) vanishes, so dropping it divides by x
     factor = XQSeries([(one[k] - em[k]) for k in range(1, 6)])
-    assert td * factor == XQSeries.one(5, 5, 3)
+    assert td * factor == XQSeries.from_x_poly(5, 5, 3, [1])
 
 
 def test_xqseries_exp_log_roundtrip():
@@ -231,7 +232,8 @@ def test_pqseries_outer_and_projections():
     assert F.p_row(0) == qs(5, 4, 5)
     assert F.q_column(0) == qs(5, 4, 8, 12)
     assert project_q0(F) == F.q_column(0)
-    assert F.transpose() == PQSeries.outer(fq, fp)
+    columns = [F.q_column(j) for j in range(F.prec_q)]
+    assert PQSeries(5, F.prec_q, F.prec_p, columns) == PQSeries.outer(fq, fp)
 
 
 def test_pqseries_multiplication_matches_outer_factorization():
@@ -249,12 +251,12 @@ def test_pqseries_refuses_a_qseries_row_of_another_q_precision():
             PQSeries(5, 2, 3, [row])
     # a list row keeps the cut-or-pad reading of QSeries(level, prec, coeffs)
     assert PQSeries(5, 2, 3, [[1, 2, 3, 4, 5]]) == PQSeries(5, 2, 3, [QSeries(5, 3, [1, 2, 3])])
-    assert PQSeries(5, 2, 3, [[1, 2]]).rows[0] == QSeries(5, 3, [1, 2, 0]).coeffs
+    assert PQSeries(5, 2, 3, [[1, 2]]).p_row(0).coeffs == QSeries(5, 3, [1, 2, 0]).coeffs
 
 
 def test_project_q0_kills_positive_q_support():
     F = PQSeries(5, 3, 3)
-    rows = [list(r) for r in F.rows]
+    rows = [list(r.coeffs) for r in F.coeffs]
     rows[1][2] = Cyclo.from_rational(5, 7)
     F = PQSeries(5, 3, 3, rows)
     assert project_q0(F).is_zero()
@@ -387,7 +389,7 @@ def test_a_value_equal_to_a_scalar_is_found_by_that_scalar():
     assert len({Cyclo.from_rational(5, 1), 1}) == 1
     assert {1: "x"}.get(Cyclo.from_rational(5, 1)) == "x"
     assert {Fraction(1, 2): "x"}.get(Cyclo.from_rational(5, Fraction(1, 2))) == "x"
-    assert len({QSeries.one(5, 3), 1, XQSeries.one(5, 2, 3)}) == 1
+    assert len({QSeries.one(5, 3), 1, XQSeries.from_x_poly(5, 2, 3, [1])}) == 1
 
 
 @settings(max_examples=80)
