@@ -18,10 +18,19 @@ genus 0, i.e. N in {4, ..., 10, 12}; other levels exit 3.
 The library types (ChernData, SplitChernData, QSeries, PQSeries) read
 every input document; files and integer options follow one number rule.
 
+Size bound: before it builds anything, each command estimates in closed
+form how many integer entries it would build, and exits 3 when that is
+above SIZE_BOUND = 10^7 (``errors.SIZE_BOUND``).  A basis counts the
+candidate rows of every weight of its chain times the precision; genus
+counts N phi(N) for the field, p(n) phi(N) prec for the class of
+dimension n and phi(N) prec for the result; f-rep counts both classes and
+the prec_p x prec_q rectangle.
+
 Exit codes: 0 success, 1 a self-check failed, 2 span certification
 failure, 3 input/parse or usage error (an output file that cannot be
-written included), 4 insufficient precision.  With --machine the report is a
-single deterministic JSON document (sorted keys, no whitespace).
+written and a size estimate above the bound included), 4 insufficient
+precision.  With --machine the report is a single deterministic JSON
+document (sorted keys, no whitespace).
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import json
 import sys
 
 from .cyclo import _integer, in_NZ
-from .errors import EllGenusError, PrecisionInsufficient, SpanFailure
+from .errors import SIZE_BOUND, EllGenusError, PrecisionInsufficient, SpanFailure
 from .modforms import ambient_field_level, is_in_span, sturm_bound, weight_basis
 from .series import PQSeries, QSeries
 
@@ -97,13 +106,14 @@ def _emit(report: dict, human, args) -> None:
 
 
 def cmd_genus(args) -> int:
-    from .genus import ChernData, genus
+    from .genus import ChernData, _check_size, genus
 
     data = _load(args.input, lambda d: ChernData(d["dim"], dict(d["chern"])))
     weight = data.dim
     floor = sturm_bound(args.level, weight)
     prec = max(args.prec_q, floor)
-    # the basis first: an unsupported level fails before the genus is built.
+    _check_size(args.level, [(weight, prec)], prec)
+    # the basis next: an unsupported level fails before the genus is built.
     # Weight 0 needs no basis: M_0 is the constants, and is_in_span would
     # lift every coefficient to Q(zeta_L), L = lcm(N, exponent of (Z/N)^*),
     # which at large N costs far more than the genus itself
@@ -139,13 +149,14 @@ def cmd_genus(args) -> int:
 
 
 def cmd_frep(args) -> int:
-    from .genus import SplitChernData, genus_bivariate
+    from .genus import SplitChernData, _check_size, genus_bivariate
 
     data = _load(args.input, lambda d: SplitChernData(d["dim0"], d["dim1"], dict(d["chern"])))
     weight = (data.dim0 + data.dim1)
     floor = sturm_bound(args.level, weight)
     prec_p = max(args.prec_p, floor)
     prec_q = max(args.prec_q, floor)
+    _check_size(args.level, [(data.dim0, prec_p), (data.dim1, prec_q)], prec_p * prec_q)
     F = genus_bivariate(data, args.level, prec_p, prec_q)
     integral = all(in_NZ(F[i, j]) for i in range(prec_p) for j in range(prec_q))
     report = {
@@ -273,6 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ellgenus",
         description="exact level-N elliptic genus, modular bases, and quotient reductions",
+        epilog=f"Each command first estimates the integer entries it would build and "
+               f"exits 3 above {SIZE_BOUND}.  Exit codes: 0 success, 1 a self-check "
+               f"failed, 2 span certification failure, 3 input, usage or size error, "
+               f"4 insufficient precision.",
     )
     parser.add_argument("--level", type=integer, default=5, help="level N in 4..10 or 12 (default 5)")
     parser.add_argument("--prec-q", type=integer, default=10, help="q-precision (default 10)")

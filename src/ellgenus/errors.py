@@ -1,4 +1,14 @@
-"""Typed errors shared across the package."""
+"""Typed errors shared across the package, and the one size bound."""
+
+# The most integer entries (matrix entries, series coefficients and their
+# power-basis coordinates) that one command may build.  Each command
+# estimates its size in closed form before it builds anything and raises
+# TooLarge above this bound; it is a constant, not an option.  The largest
+# input the tests can draw, an f-rep of dimensions (4, 4) at level 13, is
+# estimated at about 1.7e5 entries, and the README examples, the
+# self-check and the benchmark stay below 4e4; a degree-200 basis at level
+# 5 (about 2e6 entries, some 20 seconds) still runs.
+SIZE_BOUND = 10**7
 
 
 class EllGenusError(Exception):
@@ -42,8 +52,25 @@ class BadSplitChernData(EllGenusError):
 class UnsupportedLevel(EllGenusError):
     """The level is outside the supported range (N >= 4; modular bases
     need a genus-0 X_1(N), i.e. N in {4, ..., 10, 12}).  A basis build
-    computes the dimensions it needs first, so it refuses an unsupported
-    level before any candidate is built."""
+    asks the dimension of every weight of its chain, weight 1 among the
+    first, before it builds anything, so it refuses an unsupported level
+    before any candidate is built."""
+
+
+class TooLarge(EllGenusError):
+    """A command's size estimate, in integer entries, is above SIZE_BOUND.
+
+    Raised before anything is built, by the estimate of a chain of bases
+    (``weight_basis``) or of a genus and its field (``genus._check_size``).
+    An estimate may stop summing once it passes the bound, so the message
+    names a lower bound for it.
+    """
+
+    def __init__(self, what: str, estimate: int):
+        super().__init__(
+            f"{what} is estimated at {estimate} or more integer entries, "
+            f"above the size bound {SIZE_BOUND}"
+        )
 
 
 class SpanFailure(EllGenusError):

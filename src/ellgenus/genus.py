@@ -32,12 +32,14 @@ import functools
 from fractions import Fraction
 from math import comb, prod
 
-from .cyclo import Cyclo, _integer
+from .cyclo import Cyclo, _integer, euler_phi
 from .errors import (
+    SIZE_BOUND,
     BadChernData,
     BadSplitChernData,
     InsufficientXPrecision,
     NonUnitConstantTerm,
+    TooLarge,
 )
 from .series import PQSeries, QSeries, XQSeries, exp_x, todd_series
 
@@ -70,6 +72,40 @@ def _partitions(n: int, largest: int) -> list[Partition]:
     if n == 0:
         return [()]
     return [(p,) + rest for p in range(min(n, largest), 0, -1) for rest in _partitions(n - p, p)]
+
+
+def _partition_count(n: int, limit: int) -> int:
+    """p(n) by Euler's pentagonal recurrence, without listing a partition;
+    the count stops at the first p(m), m <= n, above limit, a lower bound
+    for p(n)."""
+    p = [1]
+    for m in range(1, n + 1):
+        total, i = 0, 1
+        while (g := i * (3 * i - 1) // 2) <= m:
+            sign = 1 if i % 2 else -1
+            total += sign * (p[m - g] + (p[m - g - i] if g + i <= m else 0))
+            i += 1
+        p.append(total)
+        if total > limit:
+            break
+    return p[-1]
+
+
+def _check_size(N: int, classes: list[tuple[int, int]], series: int) -> None:
+    """Raise TooLarge unless a genus at level N fits in SIZE_BOUND entries.
+
+    The estimate is N phi(N) for the field (``cyclotomic_poly`` allocates
+    N + 1 entries, its power table more), p(n) phi(N) prec for the
+    multiplicative class of each (n, prec) in classes, and phi(N) series
+    for the result, series being its number of coefficients.  Nothing is
+    built; a caller runs it before any other work of its command.
+    """
+    phi = euler_phi(N)
+    total = N * phi + phi * series
+    for n, prec in classes:
+        total += _partition_count(n, SIZE_BOUND // (phi * prec)) * phi * prec
+    if total > SIZE_BOUND:
+        raise TooLarge(f"a genus at level {N}", total)
 
 
 def _with(parts: Partition, i: int) -> Partition:

@@ -1,8 +1,8 @@
 """Exact Gaussian elimination over Q, fraction-free on integer rows.
 
 ``_integer_echelon`` is the package's one elimination.  It builds every
-Gamma_1(N) basis from the rational pool of ``modforms._default_rows``,
-and the tracked echelon forms that descend elements of Q(zeta_L) to
+Gamma_1(N) basis from the rational pool of ``modforms._pool``, and the
+tracked echelon forms that descend elements of Q(zeta_L) to
 subfields (``cyclo._descent_echelon``).
 A finished basis is rational, so reductions eliminate against it in
 integers (``ModFormBasis.eliminate``), and the constant-direction solve

@@ -11,14 +11,15 @@ G_1^{(c,0)}(N tau) up to scale), for c = 1 .. (N-1)/2,
 
 congruences mod N.  At weight k >= 2 it holds the products of the weight-1
 basis with the weight-(k-1) basis.  At N = 4, whose cusp 1/2 is
-irregular, it also holds E_2(q) - t E_2(q^t), t | N, t > 1, at weight 2,
-and the products of the weight-2 basis with the weight-(k-2) basis above
-it.
+irregular, it holds instead E_2(q) - t E_2(q^t), t | N, t > 1, at weight
+2, and the products of the weight-2 basis with the weight-(k-2) basis
+above it.  The bases of one level and precision form a chain that one
+loop in ``weight_basis`` grows weight by weight from 0, after a closed-form
+estimate of the whole chain against ``errors.SIZE_BOUND``.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import threading
@@ -28,11 +29,13 @@ from operator import mul
 
 from .cyclo import Cyclo, _prime_factors, _reduced, _split_denominator, euler_phi
 from .errors import (
+    SIZE_BOUND,
     LevelMismatch,
     NotEchelon,
     PrecisionInsufficient,
     RankExceedsDimension,
     SpanFailure,
+    TooLarge,
     UnsupportedLevel,
 )
 from .linalg import _integer_echelon
@@ -268,65 +271,80 @@ class ModFormBasis:
 
 
 _basis_lock = threading.Lock()
-
-
-@functools.lru_cache(maxsize=None)
-def _weight_basis_cached(N: int, k: int, prec: int) -> ModFormBasis:
-    """The certified basis of the default pool; dim_Mk first, so an
-    unsupported level is refused before any candidate is built."""
-    dim_Mk(N, k)
-    return ModFormBasis(N, k, prec, *_integer_echelon(_default_rows(N, k, prec)))
+# (N, prec) -> the certified bases of weights 0, 1, ... built so far
+_chains: dict[tuple[int, int], list[ModFormBasis]] = {}
 
 
 def weight_basis(N: int, k: int, prec: int) -> ModFormBasis:
     """Certified basis of M_k(Gamma_1(N)) to q-precision prec, prec at least
     the Sturm bound.
 
-    The rational pool of ``_default_rows`` (Hecke's weight-1 series, and
-    at weight k >= 2 the products of lower-weight bases, with
-    E_2(q) - t E_2(q^t) at weight 2 where those products need not span)
-    is reduced over Q in integers after the dimension is known, so an
-    unsupported level is refused before any candidate is built, and
-    ``ModFormBasis`` certifies rank = dim.  The result is cached.
+    One chain of bases per (N, prec) is grown in place, weight 0, 1, ...
+    k in order, each from the pool of ``_pool`` over the bases below it,
+    reduced over Q in integers; ``ModFormBasis`` certifies rank = dim.
+    Before its first row the whole chain is estimated by
+    ``_check_chain_size``, which asks the dimension of every weight from
+    0 up, so an unsupported level is refused (weight 1) before any
+    candidate is built, and a chain above SIZE_BOUND raises TooLarge.
+    The stack depth does not grow with k, and the result is kept.
     """
     sb = sturm_bound(N, k)
     if prec < sb:
         raise PrecisionInsufficient(f"prec {prec} < sturm bound {sb}")
     with _basis_lock:
-        return _weight_basis_cached(N, k, prec)
+        chain = _chains.setdefault((N, prec), [])
+        if len(chain) <= k:
+            _check_chain_size(N, k, prec)
+        while len(chain) <= k:
+            w = len(chain)
+            chain.append(ModFormBasis(N, w, prec, *_integer_echelon(_pool(N, w, prec, chain))))
+        return chain[k]
 
 
-def _default_rows(N: int, k: int, prec: int) -> list[list[int]]:
-    """The default candidate pool of weight k as integer rows over Q.
+def _check_chain_size(N: int, k: int, prec: int) -> None:
+    """Raise TooLarge if the pools of weights 0 .. k hold more than SIZE_BOUND
+    entries, rows x prec summed; the sum stops once it passes the bound.
 
-    At k = 1 the pool is Hecke's series (``_hecke_rows``).  For k >= 2 it
-    is the products of the weight-1 basis with the weight-(k-1) basis,
-    each the convolution of two integer rows truncated at prec.  Where
-    X_1(N) = P^1 with every cusp regular (every supported N >= 5),
-    M_k = H^0(O(kd)) with d = dim M_1 - 1, and these products alone span
-    it, since H^0(O(d)) x H^0(O((k-1)d)) -> H^0(O(kd)) is onto.  At N = 4,
-    with its irregular cusp, M_*(Gamma_1(4)) is generated in weights 1 and
-    2, with dim M_k = floor(k/2) + 1.  So the pool there adds
-    E_2(q) - t E_2(q^t) (``_e2_rows``) at k = 2, where M_1 * M_1 has rank
-    1, and the products of the weight-2 basis with the weight-(k-2) basis
-    for k >= 3.  The rank is certified against the dimension either way.
-    The factor bases are built before any series, so at a level whose
-    weight-1 dimension is unknown the recursion reaches dim_Mk(N, 1)
-    before any candidate is built.
+    A pool of weight w at most the factor weight j (``_pool``) has dim M_w
+    rows, and a product pool dim M_j * dim M_{w-j}.  The dimensions up to
+    j are asked first, so an unsupported level is refused as such, at
+    weight 1, whatever the size.
     """
-    if k == 0:
+    j = 2 if N == 4 else 1
+    low = [dim_Mk(N, w) for w in range(min(k, j) + 1)]
+    total = 0
+    for w in range(k + 1):
+        rows = low[w] if w <= j else low[j] * dim_Mk(N, w - j)
+        total += rows * prec
+        if total > SIZE_BOUND:
+            raise TooLarge(f"the weight-0..{k} chain of bases at level {N}, prec {prec}", total)
+
+
+def _pool(N: int, w: int, prec: int, chain: list[ModFormBasis]) -> list[list[int]]:
+    """The candidate pool of weight w as integer rows over Q; chain holds the
+    bases of weights 0 .. w-1 at this prec.
+
+    Weight 0 is the constant 1 and weight 1 is Hecke's series
+    (``_hecke_rows``).  Where X_1(N) = P^1 with every cusp regular (every
+    supported N >= 5), M_w = H^0(O(wd)) with d = dim M_1 - 1, and the
+    products of the weight-1 basis with the weight-(w-1) basis span it,
+    since H^0(O(d)) x H^0(O((w-1)d)) -> H^0(O(wd)) is onto.  At N = 4,
+    the one level with an irregular cusp, M_*(Gamma_1(4)) is a polynomial
+    ring on one form of weight 1 and one of weight 2 (dim M_w =
+    floor(w/2) + 1), so the pool is E_2(q) - t E_2(q^t) (``_e2_rows``) at
+    weight 2 and the products of the weight-2 basis with the weight-(w-2)
+    basis above it.  Each product is the convolution of two integer rows
+    truncated at prec.  The rank is certified against the dimension
+    either way.
+    """
+    if w == 0:
         return [[1] + [0] * (prec - 1)]
-    if k == 1:
+    if w == 1:
         return _hecke_rows(N, prec)
-    regular = _genus_X1(N) == 0 and _cusp_counts(N)[2] == 0
-    pairs = [(1, k - 1)] if regular or k == 2 else [(1, k - 1), (2, k - 2)]
-    rows = []
-    for j, l in pairs:
-        left, right = (_weight_basis_cached(N, w, prec).rows for w in (j, l))
-        rows.extend(_product(f, g, 0) for f in left for g in right)
-    if not regular and k == 2:
-        rows.extend(_e2_rows(N, prec))
-    return rows
+    if N == 4 and w == 2:
+        return _e2_rows(N, prec)
+    j = 2 if N == 4 else 1
+    return [_product(f, g, 0) for f in chain[j].rows for g in chain[w - j].rows]
 
 
 def _hecke_rows(N: int, prec: int) -> list[list[int]]:

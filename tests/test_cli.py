@@ -1,16 +1,23 @@
 """Command-line interface: exit codes, determinism, report content."""
 
-import functools
 import hashlib
 import importlib
 import json
+import os
+import pathlib
+import resource
+import subprocess
+import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellgenus import cli
 from ellgenus.cyclo import Cyclo
-from ellgenus.errors import SpanFailure
+from ellgenus.errors import SIZE_BOUND, SpanFailure
 from ellgenus.genus import cp_chern, genus, genus_bivariate, split_product
 
 
@@ -232,8 +239,7 @@ def test_rank_above_the_dimension_exits_2(monkeypatch, capsys):
     real = modforms.dim_Mk
     monkeypatch.setattr(modforms, "dim_Mk", lambda N, k: real(N, k) - 1)
     # a fresh basis cache, so bases cached by other tests are rebuilt
-    fresh = functools.lru_cache(maxsize=None)(modforms._weight_basis_cached.__wrapped__)
-    monkeypatch.setattr(modforms, "_weight_basis_cached", fresh)
+    monkeypatch.setattr(modforms, "_chains", {})
     code = cli.main(["--level", "5", "--degree", "4", "basis"])
     assert code == 2
     assert "exceeds dimension" in capsys.readouterr().err
@@ -559,3 +565,114 @@ def test_negative_dimensions_exit_3(command, doc, tmp_path, capsys):
     assert cli.main(["--machine", command, str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "negative" in captured.err
+
+
+SRC = pathlib.Path(cli.__file__).resolve().parent.parent
+# the address space of each child: a build that outgrows it dies of a MemoryError
+CHILD_MEMORY = 1 << 30
+# runs the CLI on its arguments and ends stderr with the seconds that main took
+TIMED_MAIN = (
+    "import sys, time\n"
+    "start = time.perf_counter()\n"
+    "from ellgenus.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(f'seconds {time.perf_counter() - start}', file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+
+def _run_cli(argv, timeout=60):
+    """(exit code, stderr, seconds of main or None) of ellgenus argv, run in a
+    fresh interpreter whose address space is CHILD_MEMORY."""
+    proc = subprocess.run(
+        [sys.executable, "-c", TIMED_MAIN, *argv], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=timeout, preexec_fn=_limit_memory,
+    )
+    last = proc.stderr.rstrip().rpartition("\n")[2]
+    seconds = float(last.split()[1]) if last.startswith("seconds ") else None
+    return proc.returncode, proc.stderr, seconds
+
+
+@pytest.mark.parametrize("options,doc", [
+    (["--level", "5", "--degree", "500", "basis"], None),
+    (["--level", "5", "--degree", "2000", "basis"], None),
+    (["--level", "5", "--prec-q", "100000000", "--degree", "4", "basis"], None),
+    (["--level", "1000000000039", "genus"], {"dim": 0, "chern": {"": 1}}),
+    (["--level", "1000000000039", "f-rep"], {"dim0": 0, "dim1": 0, "chern": {"|": 1}}),
+    (["--level", "5", "genus"], {"dim": 60, "chern": {"60": 1}}),
+], ids=["degree-500", "degree-2000", "prec-1e8", "genus-point", "f-rep-point", "genus-dim-60"])
+def test_a_command_above_the_size_bound_exits_3_at_once(options, doc, tmp_path):
+    # the basis chains died of a RecursionError or a MemoryError, and the point
+    # genera of a MemoryError, all with exit 1; the dimension-60 genus ran on
+    argv = list(options)
+    if doc is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        argv.append(str(path))
+    code, err, seconds = _run_cli(argv)
+    assert code == 3 and "Traceback" not in err, err
+    assert f"above the size bound {SIZE_BOUND}" in err
+    assert seconds < 1
+
+
+# every argv drawn from the small ranges finishes; one drawn from a huge range
+# is refused by a dimension, the size bound or the Sturm floor
+def _small_or_huge(small, huge):
+    return st.one_of(st.integers(*small), st.integers(*huge))
+
+
+LEVELS = _small_or_huge((4, 13), (10**9, 10**13))
+DEGREES = _small_or_huge((2, 12), (10**4, 10**6))
+PRECISIONS = _small_or_huge((1, 40), (10**8, 10**9))
+DIMENSIONS = _small_or_huge((0, 4), (200, 1000))
+NUMBERS = st.builds(lambda a, b: f"{a}/{b}", st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def _partition_keys(draw, n):
+    """A partition of n in the file form: one part, or n parts 1."""
+    return draw(st.sampled_from([str(n) if n else "", ",".join(["1"] * n)]))
+
+
+@st.composite
+def _invocations(draw):
+    """(argv before the input file, the input document or None)."""
+    command = draw(st.sampled_from(["genus", "f-rep", "reduce-u", "reduce-w", "basis"]))
+    argv = [
+        "--level", str(draw(LEVELS)), "--degree", str(draw(DEGREES)),
+        "--prec-q", str(draw(PRECISIONS)), "--prec-p", str(draw(PRECISIONS)), command,
+    ]
+    if command == "genus":
+        n = draw(DIMENSIONS)
+        doc = {"dim": n, "chern": {draw(_partition_keys(n)): 1}}
+    elif command == "f-rep":
+        a, b = draw(DIMENSIONS), draw(DIMENSIONS)
+        doc = {"dim0": a, "dim1": b, "chern": {
+            f"{draw(_partition_keys(a))}|{draw(_partition_keys(b))}": 1}}
+    elif command == "reduce-u":
+        doc = {"level": 1, "coeffs": [[x] for x in draw(st.lists(NUMBERS, min_size=1, max_size=40))]}
+    elif command == "reduce-w":
+        p, q = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        doc = {"level": 1, "rows": [[[draw(NUMBERS)] for _ in range(q)] for _ in range(p)]}
+    else:
+        doc = None
+    return argv, doc
+
+
+@settings(max_examples=20)
+@given(_invocations())
+def test_every_argv_ends_with_a_documented_exit(invocation):
+    # a crash exits 1, the self-check code, with a traceback; MemoryError and
+    # RecursionError are not caught in main, so only bounds keep them out
+    argv, doc = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        if doc is not None:
+            path = pathlib.Path(tmp) / "input.json"
+            path.write_text(json.dumps(doc))
+            argv = argv + [str(path)]
+        code, err, _ = _run_cli(argv)
+    assert code in (0, 2, 3, 4) and "Traceback" not in err, (argv, err[-2000:])

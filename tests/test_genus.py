@@ -13,6 +13,7 @@ from ellgenus.errors import (
     BadSplitChernData,
     InsufficientXPrecision,
     NonUnitConstantTerm,
+    TooLarge,
 )
 from ellgenus.genus import (
     ChernData,
@@ -53,6 +54,26 @@ def test_partitions_of_are_all_the_partitions_in_reverse_lexicographic_order():
         assert len(parts) == len(set(parts)) == count
         assert all(sum(p) == n and list(p) == sorted(p, reverse=True) for p in parts)
         assert parts == sorted(parts, reverse=True)
+
+
+def test_the_partition_count_is_the_number_of_partitions_and_stops_above_its_limit():
+    # the size estimate of a genus counts p(n) without listing the partitions
+    for n, count in enumerate(PARTITION_COUNTS):
+        assert genus_module._partition_count(n, count) == count
+    assert genus_module._partition_count(60, 10**9) == 966467
+    # the count stops at the first p(m) above the limit: p(11) = 56 > 50
+    assert genus_module._partition_count(1000, 50) == 56
+
+
+def test_a_genus_above_the_size_bound_is_refused_before_it_is_built():
+    genus_module._check_size(12, [(8, 65)], 65)  # genus(CP^8) at the Sturm bound of level 12
+    for N, classes, series in (
+        (10**12 + 39, [(0, 1)], 1),  # the field alone
+        (5, [(60, 121)], 121),  # p(60) = 966467 classes
+        (5, [(0, 10**4), (0, 10**4)], 10**8),  # a two-variable rectangle
+    ):
+        with pytest.raises(TooLarge, match="above the size bound"):
+            genus_module._check_size(N, classes, series)
 
 
 def test_projective_space_chern_numbers():

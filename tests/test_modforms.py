@@ -1,12 +1,14 @@
 """Certified bases of M_k(Gamma_1(N)) and their rational candidate pools."""
 
-import functools
 import hashlib
 import json
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,13 @@ from hypothesis import strategies as st
 
 from ellgenus.cyclo import Cyclo, descend, euler_phi, in_NZ
 from ellgenus.errors import (
+    SIZE_BOUND,
     LevelMismatch,
     NotEchelon,
     PrecisionInsufficient,
     RankExceedsDimension,
     SpanFailure,
+    TooLarge,
     UnsupportedLevel,
 )
 from ellgenus import linalg, modforms
@@ -32,7 +36,7 @@ from ellgenus.modforms import (
     weight_basis,
 )
 from ellgenus.reduce import reduce_Uq
-from ellgenus.series import QSeries, bernoulli_number
+from ellgenus.series import QSeries, _product, bernoulli_number
 from oracles import (
     all_characters_by_generators,
     basis_with_denominators,
@@ -232,9 +236,46 @@ def test_weight_basis_results_are_cached():
     assert a is b
 
 
+def _fresh_chains(monkeypatch) -> dict:
+    """An empty basis cache for this test, so bases cached by others are rebuilt."""
+    monkeypatch.setattr(modforms, "_chains", {})
+    return modforms._chains
+
+
+def _pool_of(N: int, k: int, prec: int) -> list[list[int]]:
+    """The default pool of weight k, over the cached bases of the weights below it."""
+    return modforms._pool(N, k, prec, [weight_basis(N, w, prec) for w in range(k)])
+
+
+def test_the_stack_depth_does_not_grow_with_the_weight():
+    # each weight once added about three frames: weight 40 needed some 120
+    code = (
+        "import sys\n"
+        "sys.setrecursionlimit(100)\n"
+        "from ellgenus.modforms import sturm_bound, weight_basis\n"
+        "print(weight_basis(5, 40, sturm_bound(5, 40)).certificate['rank'])\n"
+    )
+    src = pathlib.Path(modforms.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(dim_Mk(5, 40))]
+
+
+def test_a_chain_above_the_size_bound_is_refused_before_any_row(monkeypatch):
+    _no_candidate_is_built(monkeypatch)
+    # the chain of degree 500 at level 5: about 3 * 10^7 entries
+    with pytest.raises(TooLarge, match=f"above the size bound {SIZE_BOUND}"):
+        weight_basis(5, 250, sturm_bound(5, 250))
+    with pytest.raises(TooLarge):
+        weight_basis(4, 2, 10**8)
+
+
 def test_integrality_and_digest_are_computed_once_on_first_use(monkeypatch):
     # a basis built by the constructor bypasses the cache, so it is fresh
-    rows = modforms._default_rows(5, 2, 8)
+    rows = _pool_of(5, 2, 8)
     basis = modforms.ModFormBasis(5, 2, 8, *linalg._integer_echelon(rows))
     assert basis._elements is None and basis._digest is None
     text = json.dumps(basis.serialize(), sort_keys=True)
@@ -249,12 +290,10 @@ def test_integrality_and_digest_are_computed_once_on_first_use(monkeypatch):
     )
     assert basis.is_integral() is integral
     # the factor bases of a default build are read only as integer rows
-    fresh = functools.lru_cache(maxsize=None)(modforms._weight_basis_cached.__wrapped__)
-    monkeypatch.setattr(modforms, "_weight_basis_cached", fresh)
+    chains = _fresh_chains(monkeypatch)
     weight_basis(5, 4, 12)
-    built = fresh.cache_info().currsize
-    assert all(fresh(5, k, 12)._elements is None for k in range(1, 5))
-    assert fresh.cache_info().currsize == built
+    assert list(chains) == [(5, 12)] and len(chains[5, 12]) == 5
+    assert all(b._elements is None for b in chains[5, 12])
 
 
 def test_basis_serialization_shape():
@@ -356,30 +395,27 @@ def test_integer_built_basis_matches_the_field_build(N, k, prec):
 
 def _rank_above_the_dimension(monkeypatch, N, k, prec, name, args):
     """The RankExceedsDimension that the default path of (N, k, prec) raises
-    once ``modforms.<name>``, called with args, also gives a monomial row at
-    a free column."""
+    once ``modforms.<name>``, called with arguments that begin with args,
+    also gives a monomial row at a free column."""
     basis = weight_basis(N, k, prec)
     free = next(c for c in range(prec) if c not in basis.pivots)
     real = getattr(modforms, name)
 
     def with_monomial(*got):
         rows = real(*got)
-        return rows + [[int(c == free) for c in range(prec)]] if got == args else rows
+        return rows + [[int(c == free) for c in range(prec)]] if got[:len(args)] == args else rows
 
     monkeypatch.setattr(modforms, name, with_monomial)
-    modforms._weight_basis_cached.cache_clear()
-    try:
-        with pytest.raises(RankExceedsDimension) as info:
-            weight_basis(N, k, prec)
-    finally:
-        modforms._weight_basis_cached.cache_clear()
+    _fresh_chains(monkeypatch)
+    with pytest.raises(RankExceedsDimension) as info:
+        weight_basis(N, k, prec)
     return info.value
 
 
 @pytest.mark.parametrize("N,k,prec", [(5, 3, 7), (7, 3, 13)])
 def test_rank_above_the_dimension_is_caught_on_the_default_path(monkeypatch, N, k, prec):
     # the pool of these levels is the M_1 products alone: the row goes in with them
-    exc = _rank_above_the_dimension(monkeypatch, N, k, prec, "_default_rows", (N, k, prec))
+    exc = _rank_above_the_dimension(monkeypatch, N, k, prec, "_pool", (N, k, prec))
     assert (exc.rank, exc.dimension) == (dim_Mk(N, k) + 1, dim_Mk(N, k))
 
 
@@ -394,12 +430,12 @@ def test_the_default_pool_builds_eisenstein_series_only_where_the_products_may_n
         monkeypatch):
     # (builder, N, weight of the pool being built) for every series built
     calls, weights = [], []
-    real_rows = modforms._default_rows
+    real_pool = modforms._pool
 
-    def default_rows(N, k, prec):
+    def pool(N, k, prec, chain):
         weights.append(k)
         try:
-            return real_rows(N, k, prec)
+            return real_pool(N, k, prec, chain)
         finally:
             weights.pop()
 
@@ -411,9 +447,8 @@ def test_the_default_pool_builds_eisenstein_series_only_where_the_products_may_n
             return real(N, prec)
         return build
 
-    fresh = functools.lru_cache(maxsize=None)(modforms._weight_basis_cached.__wrapped__)
-    monkeypatch.setattr(modforms, "_weight_basis_cached", fresh)
-    monkeypatch.setattr(modforms, "_default_rows", default_rows)
+    _fresh_chains(monkeypatch)
+    monkeypatch.setattr(modforms, "_pool", pool)
     for name in ("_hecke_rows", "_e2_rows"):
         monkeypatch.setattr(modforms, name, recorded(name))
     for N in SUPPORTED_LEVELS:
@@ -451,18 +486,22 @@ def test_hecke_series_lie_in_the_character_built_weight_1_space(N):
 def test_a_weight_1_pool_short_of_one_hecke_series_is_refused(monkeypatch, N):
     prec = sturm_bound(N, 1)
     rows, dim = modforms._hecke_rows(N, prec), dim_Mk(N, 1)
+    _fresh_chains(monkeypatch)
     for c in range(len(rows)):
         monkeypatch.setattr(modforms, "_hecke_rows", lambda N, prec: rows[:c] + rows[c + 1:])
         with pytest.raises(SpanFailure) as info:
-            modforms._weight_basis_cached.__wrapped__(N, 1, prec)
+            weight_basis(N, 1, prec)
         assert (info.value.rank, info.value.dimension) == (dim - 1, dim), c
 
 
 def test_the_weight_1_products_alone_fall_short_at_level_4_weight_2(monkeypatch):
     # M_1(Gamma_1(4)) is a line, so M_1 * M_1 is too: E_2(q) - t E_2(q^t) is needed
-    monkeypatch.setattr(modforms, "_e2_rows", lambda N, prec: [])
+    prec = sturm_bound(4, 2)
+    (e1,) = weight_basis(4, 1, prec).rows
+    monkeypatch.setattr(modforms, "_e2_rows", lambda N, prec: [_product(e1, e1, 0)])
+    _fresh_chains(monkeypatch)
     with pytest.raises(SpanFailure) as info:
-        modforms._weight_basis_cached.__wrapped__(4, 2, sturm_bound(4, 2))
+        weight_basis(4, 2, prec)
     assert (info.value.rank, info.value.dimension) == (1, 2)
 
 
@@ -492,8 +531,7 @@ def test_the_default_path_runs_no_field_elimination_and_no_series_product(monkey
 
     # the integer echelon is the package's one elimination
     assert not hasattr(linalg, "rref") and not hasattr(linalg, "rref_tracked")
-    fresh = functools.lru_cache(maxsize=None)(modforms._weight_basis_cached.__wrapped__)
-    monkeypatch.setattr(modforms, "_weight_basis_cached", fresh)
+    _fresh_chains(monkeypatch)
     monkeypatch.setattr(QSeries, "__mul__", refused)
     basis = weight_basis(7, 4, sturm_bound(7, 4))
     monkeypatch.undo()
@@ -511,16 +549,22 @@ def test_the_M1_products_give_the_all_pairs_basis(N):
 
 
 def test_the_cut_pool_is_guarded_by_the_rank_certificate(monkeypatch):
-    # without M_2 * M_2, the M_1 * M_3 products alone fall short at (4, 4)
-    real, prec = modforms._weight_basis_cached, sturm_bound(4, 4)
-    real(4, 3, prec)  # the weight-1 and weight-3 factors, built before the cut
+    # the level-4 pool is one product pair per weight, M_2 * M_{k-2}: its
+    # dim M_2 * dim M_{k-2} rows certify, and the M_1 * M_{k-1} products it
+    # left out fall short alone at (4, 4)
+    real, prec = modforms._pool, sturm_bound(4, 4)
+    chain = [weight_basis(4, w, prec) for w in range(4)]
+    assert len(real(4, 4, prec, chain)) == dim_Mk(4, 2) * dim_Mk(4, 2) == 4
 
-    def no_weight_2(N, k, prec):
-        return SimpleNamespace(rows=()) if k == 2 else real(N, k, prec)
+    def m1_products(N, k, prec, chain):
+        if k < 4:
+            return real(N, k, prec, chain)
+        return [_product(f, g, 0) for f in chain[1].rows for g in chain[3].rows]
 
-    monkeypatch.setattr(modforms, "_weight_basis_cached", no_weight_2)
+    monkeypatch.setattr(modforms, "_pool", m1_products)
+    _fresh_chains(monkeypatch)
     with pytest.raises(SpanFailure) as info:
-        real.__wrapped__(4, 4, prec)
+        weight_basis(4, 4, prec)
     assert (info.value.rank, info.value.dimension) == (2, 3)
 
 
@@ -608,7 +652,7 @@ def test_every_default_basis_is_a_reduced_echelon_form(N):
 
 def test_integer_echelon_does_not_depend_on_the_candidate_order():
     N, k, prec = 7, 3, 13
-    rows = modforms._default_rows(N, k, prec)
+    rows = _pool_of(N, k, prec)
     want = linalg._integer_echelon(rows)
     assert len(want[1]) == dim_Mk(N, k)
     basis = weight_basis(N, k, prec)
