@@ -6,6 +6,8 @@ exact rational coordinates; no floating point enters any result.
 
 Layers
 ------
+integers   factorization, Euler's totient, denominator splitting, the
+           truncated product and the exact integer reader
 linalg     the one exact elimination: a fraction-free reduced row
            echelon form over Q of integer rows
 cyclo      cyclotomic field arithmetic and the subring Z[1/N, zeta_N]
@@ -21,10 +23,11 @@ selfcheck  built-in verification corpus (also via the CLI `selfcheck`)
 Each layer loads on first use: ``import ellgenus`` runs none of them, and
 reading a public name (``ellgenus.weight_basis``) or a layer
 (``ellgenus.reduce``) loads that layer and the layers it imports, so a
-command loads only what it runs.  The function ``genus`` shares its name
-with its layer; the attribute ``ellgenus.genus`` is always the function,
-however the layer was loaded, and the layer is
-``sys.modules["ellgenus.genus"]``.
+command loads only what it runs: ``ellgenus --machine basis`` loads
+``integers``, ``linalg`` and ``modforms``, not the field or the series.  The
+function ``genus`` shares its name with its layer; the attribute
+``ellgenus.genus`` is always the function, however the layer was loaded,
+and the layer is ``sys.modules["ellgenus.genus"]``.
 """
 
 import sys
@@ -33,10 +36,7 @@ from importlib import import_module
 
 # the one export table: each layer and the public names it defines
 _LAYERS = {
-    "cyclo": (
-        "Cyclo", "NZCoset", "cyclotomic_poly", "descend", "euler_phi", "in_NZ",
-        "reduce_mod_NZ",
-    ),
+    "cyclo": ("Cyclo", "NZCoset", "cyclotomic_poly", "descend", "in_NZ", "reduce_mod_NZ"),
     "errors": (
         "BadChernData", "BadSplitChernData", "EllGenusError", "LevelMismatch",
         "PrecMismatch", "PrecisionInsufficient", "RankExceedsDimension", "SpanFailure",
@@ -47,6 +47,7 @@ _LAYERS = {
         "genus_bivariate", "log_phi_series", "multiplicative_class", "phi_series",
         "split_product", "verify_Q_identity",
     ),
+    "integers": ("euler_phi",),
     "modforms": ("ModFormBasis", "dim_Mk", "is_in_span", "sturm_bound", "weight_basis"),
     "reduce": ("UqClass", "WtClass", "reduce_Uq", "reduce_Wtilde"),
     "selfcheck": ("CheckResult", "format_report", "run_checks"),

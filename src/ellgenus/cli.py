@@ -40,10 +40,9 @@ import functools
 import json
 import sys
 
-from .cyclo import _integer, in_NZ
 from .errors import SIZE_BOUND, EllGenusError, PrecisionInsufficient, SpanFailure
+from .integers import _integer
 from .modforms import ambient_field_level, is_in_span, sturm_bound, weight_basis
-from .series import PQSeries, QSeries
 
 EXIT_OK = 0
 EXIT_SPAN = 2
@@ -106,6 +105,7 @@ def _emit(report: dict, human, args) -> None:
 
 
 def cmd_genus(args) -> int:
+    from .cyclo import in_NZ
     from .genus import ChernData, _check_size, genus
 
     data = _load(args.input, lambda d: ChernData(d["dim"], dict(d["chern"])))
@@ -149,6 +149,7 @@ def cmd_genus(args) -> int:
 
 
 def cmd_frep(args) -> int:
+    from .cyclo import in_NZ
     from .genus import SplitChernData, _check_size, genus_bivariate
 
     data = _load(args.input, lambda d: SplitChernData(d["dim0"], d["dim1"], dict(d["chern"])))
@@ -203,6 +204,7 @@ def _series_level(doc: dict, K: int) -> int:
 
 def cmd_reduce_u(args) -> int:
     from .reduce import reduce_Uq
+    from .series import QSeries
 
     degree = _require_degree(args)
     L = ambient_field_level(args.level)  # the level reduce_Uq lifts a series to
@@ -220,6 +222,7 @@ def cmd_reduce_u(args) -> int:
 
 def cmd_reduce_w(args) -> int:
     from .reduce import reduce_Wtilde
+    from .series import PQSeries
 
     degree = _require_degree(args)
     s = _load(args.input, lambda d: PQSeries.deserialize(_series_level(d, args.level), d["rows"]))

@@ -24,29 +24,8 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import LevelMismatch
+from .integers import _split_denominator, euler_phi
 from .linalg import _integer_echelon
-
-
-@functools.lru_cache(maxsize=None)
-def _prime_factors(n: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (p, e), p ascending, with p^e exactly dividing n >= 1; O(sqrt(n))."""
-    out, p = [], 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n, e = n // p, e + 1
-        if e:
-            out.append((p, e))
-        p += 1
-    return tuple(out) + (((n, 1),) if n > 1 else ())
-
-
-@functools.lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    """Euler totient, prod p^(e-1) (p-1); every level reaches it, so a level below 1 is refused."""
-    if n < 1:
-        raise ValueError(f"level {n} is not positive")
-    return math.prod(p ** (e - 1) * (p - 1) for p, e in _prime_factors(n))
 
 
 def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -126,22 +105,6 @@ def _rational(value) -> Fraction:
     return value if isinstance(value, Fraction) else _exact(value)
 
 
-def _integer(value, error=ValueError) -> int:
-    """``value`` read by ``_rational``, as an exact integer; ``error`` if it is not one.
-
-    An int (not a bool) is returned as itself, with no Fraction built.
-    """
-    if type(value) is int:
-        return value
-    try:
-        x = _rational(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise error(str(exc)) from None
-    if x.denominator != 1:
-        raise error(f"{value!r} is not an integer")
-    return x.numerator
-
-
 _new_object = object.__new__
 
 
@@ -174,6 +137,8 @@ class Cyclo:
     """
 
     __slots__ = ("level", "num", "den")
+
+    _reduced = staticmethod(_reduced)  # for a layer that reaches the field by an element
 
     def __init__(self, level: int, coords=None):
         phi = euler_phi(level)
@@ -453,17 +418,6 @@ def descend(a: Cyclo, new_level: int) -> Cyclo | None:
         raise LevelMismatch(f"{new_level} does not divide {L}")
     part, off = _split(a, new_level)
     return None if any(off) else part
-
-
-def _split_denominator(den: int, N: int) -> tuple[int, int]:
-    """Split den = dN * d' with dN supported on primes of N, gcd(d', N) = 1."""
-    dN = 1
-    g = math.gcd(den, N)
-    while g > 1:
-        den //= g
-        dN *= g
-        g = math.gcd(den, N)
-    return dN, den
 
 
 def in_NZ(a: Cyclo) -> bool:

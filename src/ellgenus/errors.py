@@ -61,9 +61,9 @@ class TooLarge(EllGenusError):
     """A command's size estimate, in integer entries, is above SIZE_BOUND.
 
     Raised before anything is built, by the estimate of a chain of bases
-    (``weight_basis``) or of a genus and its field (``genus._check_size``).
-    An estimate may stop summing once it passes the bound, so the message
-    names a lower bound for it.
+    (``weight_basis``), of a genus and its field (``genus._check_size``), or
+    of any work at a level above SIZE_BOUND^2 (``integers._prime_factors``).
+    An estimate may stop at a lower bound past SIZE_BOUND, which the message names.
     """
 
     def __init__(self, what: str, estimate: int):

@@ -32,7 +32,7 @@ import functools
 from fractions import Fraction
 from math import comb, prod
 
-from .cyclo import Cyclo, _integer, euler_phi
+from .cyclo import Cyclo
 from .errors import (
     SIZE_BOUND,
     BadChernData,
@@ -41,6 +41,7 @@ from .errors import (
     NonUnitConstantTerm,
     TooLarge,
 )
+from .integers import _integer, euler_phi
 from .series import PQSeries, QSeries, XQSeries, exp_x, todd_series
 
 Partition = tuple[int, ...]

@@ -1,9 +1,9 @@
 """Exact Gaussian elimination over Q, fraction-free on integer rows.
 
-``_integer_echelon`` is the package's one elimination.  It builds every
-Gamma_1(N) basis from the rational pool of ``modforms._pool``, and the
-tracked echelon forms that descend elements of Q(zeta_L) to
-subfields (``cyclo._descent_echelon``).
+``_integer_echelon`` is the package's one elimination, below the field
+layer.  It builds every Gamma_1(N) basis from the rational pool of
+``modforms._pool`` with no field arithmetic loaded, and the tracked echelon
+forms that descend elements of Q(zeta_L) to subfields (``cyclo``).
 A finished basis is rational, so reductions eliminate against it in
 integers (``ModFormBasis.eliminate``), and the constant-direction solve
 works on the residual coordinate by coordinate; neither echelons again.

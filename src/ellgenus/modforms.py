@@ -16,6 +16,8 @@ irregular, it holds instead E_2(q) - t E_2(q^t), t | N, t > 1, at weight
 above it.  The bases of one level and precision form a chain that one
 loop in ``weight_basis`` grows weight by weight from 0, after a closed-form
 estimate of the whole chain against ``errors.SIZE_BOUND``.
+Building, certifying and serializing a basis needs no field element, so
+``cyclo`` and ``series`` load only at the first read of ``elements``.
 """
 
 from __future__ import annotations
@@ -23,11 +25,9 @@ from __future__ import annotations
 import json
 import math
 import threading
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .cyclo import Cyclo, _prime_factors, _reduced, _split_denominator, euler_phi
 from .errors import (
     SIZE_BOUND,
     LevelMismatch,
@@ -38,8 +38,8 @@ from .errors import (
     TooLarge,
     UnsupportedLevel,
 )
+from .integers import _prime_factors, _product, _split_denominator, euler_phi
 from .linalg import _integer_echelon
-from .series import QSeries, _product
 
 
 def unit_group_exponent(M: int) -> int:
@@ -80,9 +80,9 @@ def _cusp_counts(N: int) -> tuple[int, int, int]:
 def _genus_X1(N: int) -> int:
     mu_bar = _gamma1_index(N) // 2
     total, _, _ = _cusp_counts(N)
-    g = Fraction(1) + Fraction(mu_bar, 12) - Fraction(total, 2)
-    assert g.denominator == 1
-    return int(g)
+    g, r = divmod(12 + mu_bar - 6 * total, 12)  # 1 + mu_bar / 12 - total / 2
+    assert r == 0
+    return g
 
 
 def dim_Mk(N: int, k: int) -> int:
@@ -104,9 +104,10 @@ def dim_Mk(N: int, k: int) -> int:
         return regular // 2
     if k % 2 == 0:
         return (k - 1) * (g - 1) + (k // 2) * total
-    d = Fraction(k - 1) * (g - 1) + Fraction(k, 2) * regular + Fraction(k - 1, 2) * irregular
-    assert d.denominator == 1
-    return int(d)
+    # (k - 1) (g - 1) + k regular / 2 + (k - 1) irregular / 2
+    d, r = divmod(2 * (k - 1) * (g - 1) + k * regular + (k - 1) * irregular, 2)
+    assert r == 0
+    return d
 
 
 def sturm_bound(N: int, k: int) -> int:
@@ -185,6 +186,10 @@ class ModFormBasis:
     def elements(self) -> tuple[QSeries, ...]:
         """The basis elements as QSeries over Q(zeta_L), rows[j] / den."""
         if self._elements is None:
+            from fractions import Fraction
+
+            from .cyclo import Cyclo
+            from .series import QSeries
             L, D = self.field_level, self.den
             self._elements = tuple(
                 QSeries(L, self.prec, [Cyclo.from_rational(L, Fraction(x, D)) for x in row])
@@ -205,17 +210,17 @@ class ModFormBasis:
         column c, with R = rows, D = den and E the common denominator of
         the input, each power-basis coordinate of residual[c] is
         (D * s_c - sum_j R[j][c] * s_{p_j}) / (D * E), with every s scaled
-        by E to integers.
+        by E to integers; the input's type builds them, with no import.
         """
         coeffs = list(coeffs)
-        M, D = coeffs[0].level, self.den
+        field, M, D = type(coeffs[0]), coeffs[0].level, self.den
         if any(x.level != M for x in coeffs):
             raise LevelMismatch("the coefficients lie in different fields")
         E = math.lcm(*(x.den for x in coeffs))
         at_pivots = [coeffs[p] for p in self.pivots]
         scaled = [[a * (E // x.den) for a in x.num] for x in at_pivots]
         by_coord = [tuple(row[i] for row in scaled) for i in range(euler_phi(M))]
-        zero = Cyclo(M)
+        zero, reduced = field(M), field._reduced
         residual = [zero] * len(coeffs)
         for c, column in self._free:
             x = coeffs[c]
@@ -224,7 +229,7 @@ class ModFormBasis:
                 a * scale - sum(map(mul, column, pivot_values))
                 for a, pivot_values in zip(x.num, by_coord)
             ])
-            residual[c] = _reduced(M, num, D * E)
+            residual[c] = reduced(M, num, D * E)
         return residual, at_pivots
 
     def is_integral(self) -> bool:

@@ -62,12 +62,12 @@ from .cyclo import (
     NZCoset,
     _reduced,
     _split,
-    _split_denominator,
     _zero_coset,
     descend,
     reduce_mod_NZ,
 )
 from .errors import LevelMismatch, PrecisionInsufficient
+from .integers import _split_denominator
 from .modforms import ModFormBasis, weight_basis
 from .series import PQSeries, QSeries
 

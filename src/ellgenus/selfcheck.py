@@ -20,7 +20,7 @@ import time
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .cyclo import Cyclo, euler_phi, in_NZ
+from .cyclo import Cyclo, in_NZ
 from .errors import SpanFailure
 from .genus import (
     chern_product,
@@ -32,6 +32,7 @@ from .genus import (
     split_product,
     verify_Q_identity,
 )
+from .integers import euler_phi
 from .linalg import _integer_echelon
 from .modforms import ModFormBasis, dim_Mk, is_in_span, sturm_bound, weight_basis
 from .reduce import reduce_Uq, reduce_Wtilde

@@ -13,8 +13,8 @@ coefficient ``_zero``, ``_new(coeffs)`` (a series of its own shape) and
 ``_scalars``, the types that act coefficientwise (QSeries too for XQSeries).
 Values are immutable, operations exact up to the truncation, storage dense.
 
-Two kernels carry the arithmetic.  ``_product`` is the truncated Cauchy
-product of every carrier and of the integer basis rows of ``modforms``.
+Two kernels carry the arithmetic.  ``integers._product`` is the truncated
+Cauchy product of every carrier and of the integer basis rows of ``modforms``.
 ``_recurrence`` is out[n] = step(n, acc_n), acc_n = sum_{k=1..n} a_k out_{n-k}:
 inverse, exp and log are all this recurrence (Brent and Kung, J. ACM 1978).
 The steps: ``inv`` -c_0^{-1} acc; ``XQSeries.exp`` acc/n on a_n = n A_n;
@@ -35,15 +35,7 @@ from .errors import (
     NonUnitConstantTerm,
     PrecMismatch,
 )
-
-
-def _product(a, b, zero) -> list:
-    """out[n] = sum_{i+j=n} a_i b_j for n < len(a); b has at least len(a) terms."""
-    out = [zero] * len(a)
-    for i, x in enumerate(a):
-        if x:
-            out[i:] = [s + x * y if y else s for s, y in zip(out[i:], b)]
-    return out
+from .integers import _product
 
 
 def _recurrence(a, first, step, zero) -> list:

@@ -14,10 +14,8 @@ from ellgenus.cyclo import (
     Cyclo,
     NZCoset,
     _power_table,
-    _prime_factors,
+    _rational,
     _reduced,
-    _split_denominator,
-    euler_phi,
     in_NZ,
     reduce_mod_NZ,
 )
@@ -28,18 +26,22 @@ from ellgenus.errors import (
     PrecisionInsufficient,
     RankExceedsDimension,
     SpanFailure,
+    UnsupportedLevel,
 )
 from ellgenus.genus import ChernData, Partition, _newton_power_sum, partitions_of
+from ellgenus.integers import _prime_factors, _product, _split_denominator, euler_phi
 from ellgenus.linalg import _integer_echelon
 from ellgenus.modforms import (
     ModFormBasis,
+    _cusp_counts,
+    _gamma1_index,
     ambient_field_level,
     dim_Mk,
     sturm_bound,
     weight_basis,
 )
 from ellgenus.reduce import UqClass, WtClass
-from ellgenus.series import PQSeries, QSeries, XQSeries, _product, bernoulli_number
+from ellgenus.series import PQSeries, QSeries, XQSeries, bernoulli_number
 
 
 def rref(rows: list[list], width: int | None = None) -> tuple[list[int], list[list]]:
@@ -691,7 +693,7 @@ def xq_log_by_powers(self: XQSeries) -> XQSeries:
     return result
 
 
-# The series arithmetic as it ran before the two kernels ``series._product``
+# The series arithmetic as it ran before the two kernels ``integers._product``
 # and ``series._recurrence``: one loop per carrier and operation.
 
 
@@ -944,3 +946,51 @@ def cusp_sum_by_divisors(N: int) -> int:
     """sum_{d | N} phi(d) phi(N/d), twice the number of cusps of Gamma_1(N), N >= 5."""
     phi = euler_phi_by_gcd
     return sum(phi(d) * phi(N // d) for d in range(1, N + 1) if N % d == 0)
+
+
+# The dimension formulas in Fractions, as they ran before their exact
+# integer forms in ``modforms``.
+
+
+def genus_X1_by_fractions(N: int) -> int:
+    mu_bar = _gamma1_index(N) // 2
+    total, _, _ = _cusp_counts(N)
+    g = Fraction(1) + Fraction(mu_bar, 12) - Fraction(total, 2)
+    assert g.denominator == 1
+    return int(g)
+
+
+def dim_Mk_by_fractions(N: int, k: int) -> int:
+    if N < 4:
+        raise UnsupportedLevel(f"level {N} < 4")
+    if k < 0:
+        return 0
+    if k == 0:
+        return 1
+    g = genus_X1_by_fractions(N)
+    total, regular, irregular = _cusp_counts(N)
+    if k == 1:
+        if g != 0:
+            raise UnsupportedLevel(
+                "weight-1 dimension implemented only for genus-0 levels"
+            )
+        assert regular % 2 == 0
+        return regular // 2
+    if k % 2 == 0:
+        return (k - 1) * (g - 1) + (k // 2) * total
+    d = Fraction(k - 1) * (g - 1) + Fraction(k, 2) * regular + Fraction(k - 1, 2) * irregular
+    assert d.denominator == 1
+    return int(d)
+
+
+def integer_by_rational(value, error=ValueError) -> int:
+    """``integers._integer`` as it read every form but an int through ``cyclo._rational``."""
+    if type(value) is int:
+        return value
+    try:
+        x = _rational(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise error(str(exc)) from None
+    if x.denominator != 1:
+        raise error(f"{value!r} is not an integer")
+    return x.numerator

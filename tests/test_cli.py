@@ -585,6 +585,10 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
 
 
+# a prime level: trial division would take 10^10 steps
+HUGE_LEVEL = "100000000000000000039"
+
+
 def _run_cli(argv, timeout=60):
     """(exit code, stderr, seconds of main or None) of ellgenus argv, run in a
     fresh interpreter whose address space is CHILD_MEMORY."""
@@ -604,10 +608,18 @@ def _run_cli(argv, timeout=60):
     (["--level", "1000000000039", "genus"], {"dim": 0, "chern": {"": 1}}),
     (["--level", "1000000000039", "f-rep"], {"dim0": 0, "dim1": 0, "chern": {"|": 1}}),
     (["--level", "5", "genus"], {"dim": 60, "chern": {"60": 1}}),
-], ids=["degree-500", "degree-2000", "prec-1e8", "genus-point", "f-rep-point", "genus-dim-60"])
+    (["--level", HUGE_LEVEL, "--degree", "4", "basis"], None),
+    (["--level", HUGE_LEVEL, "genus"], {"dim": 0, "chern": {"": 1}}),
+    (["--level", HUGE_LEVEL, "f-rep"], {"dim0": 0, "dim1": 0, "chern": {"|": 1}}),
+    (["--level", HUGE_LEVEL, "--degree", "4", "reduce-u"], {"level": 1, "coeffs": [["1/1"]]}),
+    (["--level", HUGE_LEVEL, "--degree", "4", "reduce-w"], {"level": 1, "rows": [[["1/1"]]]}),
+], ids=["degree-500", "degree-2000", "prec-1e8", "genus-point", "f-rep-point", "genus-dim-60",
+        "level-1e20-basis", "level-1e20-genus-point", "level-1e20-f-rep-point",
+        "level-1e20-reduce-u", "level-1e20-reduce-w"])
 def test_a_command_above_the_size_bound_exits_3_at_once(options, doc, tmp_path):
     # the basis chains died of a RecursionError or a MemoryError, and the point
-    # genera of a MemoryError, all with exit 1; the dimension-60 genus ran on
+    # genera of a MemoryError, all with exit 1; the dimension-60 genus ran on;
+    # every command at a 20-digit prime level ran 10^10 steps of trial division
     argv = list(options)
     if doc is not None:
         path = tmp_path / "input.json"
@@ -625,7 +637,7 @@ def _small_or_huge(small, huge):
     return st.one_of(st.integers(*small), st.integers(*huge))
 
 
-LEVELS = _small_or_huge((4, 13), (10**9, 10**13))
+LEVELS = _small_or_huge((4, 13), (10**9, 10**21))
 DEGREES = _small_or_huge((2, 12), (10**4, 10**6))
 PRECISIONS = _small_or_huge((1, 40), (10**8, 10**9))
 DIMENSIONS = _small_or_huge((0, 4), (200, 1000))

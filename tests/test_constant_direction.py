@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellgenus.cyclo import Cyclo, _split_denominator, descend, euler_phi, in_NZ, reduce_mod_NZ
+from ellgenus.cyclo import Cyclo, descend, in_NZ, reduce_mod_NZ
+from ellgenus.integers import _split_denominator, euler_phi
 from ellgenus.modforms import sturm_bound
 from ellgenus.reduce import _classify, _constant_lattice, _plan, _Plan
 from oracles import eliminate, field_solve_constant_direction, rref_tracked

@@ -7,15 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellgenus.cyclo import (
-    Cyclo,
-    _integer,
-    cyclotomic_poly,
-    descend,
-    euler_phi,
-    in_NZ,
-    reduce_mod_NZ,
-)
+from ellgenus.cyclo import Cyclo, cyclotomic_poly, descend, in_NZ, reduce_mod_NZ
+from ellgenus.integers import _integer, euler_phi
 from ellgenus.series import QSeries
 from oracles import lift_by_table
 

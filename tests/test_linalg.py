@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellgenus import cyclo
-from ellgenus.cyclo import Cyclo, descend, euler_phi
+from ellgenus.cyclo import Cyclo, descend
+from ellgenus.integers import euler_phi
 from ellgenus.modforms import ambient_field_level
 from oracles import descent_echelon, eliminate, rref, rref_tracked
 

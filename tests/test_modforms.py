@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellgenus.cyclo import Cyclo, descend, euler_phi, in_NZ
+from ellgenus.cyclo import Cyclo, descend, in_NZ
 from ellgenus.errors import (
     SIZE_BOUND,
     LevelMismatch,
@@ -27,6 +27,7 @@ from ellgenus.errors import (
 )
 from ellgenus import linalg, modforms
 from ellgenus.genus import cp_chern, genus, log_phi_series, phi_series
+from ellgenus.integers import _product, euler_phi
 from ellgenus.modforms import (
     ambient_field_level,
     dim_Mk,
@@ -36,17 +37,19 @@ from ellgenus.modforms import (
     weight_basis,
 )
 from ellgenus.reduce import reduce_Uq
-from ellgenus.series import QSeries, _product, bernoulli_number
+from ellgenus.series import QSeries, bernoulli_number
 from oracles import (
     all_characters_by_generators,
     basis_with_denominators,
     default_rows_all_pairs,
     cusp_sum_by_divisors,
+    dim_Mk_by_fractions,
     eliminate,
     euler_phi_by_gcd,
     field_basis,
     gamma1_index_by_divisors,
     gen_bernoulli,
+    genus_X1_by_fractions,
     rref,
     serialize_by_elements,
     unit_group_exponent_by_generators,
@@ -111,6 +114,19 @@ def test_closed_forms_match_the_definitional_loops():
         assert unit_group_exponent(N) == unit_group_exponent_by_orders(N), N
         if N >= 5:
             assert 2 * modforms._cusp_counts(N)[0] == cusp_sum_by_divisors(N), N
+
+
+def test_the_integer_dimension_formulas_match_their_fraction_forms():
+    def outcome(dimension, N, k):
+        try:
+            return dimension(N, k)
+        except UnsupportedLevel as exc:  # weight 1 off the genus-0 levels
+            return str(exc)
+
+    for N in range(4, 600):
+        assert modforms._genus_X1(N) == genus_X1_by_fractions(N), N
+        for k in range(-1, 13):
+            assert outcome(dim_Mk, N, k) == outcome(dim_Mk_by_fractions, N, k), (N, k)
 
 
 def test_dimension_table():

@@ -72,7 +72,8 @@ def test_the_genus_attribute_is_the_function_however_its_layer_loaded(first, tmp
 def test_a_layer_attribute_is_the_submodule():
     out = _run(
         "import sys, ellgenus\n"
-        "for layer in ('cyclo', 'errors', 'linalg', 'series', 'modforms', 'reduce', 'selfcheck'):\n"
+        "for layer in ('integers', 'cyclo', 'errors', 'linalg', 'series', 'modforms', 'reduce',\n"
+        "              'selfcheck'):\n"
         "    assert getattr(ellgenus, layer) is sys.modules['ellgenus.' + layer], layer\n"
         "from ellgenus import reduce, selfcheck\n"
         "assert reduce.reduce_Uq is ellgenus.reduce_Uq\n"
@@ -117,8 +118,12 @@ def test_a_basis_job_loads_neither_genus_nor_reduce_nor_selfcheck():
         "    code = cli.main(['--level', '12', '--degree', '8', '--machine', 'basis'])\n"
         "assert code == 0\n"
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('ellgenus'))))\n"
+        "print(' '.join(m for m in ('cmath', 'decimal', 'fractions', 'hashlib') if m in sys.modules))\n"
     )
-    assert out.split() == [
-        "ellgenus", "ellgenus.cli", "ellgenus.cyclo", "ellgenus.errors",
-        "ellgenus.linalg", "ellgenus.modforms", "ellgenus.series",
+    # a basis is an integer object: neither the field nor the series layer loads
+    packages, stdlib = out.split("\n")[:2]
+    assert packages.split() == [
+        "ellgenus", "ellgenus.cli", "ellgenus.errors", "ellgenus.integers",
+        "ellgenus.linalg", "ellgenus.modforms",
     ]
+    assert stdlib == ""

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellgenus.cyclo import Cyclo, descend, euler_phi, in_NZ, reduce_mod_NZ
+from ellgenus.cyclo import Cyclo, descend, in_NZ, reduce_mod_NZ
 from ellgenus.errors import LevelMismatch, PrecisionInsufficient
 from ellgenus.genus import cp_chern, genus, genus_bivariate, split_product
+from ellgenus.integers import euler_phi
 from ellgenus.modforms import weight_basis
 from ellgenus.reduce import reduce_Uq, reduce_Wtilde
 from ellgenus.series import PQSeries, QSeries, project_q0

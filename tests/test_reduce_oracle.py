@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ellgenus.cyclo import Cyclo, euler_phi
+from ellgenus.cyclo import Cyclo
+from ellgenus.integers import euler_phi
 from ellgenus.modforms import sturm_bound, weight_basis
 from ellgenus.reduce import _plan, reduce_Uq, reduce_Wtilde
 from ellgenus.series import PQSeries, QSeries

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellgenus.cyclo import Cyclo, euler_phi
+from ellgenus.cyclo import Cyclo
 from ellgenus.errors import (
     BadConstantTerm,
     LevelMismatch,
@@ -15,11 +15,11 @@ from ellgenus.errors import (
     PrecMismatch,
 )
 from ellgenus.genus import log_phi_series, multiplicative_class
+from ellgenus.integers import _product, euler_phi
 from ellgenus.series import (
     PQSeries,
     QSeries,
     XQSeries,
-    _product,
     exp_x,
     project_q0,
     todd_coefficients,
