@@ -4,9 +4,10 @@
 layer.  It builds every Gamma_1(N) basis from the rational pool of
 ``modforms._pool`` with no field arithmetic loaded, and the tracked echelon
 forms that descend elements of Q(zeta_L) to subfields (``cyclo``).
-A finished basis is rational, so reductions eliminate against it in
-integers (``ModFormBasis.eliminate``), and the constant-direction solve
-works on the residual coordinate by coordinate; neither echelons again.
+A finished basis is rational, one integer matrix over one denominator,
+so a reduction eliminates against it with integer dot products on the
+input's numerators and decides the constant direction on the integer
+residual coordinate by coordinate (``reduce``); neither echelons again.
 """
 
 from __future__ import annotations

@@ -16,6 +16,9 @@ from ellgenus.cyclo import (
     _power_table,
     _rational,
     _reduced,
+    _split,
+    _zero_coset,
+    descend,
     in_NZ,
     reduce_mod_NZ,
 )
@@ -581,6 +584,94 @@ def field_reduce_Wtilde(s: PQSeries, N: int, degree: int) -> WtClass:
                 trivial = False
             row.append(coset)
         mixed.append(row)
+    return WtClass(
+        N, degree, s.prec_p, s.prec_q, row_class, column_class, mixed, trivial
+    )
+
+
+# The quotient reductions as they ran before they reduced in integers end to
+# end: ``ModFormBasis.eliminate`` builds one Cyclo per free column, and the
+# constant decision forms, descends and reduces one Cyclo per free column
+# again.  They read the plan of ``reduce._plan`` (the free columns, the
+# residual r of 1, c*, m, the Bezout weights and g) and nothing else of the
+# integer path.
+
+
+def classify_by_cyclo(s_res, plan, N: int, K: int) -> tuple[Cyclo, list, bool]:
+    """(alpha, cosets, trivial) for the residual s_res in Q(zeta_K), N | K, in Cyclo arithmetic.
+
+    ``s_res[c]`` is the residual at each free column c of ``plan``.  Every
+    valid constant is alpha* - t/r_c* with t in Z[1/N, zeta_N], for alpha*
+    = s_res[c*]/r_c*; the class is trivial iff every y_c = s_res[c] -
+    alpha* r_c descends to Q(zeta_N), its coset denominator divides m and
+    the Bezout candidate t_i = -sum(lambda_c * a_ci) mod m solves every
+    congruence t_i * h_c = -a_ci mod m, with y_ci = a_ci/m modulo Z[1/N].
+    A trivial verdict moves the Q(zeta_N) part theta of the valid
+    constants to g * R(theta/g), R the representative of ``reduce_mod_NZ``.
+    """
+    star, m, weights = plan.star, plan.m, plan.weights
+    alpha = Cyclo(K) if star is None else s_res[star[0]] * star[1]
+    cosets = []
+    for c, r in plan.free:
+        value = s_res[c] - alpha * r
+        down = value if K == N else descend(value, N)
+        cosets.append(None if down is None else reduce_mod_NZ(down))
+    if not all(x is not None and m % x.rep.den == 0 for x in cosets):
+        return alpha, cosets, False
+    a = [[x * (m // coset.rep.den) for x in coset.rep.num] for coset in cosets]
+    t = [-sum(lam * x for (_, lam), x in zip(weights, column)) % m for column in zip(*a)]
+    if any((x + ti * h) % m for (h, _), a_c in zip(weights, a) for x, ti in zip(a_c, t)):
+        return alpha, cosets, False
+    cosets = [_zero_coset(N)] * len(cosets)
+    if star is None:
+        return alpha, cosets, True
+    part = _split(alpha, N)[0]
+    (u, v), (p, q) = star[1].as_integer_ratio(), plan.g.as_integer_ratio()
+    dN, d = _split_denominator(part.den * v * p, N)
+    unit = q * pow(dN, -1, d)
+    rep = [(x * v - ti * u * part.den) * unit % d * p for x, ti in zip(part.num, t)]
+    canonical = _reduced(N, tuple(rep), d * q)
+    return canonical if K == N else alpha + (canonical - part).lift(K), cosets, True
+
+
+def cyclo_reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqClass:
+    """``reduce.reduce_Uq`` by ``ModFormBasis.eliminate`` and ``classify_by_cyclo``."""
+    if degree % 2 != 0:
+        raise ValueError("degree must be even")
+    weight = degree // 2
+    if prec is None:
+        prec = s.prec
+    if prec > s.prec:
+        raise PrecisionInsufficient(f"series has only {s.prec} coefficients")
+    plan = reduce._plan(N, weight, prec)
+    L = plan.basis.field_level
+    K = N if N % s.level == 0 else L
+    s_res, beta = plan.basis.eliminate([c.lift(K) for c in s.coeffs[:prec]])
+    alpha, free_cosets, trivial = classify_by_cyclo(s_res, plan, N, K)
+    cosets: list[NZCoset | None] = [_zero_coset(N)] * prec
+    for (c, _), coset in zip(plan.free, free_cosets):
+        cosets[c] = coset
+    rep = QSeries(N, prec, [Cyclo(N) if c is None else c.rep for c in cosets])
+    coeffs = [(beta[0] - alpha).lift(L)] + [b.lift(L) for b in beta[1:]]
+    modular_part = {
+        "pivot_columns": list(plan.basis.pivots),
+        "coefficients": coeffs,
+        "constant": alpha.lift(L),
+        "sturm": plan.basis.certificate["sturm"],
+        "basis_hash": plan.basis.digest(),
+    }
+    return UqClass(N, degree, prec, cosets, rep, modular_part, trivial)
+
+
+def cyclo_reduce_Wtilde(s: PQSeries, N: int, degree: int) -> WtClass:
+    """``reduce.reduce_Wtilde`` over ``cyclo_reduce_Uq``, every mixed cell lifted to N."""
+    if N % s.level:
+        raise LevelMismatch(f"carrier level {s.level} does not divide {N}")
+    row_class = cyclo_reduce_Uq(s.p_row(0), N, degree)
+    column_class = cyclo_reduce_Uq(s.q_column(0), N, degree)
+    trivial = row_class.trivial and column_class.trivial
+    mixed = [[reduce_mod_NZ(x.lift(N)) for x in row.coeffs[1:]] for row in s.coeffs[1:]]
+    trivial = trivial and all(c.is_zero() for row in mixed for c in row)
     return WtClass(
         N, degree, s.prec_p, s.prec_q, row_class, column_class, mixed, trivial
     )

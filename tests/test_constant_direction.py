@@ -1,13 +1,15 @@
 """The constant decision of ``reduce_Uq`` against two exact constant solvers.
 
-``_classify`` decides a class from the residual left by the c* constant and
-the per-plan ratios and Bezout weights of ``_constant_lattice``; the
-Fraction lattice solver below and ``oracles.field_solve_constant_direction``
-solve for the constant directly.
+``_classify`` decides a class, in integers, from the residual left by the
+c* constant and the per-plan ratios and Bezout weights of
+``_constant_lattice``; the Fraction lattice solver below and
+``oracles.field_solve_constant_direction`` solve for the constant directly,
+and ``oracles.classify_by_cyclo`` takes the same decision in Cyclo
+arithmetic.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from ellgenus.cyclo import Cyclo, descend, in_NZ, reduce_mod_NZ
 from ellgenus.integers import _split_denominator, euler_phi
 from ellgenus.modforms import sturm_bound
 from ellgenus.reduce import _classify, _constant_lattice, _plan, _Plan
-from oracles import eliminate, field_solve_constant_direction, rref_tracked
+from oracles import classify_by_cyclo, eliminate, field_solve_constant_direction, rref_tracked
 
 
 def _z_echelon_tracked(rows: list[list[int]], width: int):
@@ -174,15 +176,24 @@ def _prime_to_N(x: int, N: int) -> int:
     return _split_denominator(abs(x), N)[1]
 
 
+def _numerators(values: list[Cyclo]) -> tuple[list[list[int]], int]:
+    """The power-basis numerators of values over their one common denominator, and it."""
+    den = lcm(*(x.den for x in values))
+    return [[a * (den // x.den) for a in x.num] for x in values], den
+
+
 def assert_decides_like_the_lattice_oracle(s_cols, plan, N, K, L):
     """_classify over the free columns of plan agrees with the Fraction lattice solve.
 
     On a trivial verdict the constant is a witness, every coset is zero and
     the constant differs from the oracle's by a period; otherwise the
-    constant is the c* constant and the cosets are those it leaves.
+    constant is the c* constant and the cosets are those it leaves.  The
+    Cyclo decision of ``classify_by_cyclo`` returns the same triple.
     """
     r_cols = [r for _, r in plan.free]
-    alpha, cosets, trivial = _classify(dict(zip((c for c, _ in plan.free), s_cols)), plan, N, K)
+    alpha, cosets, trivial = _classify(*_numerators(s_cols), plan, N, K)
+    assert (alpha, cosets, trivial) == \
+        classify_by_cyclo(dict(zip((c for c, _ in plan.free), s_cols)), plan, N, K)
     want = _oracle_solve_constant_direction([s.lift(L) for s in s_cols], r_cols, N, L)
     assert trivial == (want is not None)
     assert alpha.level == K and len(cosets) == len(r_cols)
@@ -217,13 +228,16 @@ def assert_lattice_is_the_order_of_the_ratios(plan, N):
     r_cols = [r for _, r in plan.free]
     star = next((i for i, r in enumerate(r_cols) if r), None)
     if star is None:
-        assert (plan.star, plan.m, plan.g) == (None, 1, None)
+        assert (plan.star, plan.m, plan.g, plan.ratios) == (None, 1, None, None)
         assert set(plan.weights) <= {(0, 0)}
         return
     c_star, r_star = plan.free[star]
     assert plan.star == (c_star, 1 / r_star)
     m = plan.m
     ratios = [r / r_star for r in r_cols]
+    # the integer ratios P/Q that form the residual y of the c* constant
+    k, P, Q = plan.ratios
+    assert k == star and Q > 0 and [Fraction(p, Q) for p in P] == ratios
     assert all(_prime_to_N((m * x).denominator, N) == 1 for x in ratios)
     for p in range(2, m + 1):
         if m % p == 0 and all(m % d for d in range(2, p)):
@@ -252,7 +266,8 @@ def test_solve_in_the_input_field_matches_the_field_solve(N, K, L, data):
     r_cols = data.draw(RATIONAL_R)
     s_cols = data.draw(free_columns(N, K, r_cols))
     free = tuple(enumerate(r_cols))
-    plan = _Plan(None, free, *_constant_lattice(free, N))
+    # the decision reads neither the basis columns nor the zero series
+    plan = _Plan(None, free, *_constant_lattice(free, N), (), None)
     assert_lattice_is_the_order_of_the_ratios(plan, N)
     got = assert_decides_like_the_lattice_oracle(s_cols, plan, N, K, L)
     want = field_solve_constant_direction([s.lift(L) for s in s_cols], r_cols, N, L)

@@ -127,3 +127,26 @@ def test_a_basis_job_loads_neither_genus_nor_reduce_nor_selfcheck():
         "ellgenus.linalg", "ellgenus.modforms",
     ]
     assert stdlib == ""
+
+
+@pytest.mark.parametrize("command, degree, document", [
+    ("reduce-u", "6", {"level": 5, "coeffs": [["1/3", "0/1", "1/5", "0/1"]] * 7}),
+    ("reduce-w", "4", {"level": 5, "rows": [[["1/3", "0/1", "1/5", "0/1"]] * 5] * 5}),
+], ids=["reduce-u", "reduce-w"])
+def test_a_reduction_job_loads_neither_genus_nor_selfcheck(command, degree, document, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    out = _run(
+        "import contextlib, io, sys\n"
+        "from ellgenus import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['--level', '5', '--degree', {degree!r}, '--machine', {command!r},\n"
+        f"                     {str(path)!r}])\n"
+        "assert code == 0\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('ellgenus'))))\n"
+    )
+    # a reduction reads a basis and the field and series layers, never the genus
+    assert out.split() == [
+        "ellgenus", "ellgenus.cli", "ellgenus.cyclo", "ellgenus.errors", "ellgenus.integers",
+        "ellgenus.linalg", "ellgenus.modforms", "ellgenus.reduce", "ellgenus.series",
+    ]

@@ -1,8 +1,10 @@
-"""The quotient reductions in Q(zeta_N) against the Q(zeta_L) reductions they replaced.
+"""The quotient reductions against the two paths they replaced.
 
 ``reduce_Uq`` eliminates an input whose level divides N in Q(zeta_N) and
-lifts only the recorded coefficients and constant to Q(zeta_L); the oracle
-lifts every input to Q(zeta_L) first.  Both must serialize to the same bytes.
+lifts only the recorded coefficients and constant to Q(zeta_L); the field
+oracle lifts every input to Q(zeta_L) first.  ``reduce_Uq`` also decides in
+integers end to end, where the Cyclo oracle builds, descends and reduces one
+field element per free column.  Each must serialize to the same bytes.
 """
 
 import json
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ellgenus import reduce
 from ellgenus.cyclo import Cyclo
 from ellgenus.integers import euler_phi
 from ellgenus.modforms import sturm_bound, weight_basis
@@ -19,6 +22,8 @@ from ellgenus.reduce import _plan, reduce_Uq, reduce_Wtilde
 from ellgenus.series import PQSeries, QSeries
 from oracles import (
     basis_with_denominators,
+    cyclo_reduce_Uq,
+    cyclo_reduce_Wtilde,
     eliminate,
     field_reduce_Uq,
     field_reduce_Wtilde,
@@ -179,3 +184,102 @@ def test_a_column_off_Q_zeta_N_where_r_vanishes_is_nontrivial():
     cls = reduce_Uq(s, 5, 8)
     assert not cls.trivial and cls.cosets[c] is None
     assert as_bytes(cls) == as_bytes(field_reduce_Uq(s, 5, 8))
+
+
+# (N, weight, prec) for the Cyclo oracle: at weight 0 the residual r of 1
+# vanishes and there is no c*; at N = 12 the ambient field is Q(zeta_N)
+# itself, so nothing descends; at N = 9 it is Q(zeta_18)
+CYCLO_BASES = BASES + ((5, 0, 4), (7, 0, 3), (9, 2, 13))
+
+
+def assert_matches_the_cyclo_path(s, N, degree):
+    cls = reduce_Uq(s, N, degree)
+    assert as_bytes(cls) == as_bytes(cyclo_reduce_Uq(s, N, degree))
+    return cls
+
+
+@pytest.mark.parametrize("key", CYCLO_BASES, ids=lambda b: "-".join(map(str, b)))
+@settings(max_examples=15)
+@given(data=st.data())
+def test_reduce_Uq_matches_the_cyclo_path(key, data):
+    # a level dividing N is reduced in Q(zeta_N), any other divisor of L in Q(zeta_L)
+    N, weight, _ = key
+    basis = weight_basis(*key)
+    assert (_plan(*key).star is None) == (weight == 0)
+    s = draw_series(data, N, basis, data.draw(st.sampled_from(divisors(basis.field_level))))
+    assert_matches_the_cyclo_path(s, N, 2 * weight)
+
+
+# the keys whose ambient field is larger than Q(zeta_N): not N = 12 (L = N)
+# nor N = 9 (Q(zeta_18) = Q(zeta_9))
+@pytest.mark.parametrize("key", [b for b in CYCLO_BASES if b[0] not in (9, 12)],
+                         ids=lambda b: "-".join(map(str, b)))
+@settings(max_examples=10)
+@given(data=st.data())
+def test_reduce_Uq_matches_the_cyclo_path_off_Q_zeta_N(key, data):
+    # zeta_L times a rational at a free column other than c* moves y there off
+    # Q(zeta_N), whatever the c* constant; the rest of the draw lies in it
+    N, weight, _ = key
+    basis, plan = weight_basis(*key), _plan(*key)
+    L = basis.field_level
+    s = draw_series(data, N, basis, L, trivial=True)
+    c_star = plan.star[0] if plan.star else None
+    c = data.draw(st.sampled_from([c for c, _ in plan.free if c != c_star]))
+    coeffs = list(s.coeffs)
+    coeffs[c] = coeffs[c] + Cyclo.zeta(L) * Fraction(data.draw(st.sampled_from((1, -2, 3))),
+                                                     data.draw(st.sampled_from((1, 7, N))))
+    cls = assert_matches_the_cyclo_path(QSeries(L, s.prec, coeffs), N, 2 * weight)
+    assert not cls.trivial and cls.cosets[c] is None
+
+
+@settings(max_examples=15)
+@given(data=st.data())
+def test_reduce_Uq_matches_the_cyclo_path_over_a_basis_that_is_not_N_integral(data):
+    basis = basis_with_denominators()
+    assert basis.den == 21
+    s = draw_series(data, 5, basis, data.draw(st.sampled_from(divisors(basis.field_level))))
+    with reducing_over(basis):
+        assert_matches_the_cyclo_path(s, 5, 4)
+
+
+@pytest.mark.parametrize("key", CYCLO_BASES, ids=lambda b: "-".join(map(str, b)))
+@settings(max_examples=8)
+@given(data=st.data())
+def test_reduce_Wtilde_matches_the_cyclo_path(key, data):
+    N, weight, prec = key
+    basis = weight_basis(*key)
+    carrier = data.draw(st.sampled_from(divisors(N)))
+    rows = [[Cyclo(carrier)] * prec for _ in range(prec)]
+    rows[0] = list(draw_series(data, N, basis, carrier).coeffs)
+    for i, c in enumerate(draw_series(data, N, basis, carrier).coeffs[1:], 1):
+        rows[i][0] = c
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = data.draw(st.integers(1, prec - 1)), data.draw(st.integers(1, prec - 1))
+        rows[i][j] = element(data, carrier, (1, 2, N, N**2))
+    F = PQSeries(carrier, prec, prec, rows)
+    assert as_bytes(reduce_Wtilde(F, N, 2 * weight)) == \
+        as_bytes(cyclo_reduce_Wtilde(F, N, 2 * weight))
+
+
+@pytest.mark.parametrize("key", [(5, 3, 7), (7, 3, 13)], ids=lambda b: "-".join(map(str, b)))
+@settings(max_examples=10)
+@given(data=st.data())
+def test_the_integer_descent_reads_the_scale_of_its_table(key, data):
+    # every descent table at the supported levels has scale 1; f times each
+    # of its integer columns over f times its scale is the same projection,
+    # so the reduction must not change when it reads that table instead; a
+    # series drawn in Q(zeta_N) and carried at level L reaches the descent
+    # with every y_c in Q(zeta_N), where the off-subfield test reads the scale
+    N, weight, _ = key
+    basis = weight_basis(*key)
+    L = basis.field_level
+    s = draw_series(data, N, basis, data.draw(st.sampled_from((N, L))))
+    s = QSeries(L, s.prec, [c.lift(L) for c in s.coeffs])
+    want = as_bytes(cyclo_reduce_Uq(s, N, 2 * weight))
+    f = data.draw(st.sampled_from((2, 3, 35)))
+    pivots, off, tags, scale = reduce._descent_echelon(L, N)
+    table = (pivots, [(j, tuple(f * x for x in column)) for j, column in off],
+             [tuple(f * x for x in column) for column in tags], f * scale)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduce, "_descent_echelon", lambda K, n: table)
+        assert as_bytes(reduce_Uq(s, N, 2 * weight)) == want
