@@ -114,9 +114,10 @@ def cmd_genus(args) -> int:
     prec = max(args.prec_q, floor)
     _check_size(args.level, [(weight, prec)], prec)
     # the basis next: an unsupported level fails before the genus is built.
-    # Weight 0 needs no basis: M_0 is the constants, and is_in_span would
-    # lift every coefficient to Q(zeta_L), L = lcm(N, exponent of (Z/N)^*),
-    # which at large N costs far more than the genus itself
+    # Weight 0 needs no basis: M_0 is the constants.  is_in_span lifts only
+    # the coefficients at the pivots to Q(zeta_L), L = lcm(N, exponent of
+    # (Z/N)^*), but its first lift builds _power_table(L), about L rows of
+    # phi(L) integers, which at large N costs far more than the genus itself
     basis = weight_basis(args.level, weight, prec) if weight else None
     g = genus(data, args.level, prec)
     integral = [bool(in_NZ(c)) for c in g.coeffs]

@@ -138,8 +138,6 @@ class Cyclo:
 
     __slots__ = ("level", "num", "den")
 
-    _reduced = staticmethod(_reduced)  # for a layer that reaches the field by an element
-
     def __init__(self, level: int, coords=None):
         phi = euler_phi(level)
         coords = [_rational(c) for c in coords] if coords is not None else []
@@ -311,21 +309,18 @@ class Cyclo:
     def lift(self, new_level: int) -> "Cyclo":
         """Embed into Q(zeta_L) for N | L via zeta_N -> zeta_L^(L/N).
 
-        One integer dot product per coordinate of Q(zeta_L) with a column
-        of ``_lift_columns``.  The lift of a canonical element is canonical,
-        with the same denominator, because Z[zeta_L] meets Q(zeta_N) in
-        Z[zeta_N]: a prime p dividing den and every lifted numerator would
-        put num / p in Z[zeta_L], so in Z[zeta_N], and p would divide every
-        num[i] (the powers of zeta_N are a Z-basis), against gcd(den, *num)
-        = 1.
+        The numerators go through ``_lift_numerators``.  The lift of a
+        canonical element is canonical, with the same denominator, because
+        Z[zeta_L] meets Q(zeta_N) in Z[zeta_N]: a prime p dividing den and
+        every lifted numerator would put num / p in Z[zeta_L], so in
+        Z[zeta_N], and p would divide every num[i] (the powers of zeta_N
+        are a Z-basis), against gcd(den, *num) = 1.
         """
         if new_level == self.level:
             return self
         if new_level % self.level != 0:
             raise LevelMismatch(f"{self.level} does not divide {new_level}")
-        num = self.num
-        out = tuple([sum(map(mul, num, column)) for column in _lift_columns(self.level, new_level)])
-        return _make(new_level, out, self.den)
+        return _make(new_level, _lift_numerators(self.num, self.level, new_level), self.den)
 
     def to_complex(self) -> complex:
         """Display-only float embedding zeta_N -> exp(2*pi*i/N)."""
@@ -369,7 +364,8 @@ def _descent_echelon(L: int, n: int):
     Both come from one integer echelon of the rows image_i || e_i: the
     images are independent, so every pivot lies in the first block, the
     second block carries the row transform, and ``scale`` is the common
-    denominator.
+    denominator.  ``_descend_rows`` and ``_project`` read it, so every
+    descent and every projection reads one table per (L, n).
     """
     table = _power_table(L)
     width, m = euler_phi(L), euler_phi(n)
@@ -384,40 +380,59 @@ def _descent_echelon(L: int, n: int):
     return pivots, free, [column(width + i) for i in range(m)], scale
 
 
-def _split(a: Cyclo, n: int) -> tuple[Cyclo, tuple[int, ...]]:
-    """(part, off): the Q(zeta_n) part of a in Q(zeta_L) and its integer
-    coordinates off Q(zeta_n), for n | L.
+def _lift_numerators(num, n: int, L: int) -> tuple[int, ...]:
+    """The numerators num over zeta_n in the power basis of Q(zeta_L), n | L:
+    one integer dot product per column of ``_lift_columns``."""
+    return tuple([sum(map(mul, num, column)) for column in _lift_columns(n, L)])
 
-    In reduced echelon form the coordinates of a vector over the echelon
-    rows are its entries at the pivot columns; their combination of the
-    rows is a Q-linear projection of Q(zeta_L) onto Q(zeta_n), the
-    identity on Q(zeta_n), and ``part`` is its image.  ``off`` holds one
-    integer per free column of the descent echelon: scale * a.den times
-    the defect of a there against that combination.  It is Q-linear up to
-    the factor a.den with kernel Q(zeta_n), so a lies in the subfield iff
-    every entry is zero; at n = a.level there are none.
+
+def _descend_rows(rows, L: int, n: int) -> tuple[list, int]:
+    """(parts, scale): each numerator row over zeta_L in Q(zeta_n), n | L.
+
+    ``parts`` holds per row its numerators over zeta_n, over scale times
+    the row's denominator, or None when the row is not in Q(zeta_n).  In
+    reduced echelon form the coordinates of a vector over the echelon rows
+    are its entries at the pivot columns; their combination of the rows is
+    a Q-linear projection of Q(zeta_L) onto Q(zeta_n), the identity on
+    Q(zeta_n), and the part is its image.  A row lies in the subfield iff
+    it meets that combination at every free column of ``_descent_echelon``;
+    the test stops at the first column where it does not.  At n = L every
+    row is its own part, with scale 1.
     """
+    if n == L:
+        return rows, 1
+    pivots, free, tags, scale = _descent_echelon(L, n)
+    parts = []
+    for z in rows:
+        at = [z[p] for p in pivots]
+        if any(scale * z[j] != sum(map(mul, at, column)) for j, column in free):
+            parts.append(None)
+        else:
+            parts.append([sum(map(mul, at, column)) for column in tags])
+    return parts, scale
+
+
+def _project(a: Cyclo, n: int) -> Cyclo:
+    """The Q(zeta_n) part of a in Q(zeta_L), n | L, in or out of Q(zeta_n):
+    the projection of ``_descend_rows``, taken without its subfield test."""
     if n == a.level:
-        return a, ()
-    pivots, free, tags, scale = _descent_echelon(a.level, n)
-    num = a.num
-    coeffs = [num[p] for p in pivots]
-    part = _reduced(n, tuple([sum(map(mul, coeffs, column)) for column in tags]), a.den * scale)
-    off = tuple([scale * num[j] - sum(map(mul, coeffs, column)) for j, column in free])
-    return part, off
+        return a
+    pivots, _, tags, scale = _descent_echelon(a.level, n)
+    at = [a.num[p] for p in pivots]
+    return _reduced(n, tuple([sum(map(mul, at, column)) for column in tags]), a.den * scale)
 
 
 def descend(a: Cyclo, new_level: int) -> Cyclo | None:
     """Express a in Q(zeta_new_level) if possible, else None.
 
-    Requires new_level | a.level.  a lies in the subfield iff its
-    coordinates off it (see ``_split``) are all zero.
+    Requires new_level | a.level; the test and the part are those of
+    ``_descend_rows``.
     """
     L = a.level
     if L % new_level != 0:
         raise LevelMismatch(f"{new_level} does not divide {L}")
-    part, off = _split(a, new_level)
-    return None if any(off) else part
+    (part,), scale = _descend_rows([a.num], L, new_level)
+    return None if part is None else _reduced(new_level, tuple(part), a.den * scale)
 
 
 def in_NZ(a: Cyclo) -> bool:
@@ -464,6 +479,15 @@ def _zero_coset(N: int) -> NZCoset:
     return NZCoset(N, Cyclo.from_rational(N, 0))
 
 
+def _coset(N: int, x, d: int) -> NZCoset | None:
+    """The coset with the canonical numerators x over d, or None for None."""
+    if x is None:
+        return None
+    if not any(x):
+        return _zero_coset(N)
+    return NZCoset(N, _reduced(N, tuple(x), d))
+
+
 def reduce_mod_NZ(a: Cyclo) -> NZCoset:
     """Canonical coset representative of a modulo Z[1/N, zeta_N].
 
@@ -474,8 +498,5 @@ def reduce_mod_NZ(a: Cyclo) -> NZCoset:
     """
     N = a.level
     dN, d = _split_denominator(a.den, N)
-    if d == 1:
-        return _zero_coset(N)
     unit = pow(dN, -1, d)
-    rep = _reduced(N, tuple([x * unit % d for x in a.num]), d)
-    return NZCoset(N, rep)
+    return _coset(N, [x * unit % d for x in a.num], d)

@@ -150,7 +150,8 @@ class ModFormBasis:
     ``elements``, the basis as QSeries over Q(zeta_L), is a view built at
     its first read and then kept, as ``digest`` is; ``serialize`` writes
     the same bytes from ``rows`` and ``den`` without it; ``is_integral``
-    reads ``den``; ``eliminate`` works in integers.
+    reads ``den``.  ``_residual`` eliminates a series against the basis in
+    integers; ``is_in_span`` and ``reduce.reduce_Uq`` both read it.
     """
 
     __slots__ = (
@@ -197,40 +198,22 @@ class ModFormBasis:
             )
         return self._elements
 
-    def eliminate(self, coeffs) -> tuple[list[Cyclo], list[Cyclo]]:
-        """Subtract the unique basis combination from the coefficients s_c.
+    def _residual(self, S) -> list[list[int]]:
+        """The residual of a series at each free column, in integers.
 
-        coeffs are the prec coefficients of a series, all over one field
-        Q(zeta_M), and the results stay in that field: the basis is
-        rational, so M need not be the ambient level L (any M | L gives the
-        lift of the result at L).  Returns (residual, coefficients) with
-        residual zero at every pivot and coeffs = residual + sum
-        coefficients[j] * elements[j].  The basis is in reduced echelon
-        form, so coefficients[j] is s at the j-th pivot p_j.  At a free
-        column c, with R = rows, D = den and E the common denominator of
-        the input, each power-basis coordinate of residual[c] is
-        (D * s_c - sum_j R[j][c] * s_{p_j}) / (D * E), with every s scaled
-        by E to integers; the input's type builds them, with no import.
+        S holds the power-basis numerators of the prec coefficients s_c of a
+        series over one denominator E (``_numerators``), all in one field.
+        The basis is in reduced echelon form, so the unique combination to
+        subtract has the coefficient s at the j-th pivot p_j for its j-th
+        element, and the residual is zero at every pivot.  At the free
+        column c it is (D * S_c - sum_j R[j][c] * S_{p_j}) / (D * E), with
+        R = rows and D = den; the list holds these numerators, coordinate
+        by coordinate in the input's field, per column of ``_free``.
         """
-        coeffs = list(coeffs)
-        field, M, D = type(coeffs[0]), coeffs[0].level, self.den
-        if any(x.level != M for x in coeffs):
-            raise LevelMismatch("the coefficients lie in different fields")
-        E = math.lcm(*(x.den for x in coeffs))
-        at_pivots = [coeffs[p] for p in self.pivots]
-        scaled = [[a * (E // x.den) for a in x.num] for x in at_pivots]
-        by_coord = [tuple(row[i] for row in scaled) for i in range(euler_phi(M))]
-        zero, reduced = field(M), field._reduced
-        residual = [zero] * len(coeffs)
-        for c, column in self._free:
-            x = coeffs[c]
-            scale = D * (E // x.den)
-            num = tuple([
-                a * scale - sum(map(mul, column, pivot_values))
-                for a, pivot_values in zip(x.num, by_coord)
-            ])
-            residual[c] = reduced(M, num, D * E)
-        return residual, at_pivots
+        D = self.den
+        at_pivots = list(zip(*(S[p] for p in self.pivots)))
+        return [[D * a - sum(map(mul, column, values)) for a, values in zip(S[c], at_pivots)]
+                for c, column in self._free]
 
     def is_integral(self) -> bool:
         """True iff every coefficient lies in Z[1/N, zeta_N], N the level.
@@ -388,13 +371,21 @@ def _e2_rows(N: int, prec: int) -> list[list[int]]:
     ]
 
 
+def _numerators(coeffs) -> tuple[list[list[int]], int]:
+    """(S, E): the power-basis numerators S of field elements over their one
+    common denominator E, the lcm of theirs."""
+    E = math.lcm(*(x.den for x in coeffs))
+    return [[a * (E // x.den) for a in x.num] for x in coeffs], E
+
+
 def is_in_span(s: QSeries, basis: ModFormBasis) -> tuple[bool, list[Cyclo]]:
     """Membership of s in the span of the basis, with coefficients.
 
     Agreement on prec >= sturm bound coefficients plus exact linear
     consistency certifies membership at the stated precision.  The level
     of s must divide the ambient level L of the basis; s is eliminated in
-    its own field, and the coefficients are returned in Q(zeta_L).
+    its own field by ``ModFormBasis._residual``, and the coefficients, s at
+    the pivots, are returned lifted to Q(zeta_L).
     """
     if s.prec < basis.prec:
         raise PrecisionInsufficient(
@@ -403,5 +394,6 @@ def is_in_span(s: QSeries, basis: ModFormBasis) -> tuple[bool, list[Cyclo]]:
     L = basis.field_level
     if L % s.level:
         raise LevelMismatch(f"{s.level} does not divide {L}")
-    residual, coeffs = basis.eliminate(s.coeffs[:basis.prec])
-    return (not any(residual)), [c.lift(L) for c in coeffs]
+    coeffs = s.coeffs[:basis.prec]
+    residual = basis._residual(_numerators(coeffs)[0])
+    return not any(map(any, residual)), [coeffs[p].lift(L) for p in basis.pivots]

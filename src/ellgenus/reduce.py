@@ -16,10 +16,12 @@ q-exponents (for inputs with cyclotomic coefficients, membership in the
 complex span coincides with membership in the cyclotomic span).  That
 basis is rational, one integer matrix R over one denominator D, so the
 input, scaled once to integer numerators S over the lcm E of its
-coefficient denominators, leaves at each free column c the residual
-(D * S_c - sum_j R[j][c] * S_{p_j}) / (D * E), coordinate by coordinate
-in the input's field Q(zeta_K): K = N when the input's level divides N,
-else the ambient field Q(zeta_L) of the basis.
+coefficient denominators (``modforms._numerators``), leaves at each free
+column c the residual (D * S_c - sum_j R[j][c] * S_{p_j}) / (D * E),
+coordinate by coordinate in the input's field
+(``ModFormBasis._residual``, which ``is_in_span`` shares), lifted to
+Q(zeta_K) by ``cyclo._lift_numerators``: K = N when the input's level
+divides N, else the ambient field Q(zeta_L) of the basis.
 
 The verdict is one exact decision: trivial exactly when some constant
 alpha leaves the residual coefficientwise in Z[1/N, zeta_N].  The
@@ -30,11 +32,11 @@ Z[1/N, zeta_N]; so the decision is one congruence in one unknown per
 coordinate of Q(zeta_N), read off the cosets of y (``_classify``).  With
 r_c/r_c* = P_c/Q, the numerators of y_c are Q times those of the
 residual at c minus P_c times those at c*, over Q * D * E; they descend
-to Q(zeta_N) through the integer descent table of ``cyclo`` when K != N,
-and with that denominator split as dN * d (dN supported on the primes of
-N, d prime to N) each coordinate's coset numerator is z * dN^(-1) mod d
-over d.  A trivial verdict is sound on every basis: it comes with an
-explicit decomposition into a modular combination, a constant, and an
+to Q(zeta_N) by ``cyclo._descend_rows`` when K != N, and with that
+denominator split as dN * d (dN supported on the primes of N, d prime
+to N) each coordinate's coset numerator is z * dN^(-1) mod d over d.
+A trivial verdict is sound on every basis: it comes with an explicit
+decomposition into a modular combination, a constant, and an
 N-integral remainder.  It is also complete when the basis is N-integral
 (``ModFormBasis.is_integral``): an N-integral shift then moves the
 modular coefficients by N-integral amounts only.  Reductions read only
@@ -46,19 +48,18 @@ its class.
 
 Field elements are built only for what a reduction returns: the
 constant, the recorded basis coefficients (the input at the pivots,
-lifted to Q(zeta_L) through one table), and, on a nontrivial verdict,
-the cosets and ``rep``; a trivial verdict shares the zero coset and the
-plan's zero series.
+lifted to Q(zeta_L)), and, on a nontrivial verdict, the cosets
+(``cyclo._coset``) and ``rep``; a trivial verdict shares the zero coset
+and the plan's zero series.
 
 Everything that does not depend on the input is built once per (N,
 weight, prec) into one cached plan (``_plan``): the basis, the free
 columns with r read off row 0 of its integer matrix (the pivot 0 comes
-first, so only basis coefficient 0 moves with the constant) and the
-columns of R there, and the ratios r_c/r_c* with their order modulo
-Z[1/N] and the Bezout weights that solve the congruences
-(``_constant_lattice``).  Every residual is zero at the pivots of the
-echelon basis, so y, its descent and its coset are formed only at the
-free columns; each pivot gets the zero coset.
+first, so only basis coefficient 0 moves with the constant), and the
+ratios r_c/r_c* with their order modulo Z[1/N] and the Bezout weights
+that solve the congruences (``_constant_lattice``).  Every residual is
+zero at the pivots of the echelon basis, so y, its descent and its coset
+are formed only at the free columns; each pivot gets the zero coset.
 """
 
 from __future__ import annotations
@@ -66,23 +67,22 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import mul
 from typing import NamedTuple
 
 from .cyclo import (
     Cyclo,
     NZCoset,
-    _descent_echelon,
-    _lift_columns,
-    _make,
+    _coset,
+    _descend_rows,
+    _lift_numerators,
+    _project,
     _reduced,
-    _split,
     _zero_coset,
     reduce_mod_NZ,
 )
 from .errors import LevelMismatch, PrecisionInsufficient
 from .integers import _split_denominator
-from .modforms import ModFormBasis, weight_basis
+from .modforms import ModFormBasis, _numerators, weight_basis
 from .series import PQSeries, QSeries
 
 
@@ -98,10 +98,10 @@ class _Plan(NamedTuple):
     the generator of (m/r_c*) Z[1/N] with numerator and denominator prime
     to N, and ``ratios`` is (k, P, Q), with k the index of c* in ``free``
     and r_c/r_c* = P[i]/Q at the i-th free column, or None with ``star``.
-    ``columns`` holds column c of the basis's integer matrix per free
-    column and ``zero_rep`` the zero series at level N and precision
-    prec, the ``rep`` of every trivial verdict.  The Sturm bound, L and
-    the digest are read off ``basis``.
+    ``zero_rep`` is the zero series at level N and precision prec, the
+    ``rep`` of every trivial verdict.  The Sturm bound, L, the digest and
+    the elimination (``ModFormBasis._residual``, whose free columns are
+    those of ``free``) are read off ``basis``.
     """
 
     basis: ModFormBasis | None
@@ -111,7 +111,6 @@ class _Plan(NamedTuple):
     weights: tuple[tuple[int, int], ...]
     g: Fraction | None
     ratios: tuple[int, tuple[int, ...], int] | None
-    columns: tuple[tuple[int, ...], ...]
     zero_rep: QSeries | None
 
 
@@ -126,10 +125,8 @@ def _plan(N: int, weight: int, prec: int) -> _Plan:
     # r is rational, as every basis is an integer matrix over D; D is N-smooth
     # for every basis that ``weight_basis`` builds, so every verdict is complete
     assert pivots[0] == 0
-    cols = [c for c in range(prec) if c not in pivots]
-    free = tuple((c, Fraction(-rows[0][c], D)) for c in cols)
-    columns = tuple(tuple(row[c] for row in rows) for c in cols)
-    return _Plan(basis, free, *_constant_lattice(free, N), columns, QSeries.zero(N, prec))
+    free = tuple((c, Fraction(-rows[0][c], D)) for c in range(prec) if c not in pivots)
+    return _Plan(basis, free, *_constant_lattice(free, N), QSeries.zero(N, prec))
 
 
 def _constant_lattice(free, N: int) -> tuple:
@@ -174,15 +171,6 @@ def _constant_lattice(free, N: int) -> tuple:
     return star, m, tuple(zip(h, lam)), g, (i_star, P, Q)
 
 
-def _coset(N: int, x: list[int] | None, d: int) -> NZCoset | None:
-    """The coset with numerators x over d, or None for None."""
-    if x is None:
-        return None
-    if not any(x):
-        return _zero_coset(N)
-    return NZCoset(N, _reduced(N, tuple(x), d))
-
-
 def _classify(u: list, den: int, plan: _Plan, N: int, K: int) -> tuple[Cyclo, list, bool]:
     """(alpha, cosets, trivial) for the residual u / den in Q(zeta_K), N | K.
 
@@ -208,8 +196,8 @@ def _classify(u: list, den: int, plan: _Plan, N: int, K: int) -> tuple[Cyclo, li
     weights give the only candidate, t_i = -sum(lambda_c * a_ci) mod m,
     which is then checked at every column.  The constants that work are
     then alpha* - t/r_c* + g Z[1/N, zeta_N]; they share the part off
-    Q(zeta_N) (``cyclo._split``) and alpha moves their Q(zeta_N) part
-    theta to g * R(theta/g), with R the representative of
+    Q(zeta_N) (what ``cyclo._project`` drops) and alpha moves their
+    Q(zeta_N) part theta to g * R(theta/g), with R the representative of
     ``reduce_mod_NZ``, which depends only on the set of valid constants.
     """
     star, m, weights = plan.star, plan.m, plan.weights
@@ -222,19 +210,8 @@ def _classify(u: list, den: int, plan: _Plan, N: int, K: int) -> tuple[Cyclo, li
         alpha = _reduced(K, tuple([inv_num * x for x in at_star]), den * inv_den)
         y = [[Q * x - p * x_star for x, x_star in zip(z, at_star)] for z, p in zip(u, P)]
         den *= Q
-    if K != N:
-        # y_c lies in Q(zeta_N) iff it has no coordinate off it; that test is
-        # linear in the numerators, and the rest is their Q(zeta_N) part
-        pivots, off, tags, scale = _descent_echelon(K, N)
-        down = []
-        for z in y:
-            at = [z[p] for p in pivots]
-            if any(scale * z[j] != sum(map(mul, at, column)) for j, column in off):
-                down.append(None)
-            else:
-                down.append([sum(map(mul, at, column)) for column in tags])
-        y, den = down, den * scale
-    dN, d = _split_denominator(den, N)
+    y, scale = _descend_rows(y, K, N)
+    dN, d = _split_denominator(den * scale, N)
     unit = pow(dN, -1, d)
     xs = [None if z is None else [a * unit % d for a in z] for z in y]
     if any(x is None or any(x_ci * m % d for x_ci in x) for x in xs):
@@ -247,7 +224,7 @@ def _classify(u: list, den: int, plan: _Plan, N: int, K: int) -> tuple[Cyclo, li
     if star is None:
         return alpha, cosets, True
     # theta = part - t/r_c* and g * R(theta/g), g = p/q, in integers per coordinate
-    part = _split(alpha, N)[0]
+    part = _project(alpha, N)
     p, q = plan.g.as_integer_ratio()
     dN, d = _split_denominator(part.den * inv_den * p, N)
     unit = q * pow(dN, -1, d)
@@ -350,14 +327,10 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
         raise LevelMismatch(f"{level} does not divide {K}")
     coeffs = s.coeffs[:prec]
     # the residual at each free column c, in integers over D * E
-    E = math.lcm(*(x.den for x in coeffs))
-    S = [[a * (E // x.den) for a in x.num] for x in coeffs]
-    at_pivots = list(zip(*(S[p] for p in pivots)))
-    u = [[D * a - sum(map(mul, column, values)) for a, values in zip(S[c], at_pivots)]
-         for (c, _), column in zip(plan.free, plan.columns)]
+    S, E = _numerators(coeffs)
+    u = basis._residual(S)
     if level != K:
-        table = _lift_columns(level, K)
-        u = [[sum(map(mul, z, column)) for column in table] for z in u]
+        u = [_lift_numerators(z, level, K) for z in u]
     alpha, free_cosets, trivial = _classify(u, D * E, plan, N, K)
 
     # s_res and r vanish at every pivot, so only the free columns can carry
@@ -372,11 +345,7 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
         rep = QSeries(N, prec, [zero if c is None else c.rep for c in cosets])
     # the basis coefficients are s at the pivots; 1 has basis coefficients
     # (1, 0, ...), so only coefficient 0 moves with alpha
-    beta = [coeffs[p] for p in pivots]
-    if level != L:
-        table = _lift_columns(level, L)
-        beta = [_make(L, tuple([sum(map(mul, b.num, column)) for column in table]), b.den)
-                for b in beta]
+    beta = [coeffs[p].lift(L) for p in pivots]
     constant = alpha.lift(L)
     modular_part = {
         "pivot_columns": list(pivots),

@@ -16,7 +16,6 @@ from ellgenus.cyclo import (
     _power_table,
     _rational,
     _reduced,
-    _split,
     _zero_coset,
     descend,
     in_NZ,
@@ -113,6 +112,13 @@ def eliminate(vec: list, pivots: list[int], rows: list[list]) -> tuple[list, lis
         if c:
             vec = [a - c * b for a, b in zip(vec, row)]
     return vec, coeffs
+
+
+def eliminate_at(basis, vec: list, K: int) -> tuple[list, list]:
+    """``eliminate`` of vec, all in Q(zeta_K), against the rational rows of
+    basis read at level K."""
+    rows = [[Cyclo.from_rational(K, Fraction(x, basis.den)) for x in row] for row in basis.rows]
+    return eliminate(vec, basis.pivots, rows)
 
 
 # The Eisenstein series E_k^{psi,phi,t} of Diamond--Shurman 4.5-4.8, as the
@@ -405,7 +411,8 @@ def residual_of_one(N: int, weight: int, prec: int) -> tuple[tuple, tuple, tuple
     the q-exponents off its pivots, the only places a residual can be nonzero.
     """
     basis = weight_basis(N, weight, prec)
-    one_res, gamma = basis.eliminate(QSeries.one(basis.field_level, prec).coeffs)
+    L = basis.field_level
+    one_res, gamma = eliminate_at(basis, QSeries.one(L, prec).coeffs, L)
     # the series 1 and the basis are rational, so both results are
     assert not any(x for value in one_res + gamma for x in value.num[1:])
     pivots = set(basis.pivots)
@@ -519,7 +526,7 @@ def field_reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) ->
         raise PrecisionInsufficient(f"prec {prec} < sturm bound {sb}")
     basis = weight_basis(N, weight, prec)
     L = basis.field_level
-    s_res, beta = basis.eliminate([c.lift(L) for c in s.coeffs[:prec]])
+    s_res, beta = eliminate_at(basis, [c.lift(L) for c in s.coeffs[:prec]], L)
 
     one_res, gamma, free_cols = residual_of_one(N, weight, prec)
     # the exact constant-direction decision is the verdict on every basis:
@@ -590,9 +597,9 @@ def field_reduce_Wtilde(s: PQSeries, N: int, degree: int) -> WtClass:
 
 
 # The quotient reductions as they ran before they reduced in integers end to
-# end: ``ModFormBasis.eliminate`` builds one Cyclo per free column, and the
-# constant decision forms, descends and reduces one Cyclo per free column
-# again.  They read the plan of ``reduce._plan`` (the free columns, the
+# end: the elimination (``eliminate_at``) builds one Cyclo per column, and
+# the constant decision forms, descends and reduces one Cyclo per free
+# column again.  They read the plan of ``reduce._plan`` (the free columns, the
 # residual r of 1, c*, m, the Bezout weights and g) and nothing else of the
 # integer path.
 
@@ -625,7 +632,7 @@ def classify_by_cyclo(s_res, plan, N: int, K: int) -> tuple[Cyclo, list, bool]:
     cosets = [_zero_coset(N)] * len(cosets)
     if star is None:
         return alpha, cosets, True
-    part = _split(alpha, N)[0]
+    part = subfield_part(alpha, N)
     (u, v), (p, q) = star[1].as_integer_ratio(), plan.g.as_integer_ratio()
     dN, d = _split_denominator(part.den * v * p, N)
     unit = q * pow(dN, -1, d)
@@ -635,7 +642,7 @@ def classify_by_cyclo(s_res, plan, N: int, K: int) -> tuple[Cyclo, list, bool]:
 
 
 def cyclo_reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqClass:
-    """``reduce.reduce_Uq`` by ``ModFormBasis.eliminate`` and ``classify_by_cyclo``."""
+    """``reduce.reduce_Uq`` by ``eliminate_at`` and ``classify_by_cyclo``."""
     if degree % 2 != 0:
         raise ValueError("degree must be even")
     weight = degree // 2
@@ -646,7 +653,7 @@ def cyclo_reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) ->
     plan = reduce._plan(N, weight, prec)
     L = plan.basis.field_level
     K = N if N % s.level == 0 else L
-    s_res, beta = plan.basis.eliminate([c.lift(K) for c in s.coeffs[:prec]])
+    s_res, beta = eliminate_at(plan.basis, [c.lift(K) for c in s.coeffs[:prec]], K)
     alpha, free_cosets, trivial = classify_by_cyclo(s_res, plan, N, K)
     cosets: list[NZCoset | None] = [_zero_coset(N)] * prec
     for (c, _), coset in zip(plan.free, free_cosets):

@@ -266,8 +266,8 @@ def test_solve_in_the_input_field_matches_the_field_solve(N, K, L, data):
     r_cols = data.draw(RATIONAL_R)
     s_cols = data.draw(free_columns(N, K, r_cols))
     free = tuple(enumerate(r_cols))
-    # the decision reads neither the basis columns nor the zero series
-    plan = _Plan(None, free, *_constant_lattice(free, N), (), None)
+    # the decision reads neither the basis nor the zero series
+    plan = _Plan(None, free, *_constant_lattice(free, N), None)
     assert_lattice_is_the_order_of_the_ratios(plan, N)
     got = assert_decides_like_the_lattice_oracle(s_cols, plan, N, K, L)
     want = field_solve_constant_direction([s.lift(L) for s in s_cols], r_cols, N, L)

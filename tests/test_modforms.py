@@ -375,20 +375,21 @@ def test_integrality_reads_the_common_denominator():
 @settings(max_examples=25)
 @given(data=st.data())
 def test_integer_elimination_matches_the_field_oracle(key, data):
+    # an input left in its own field Q(zeta_M), M | L, is eliminated there in
+    # integers, and its residual at the free columns, lifted, is the field
+    # elimination of its lift; is_in_span reads that same elimination
     basis = ELIMINATION_BASES[key]()
     L = basis.field_level
     field_rows = [list(e.coeffs) for e in basis.elements]
-    vec = data.draw(cyclo_vectors(basis.level, L, basis.prec))
-    want = eliminate(vec, basis.pivots, field_rows)
-    assert basis.eliminate(vec) == want
-    # an input left in its own field Q(zeta_M), M | L, is eliminated there,
-    # and lifting the results gives the elimination of its lift
     M = data.draw(st.sampled_from([d for d in range(1, L + 1) if L % d == 0]))
-    vec = data.draw(cyclo_vectors(M, M, basis.prec))
-    want = eliminate([x.lift(L) for x in vec], basis.pivots, field_rows)
-    residual, coefficients = basis.eliminate(vec)
-    assert all(x.level == M for x in residual + coefficients)
-    assert ([x.lift(L) for x in residual], [x.lift(L) for x in coefficients]) == want
+    vec = data.draw(cyclo_vectors(math.gcd(basis.level, M), M, basis.prec))
+    want, coefficients = eliminate([x.lift(L) for x in vec], basis.pivots, field_rows)
+    S, E = modforms._numerators(vec)
+    residual = basis._residual(S)
+    assert all(len(z) == euler_phi(M) for z in residual)
+    assert [Cyclo(M, [Fraction(a, basis.den * E) for a in z]).lift(L) for z in residual] == \
+        [want[c] for c, _ in basis._free]
+    assert is_in_span(QSeries(M, basis.prec, vec), basis) == (not any(want), coefficients)
 
 
 SUPPORTED_LEVELS = (4, 5, 6, 7, 8, 9, 10, 12)

@@ -150,3 +150,25 @@ def test_a_reduction_job_loads_neither_genus_nor_selfcheck(command, degree, docu
         "ellgenus", "ellgenus.cli", "ellgenus.cyclo", "ellgenus.errors", "ellgenus.integers",
         "ellgenus.linalg", "ellgenus.modforms", "ellgenus.reduce", "ellgenus.series",
     ]
+
+
+@pytest.mark.parametrize("command, document", [
+    ("genus", {"dim": 2, "chern": {"1,1": 9, "2": 3}}),
+    ("f-rep", {"dim0": 1, "dim1": 1, "chern": {"1|1": 4}}),
+], ids=["genus", "f-rep"])
+def test_a_genus_job_loads_neither_reduce_nor_selfcheck(command, document, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    out = _run(
+        "import contextlib, io, sys\n"
+        "from ellgenus import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['--level', '5', '--machine', {command!r}, {str(path)!r}])\n"
+        "assert code == 0\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('ellgenus'))))\n"
+    )
+    # a genus reads the field, the series and, for its span test, a basis
+    assert out.split() == [
+        "ellgenus", "ellgenus.cli", "ellgenus.cyclo", "ellgenus.errors", "ellgenus.genus",
+        "ellgenus.integers", "ellgenus.linalg", "ellgenus.modforms", "ellgenus.series",
+    ]

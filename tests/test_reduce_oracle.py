@@ -14,10 +14,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ellgenus import reduce
-from ellgenus.cyclo import Cyclo
+from ellgenus import cyclo
+from ellgenus.cyclo import Cyclo, descend
 from ellgenus.integers import euler_phi
-from ellgenus.modforms import sturm_bound, weight_basis
+from ellgenus.modforms import _numerators, is_in_span, sturm_bound, weight_basis
 from ellgenus.reduce import _plan, reduce_Uq, reduce_Wtilde
 from ellgenus.series import PQSeries, QSeries
 from oracles import (
@@ -97,11 +97,36 @@ def test_residuals_vanish_at_every_pivot(key, data):
     rows = [list(e.coeffs) for e in basis.elements]
     for level in (N, L):
         s = draw_series(data, N, basis, level)
-        residual, _ = basis.eliminate(s.coeffs)
-        assert not any(residual[p] for p in basis.pivots)
-        # the field elimination at L leaves the same residual
+        S, E = _numerators(s.coeffs)
+        residual = [Cyclo(level, [Fraction(a, basis.den * E) for a in z]).lift(L)
+                    for z in basis._residual(S)]
+        # the field elimination at L is zero at every pivot and leaves the
+        # same residual at the free columns; is_in_span reads the same one
         want, _ = eliminate([c.lift(L) for c in s.coeffs], basis.pivots, rows)
-        assert [c.lift(L) for c in residual] == want
+        assert not any(want[p] for p in basis.pivots)
+        assert residual == [want[c] for c in free]
+        assert is_in_span(s, basis)[0] == (not any(want))
+
+
+@pytest.mark.parametrize("key", BASES, ids=lambda b: "-".join(map(str, b)))
+@settings(max_examples=10)
+@given(data=st.data())
+def test_a_series_in_the_span_reduces_trivially(key, data):
+    # a basis combination, moved or not at one column, in Q(zeta_N) or
+    # Q(zeta_L); a move at a pivot keeps it in the span
+    N, weight, prec = key
+    basis = weight_basis(*key)
+    level = data.draw(st.sampled_from((N, basis.field_level)))
+    coeffs = [Cyclo(level)] * prec
+    for row in basis.rows:
+        c = element(data, level, (1, 2, 3, 7, 10))
+        coeffs = [a + c * Fraction(x, basis.den) for a, x in zip(coeffs, row)]
+    if data.draw(st.booleans()):
+        j = data.draw(st.sampled_from([*basis.pivots, *range(prec)]))
+        coeffs[j] = coeffs[j] + element(data, level, (1, 2, 3, 7, 10))
+    s = QSeries(level, prec, coeffs)
+    if is_in_span(s, basis)[0]:
+        assert reduce_Uq(s, N, 2 * weight, prec).trivial
 
 
 @pytest.mark.parametrize("N", (4, 5, 6, 7, 8, 9, 10, 12))
@@ -269,17 +294,21 @@ def test_the_integer_descent_reads_the_scale_of_its_table(key, data):
     # of its integer columns over f times its scale is the same projection,
     # so the reduction must not change when it reads that table instead; a
     # series drawn in Q(zeta_N) and carried at level L reaches the descent
-    # with every y_c in Q(zeta_N), where the off-subfield test reads the scale
+    # with every y_c in Q(zeta_N), where the off-subfield test reads the scale;
+    # descend reads the same kernel, in and out of Q(zeta_N)
     N, weight, _ = key
     basis = weight_basis(*key)
     L = basis.field_level
     s = draw_series(data, N, basis, data.draw(st.sampled_from((N, L))))
     s = QSeries(L, s.prec, [c.lift(L) for c in s.coeffs])
     want = as_bytes(cyclo_reduce_Uq(s, N, 2 * weight))
+    probes = [*s.coeffs, Cyclo.zeta(L), Cyclo.zeta(L) * Fraction(1, 3)]
+    want_down = [descend(x, N) for x in probes]
     f = data.draw(st.sampled_from((2, 3, 35)))
-    pivots, off, tags, scale = reduce._descent_echelon(L, N)
+    pivots, off, tags, scale = cyclo._descent_echelon(L, N)
     table = (pivots, [(j, tuple(f * x for x in column)) for j, column in off],
              [tuple(f * x for x in column) for column in tags], f * scale)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(reduce, "_descent_echelon", lambda K, n: table)
+        patch.setattr(cyclo, "_descent_echelon", lambda K, n: table)
         assert as_bytes(reduce_Uq(s, N, 2 * weight)) == want
+        assert [descend(x, N) for x in probes] == want_down
