@@ -309,7 +309,7 @@ class Cyclo:
     def lift(self, new_level: int) -> "Cyclo":
         """Embed into Q(zeta_L) for N | L via zeta_N -> zeta_L^(L/N).
 
-        The numerators go through ``_lift_numerators``.  The lift of a
+        The numerators go through ``_lift_rows``.  The lift of a
         canonical element is canonical, with the same denominator, because
         Z[zeta_L] meets Q(zeta_N) in Z[zeta_N]: a prime p dividing den and
         every lifted numerator would put num / p in Z[zeta_L], so in
@@ -320,7 +320,7 @@ class Cyclo:
             return self
         if new_level % self.level != 0:
             raise LevelMismatch(f"{self.level} does not divide {new_level}")
-        return _make(new_level, _lift_numerators(self.num, self.level, new_level), self.den)
+        return _make(new_level, next(_lift_rows([self.num], self.level, new_level)), self.den)
 
     def to_complex(self) -> complex:
         """Display-only float embedding zeta_N -> exp(2*pi*i/N)."""
@@ -346,11 +346,12 @@ class Cyclo:
 
 
 @functools.lru_cache(maxsize=None)
-def _lift_columns(n: int, L: int) -> tuple[tuple[int, ...], ...]:
-    """Column j holds the zeta_L^j coordinates of 1, zeta_n, ..., zeta_n^(phi(n)-1), for n | L."""
+def _lift_columns(n: int, L: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(j, column j) for each column j that Q(zeta_n), n | L, meets in Q(zeta_L):
+    the zeta_L^j coordinates of 1, zeta_n, ..., zeta_n^(phi(n)-1), not all 0."""
     table = _power_table(L)
-    step = L // n
-    return tuple(zip(*(table[i * step] for i in range(euler_phi(n)))))
+    columns = zip(*(table[i * (L // n)] for i in range(euler_phi(n))))
+    return tuple((j, column) for j, column in enumerate(columns) if any(column))
 
 
 @functools.lru_cache(maxsize=None)
@@ -360,12 +361,13 @@ def _descent_echelon(L: int, n: int):
     Returns (pivots, free, tags, scale).  With R the reduced echelon rows
     and T their tags over the images of 1, zeta_n, ..., scale * R and
     scale * T are integral; ``free`` holds (j, column j of scale * R) for
-    every column j off the pivots, and ``tags`` the columns of scale * T.
+    each column j off the pivots, ``tags`` the columns of scale * T.
     Both come from one integer echelon of the rows image_i || e_i: the
     images are independent, so every pivot lies in the first block, the
     second block carries the row transform, and ``scale`` is the common
-    denominator.  ``_descend_rows`` and ``_project`` read it, so every
-    descent and every projection reads one table per (L, n).
+    denominator.  ``_descend_rows`` (which tests an all-zero free column,
+    every one at (20, 5), as a plain zero) and ``_project`` read it, so
+    every descent and every projection reads one table per (L, n).
     """
     table = _power_table(L)
     width, m = euler_phi(L), euler_phi(n)
@@ -380,10 +382,15 @@ def _descent_echelon(L: int, n: int):
     return pivots, free, [column(width + i) for i in range(m)], scale
 
 
-def _lift_numerators(num, n: int, L: int) -> tuple[int, ...]:
-    """The numerators num over zeta_n in the power basis of Q(zeta_L), n | L:
-    one integer dot product per column of ``_lift_columns``."""
-    return tuple([sum(map(mul, num, column)) for column in _lift_columns(n, L)])
+def _lift_rows(rows, n: int, L: int):
+    """Yield each numerator row over zeta_n in the power basis of Q(zeta_L), n | L:
+    one dot product per column of ``_lift_columns``, 0 at each column it leaves out."""
+    columns, width = _lift_columns(n, L), euler_phi(L)
+    for num in rows:
+        out = [0] * width
+        for j, column in columns:
+            out[j] = sum(map(mul, num, column))
+        yield tuple(out)
 
 
 def _descend_rows(rows, L: int, n: int) -> tuple[list, int]:
@@ -395,17 +402,19 @@ def _descend_rows(rows, L: int, n: int) -> tuple[list, int]:
     are its entries at the pivot columns; their combination of the rows is
     a Q-linear projection of Q(zeta_L) onto Q(zeta_n), the identity on
     Q(zeta_n), and the part is its image.  A row lies in the subfield iff
-    it meets that combination at every free column of ``_descent_echelon``;
-    the test stops at the first column where it does not.  At n = L every
-    row is its own part, with scale 1.
+    it meets that combination at every free column of ``_descent_echelon``,
+    a plain zero test at an all-zero column; the test stops at the first
+    column where it does not.  At n = L every row is its own part, scale 1.
     """
     if n == L:
         return rows, 1
     pivots, free, tags, scale = _descent_echelon(L, n)
+    free = [(j, column if any(column) else None) for j, column in free]
     parts = []
     for z in rows:
         at = [z[p] for p in pivots]
-        if any(scale * z[j] != sum(map(mul, at, column)) for j, column in free):
+        if any(z[j] if column is None else scale * z[j] != sum(map(mul, at, column))
+               for j, column in free):
             parts.append(None)
         else:
             parts.append([sum(map(mul, at, column)) for column in tags])

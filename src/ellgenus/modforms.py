@@ -151,7 +151,7 @@ class ModFormBasis:
     its first read and then kept, as ``digest`` is; ``serialize`` writes
     the same bytes from ``rows`` and ``den`` without it; ``is_integral``
     reads ``den``.  ``_residual`` eliminates a series against the basis in
-    integers; ``is_in_span`` and ``reduce.reduce_Uq`` both read it.
+    integers for ``is_in_span`` and, on the unit series, ``reduce._plan``.
     """
 
     __slots__ = (
@@ -373,9 +373,9 @@ def _e2_rows(N: int, prec: int) -> list[list[int]]:
 
 def _numerators(coeffs) -> tuple[list[list[int]], int]:
     """(S, E): the power-basis numerators S of field elements over their one
-    common denominator E, the lcm of theirs."""
+    common denominator E, the lcm of theirs; one already over E is kept."""
     E = math.lcm(*(x.den for x in coeffs))
-    return [[a * (E // x.den) for a in x.num] for x in coeffs], E
+    return [x.num if x.den == E else [a * (E // x.den) for a in x.num] for x in coeffs], E
 
 
 def is_in_span(s: QSeries, basis: ModFormBasis) -> tuple[bool, list[Cyclo]]:

@@ -17,11 +17,8 @@ complex span coincides with membership in the cyclotomic span).  That
 basis is rational, one integer matrix R over one denominator D, so the
 input, scaled once to integer numerators S over the lcm E of its
 coefficient denominators (``modforms._numerators``), leaves at each free
-column c the residual (D * S_c - sum_j R[j][c] * S_{p_j}) / (D * E),
-coordinate by coordinate in the input's field
-(``ModFormBasis._residual``, which ``is_in_span`` shares), lifted to
-Q(zeta_K) by ``cyclo._lift_numerators``: K = N when the input's level
-divides N, else the ambient field Q(zeta_L) of the basis.
+column c the residual u_c / (D * E), u_c = D * S_c - sum_j R[j][c] *
+S_{p_j}, coordinate by coordinate in the input's field.
 
 The verdict is one exact decision: trivial exactly when some constant
 alpha leaves the residual coefficientwise in Z[1/N, zeta_N].  The
@@ -30,11 +27,14 @@ which cancels the earliest nonzero coefficient r_c* of r, leaves a
 residual y, and every valid constant is alpha* - t/r_c* with t in
 Z[1/N, zeta_N]; so the decision is one congruence in one unknown per
 coordinate of Q(zeta_N), read off the cosets of y (``_classify``).  With
-r_c/r_c* = P_c/Q, the numerators of y_c are Q times those of the
-residual at c minus P_c times those at c*, over Q * D * E; they descend
-to Q(zeta_N) by ``cyclo._descend_rows`` when K != N, and with that
-denominator split as dN * d (dN supported on the primes of N, d prime
-to N) each coordinate's coset numerator is z * dN^(-1) mod d over d.
+r_c/r_c* = P_c/Q, the numerators of y_c are Q * u_c - P_c * u_c* over
+Q * D * E, one dot product per coordinate of a fused row of the plan
+with the input's numerators (``_fused``), lifted to Q(zeta_K) by
+``cyclo._lift_rows``: K = N when the input's level divides N, else the
+ambient field Q(zeta_L) of the basis.  They descend to Q(zeta_N) by
+``cyclo._descend_rows`` when K != N, and with that denominator split as
+dN * d (dN supported on the primes of N, d prime to N) each coordinate's
+coset numerator is z * dN^(-1) mod d over d; the verdict is read off z.
 A trivial verdict is sound on every basis: it comes with an explicit
 decomposition into a modular combination, a constant, and an
 N-integral remainder.  It is also complete when the basis is N-integral
@@ -48,18 +48,19 @@ its class.
 
 Field elements are built only for what a reduction returns: the
 constant, the recorded basis coefficients (the input at the pivots,
-lifted to Q(zeta_L)), and, on a nontrivial verdict, the cosets
-(``cyclo._coset``) and ``rep``; a trivial verdict shares the zero coset
-and the plan's zero series.
+lifted to Q(zeta_L) through one table read), and, on a nontrivial
+verdict, the cosets (``cyclo._coset``) and ``rep``; a trivial verdict
+shares the zero coset and the plan's zero series.
 
 Everything that does not depend on the input is built once per (N,
 weight, prec) into one cached plan (``_plan``): the basis, the free
 columns with r read off row 0 of its integer matrix (the pivot 0 comes
-first, so only basis coefficient 0 moves with the constant), and the
-ratios r_c/r_c* with their order modulo Z[1/N] and the Bezout weights
-that solve the congruences (``_constant_lattice``).  Every residual is
-zero at the pivots of the echelon basis, so y, its descent and its coset
-are formed only at the free columns; each pivot gets the zero coset.
+first, so only basis coefficient 0 moves with the constant), the ratios
+r_c/r_c* with their order modulo Z[1/N], the Bezout weights that solve
+the congruences (``_constant_lattice``) and the fused rows.  Every
+residual is zero at the pivots of the echelon basis, so y, its descent
+and its coset are formed only at the free columns; each pivot gets the
+zero coset.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .cyclo import (
@@ -74,14 +76,15 @@ from .cyclo import (
     NZCoset,
     _coset,
     _descend_rows,
-    _lift_numerators,
+    _lift_rows,
+    _make,
     _project,
     _reduced,
     _zero_coset,
     reduce_mod_NZ,
 )
 from .errors import LevelMismatch, PrecisionInsufficient
-from .integers import _split_denominator
+from .integers import _split_denominator, euler_phi
 from .modforms import ModFormBasis, _numerators, weight_basis
 from .series import PQSeries, QSeries
 
@@ -99,9 +102,11 @@ class _Plan(NamedTuple):
     to N, and ``ratios`` is (k, P, Q), with k the index of c* in ``free``
     and r_c/r_c* = P[i]/Q at the i-th free column, or None with ``star``.
     ``zero_rep`` is the zero series at level N and precision prec, the
-    ``rep`` of every trivial verdict.  The Sturm bound, L, the digest and
-    the elimination (``ModFormBasis._residual``, whose free columns are
-    those of ``free``) are read off ``basis``.
+    ``rep`` of every trivial verdict.  ``rows`` holds the fused row Q * (D *
+    e_c - sum_j R[j][c] * e_{p_j}) - P_c * (the same at c*) of each free
+    column c but c* (y_c* = 0), then the residual row of c*, which gives
+    alpha* (with r = 0, the residual rows of all).  The Sturm bound, L and
+    the digest are read off ``basis``.
     """
 
     basis: ModFormBasis | None
@@ -112,6 +117,7 @@ class _Plan(NamedTuple):
     g: Fraction | None
     ratios: tuple[int, tuple[int, ...], int] | None
     zero_rep: QSeries | None
+    rows: tuple[tuple[int, ...], ...]
 
 
 @functools.lru_cache(maxsize=None)
@@ -126,7 +132,15 @@ def _plan(N: int, weight: int, prec: int) -> _Plan:
     # for every basis that ``weight_basis`` builds, so every verdict is complete
     assert pivots[0] == 0
     free = tuple((c, Fraction(-rows[0][c], D)) for c in range(prec) if c not in pivots)
-    return _Plan(basis, free, *_constant_lattice(free, N), QSeries.zero(N, prec))
+    lattice = _constant_lattice(free, N)
+    # the residuals of the unit series q^n give each free column's weight of S_n
+    fused = basis._residual([[int(i == n) for i in range(prec)] for n in range(prec)])
+    if lattice[-1] is not None:
+        k, P, Q = lattice[-1]
+        star_row = fused.pop(k)
+        fused = [[Q * a - p * b for a, b in zip(row, star_row)]
+                 for row, p in zip(fused, P[:k] + P[k + 1:])] + [star_row]
+    return _Plan(basis, free, *lattice, QSeries.zero(N, prec), tuple(map(tuple, fused)))
 
 
 def _constant_lattice(free, N: int) -> tuple:
@@ -171,56 +185,74 @@ def _constant_lattice(free, N: int) -> tuple:
     return star, m, tuple(zip(h, lam)), g, (i_star, P, Q)
 
 
-def _classify(u: list, den: int, plan: _Plan, N: int, K: int) -> tuple[Cyclo, list, bool]:
-    """(alpha, cosets, trivial) for the residual u / den in Q(zeta_K), N | K.
+def _fused(S, level: int, K: int, plan: _Plan) -> tuple[list, list | None]:
+    """(y, at_star) of ``_classify`` in Q(zeta_K) for the numerators S of an input
+    at ``level``: one dot product per plan row and coordinate, then one lift."""
+    columns = list(zip(*S))
+    y = [[sum(map(mul, row, column)) for column in columns] for row in plan.rows]
+    if level != K:
+        y = list(_lift_rows(y, level, K))
+    return (y, None) if plan.star is None else (y[:-1], y[-1])
 
-    ``u`` holds, per free column of ``plan``, the phi(K) power-basis
-    numerators of the residual s_res there, all over the one positive
-    denominator den.  ``cosets`` holds, per free column, the coset modulo
-    Z[1/N, zeta_N] of s_res[c] - alpha * r_c, or None when that value does
-    not lie in Q(zeta_N).  The class is trivial when some constant leaves
-    every such value in Z[1/N, zeta_N]; alpha is then the canonical such
-    constant and every coset is zero.  Otherwise alpha is the c* constant
-    alpha* = s_res[c*]/r_c*, which cancels the earliest nonzero r_c.
+
+def _classify(y: list, at_star, den: int, plan: _Plan, N: int, K: int) -> tuple[Cyclo, list, bool]:
+    """(alpha, cosets, trivial) for the residual s_res over den in Q(zeta_K), N | K.
+
+    ``at_star`` holds the phi(K) numerators of s_res[c*] over den > 0, or
+    None when r vanishes; ``y`` holds those of y_c = s_res[c] - alpha* r_c
+    over den * Q at each free column but c* (y_c* = 0), or those of y =
+    s_res over den at every free column when r vanishes (``_fused``).
+    ``cosets`` holds, per free column, the coset modulo Z[1/N, zeta_N] of
+    y_c, or None when it does not lie in Q(zeta_N).  The class is trivial
+    when some constant leaves every s_res[c] - alpha * r_c in Z[1/N,
+    zeta_N]; alpha is then the canonical such constant and every coset is
+    zero.  Otherwise alpha is the c* constant alpha* = s_res[c*]/r_c*,
+    which cancels the earliest nonzero r_c.
 
     Every constant beta that works is alpha* - t/r_c* with t = s_c* -
-    beta r_c* in Z[1/N, zeta_N], and it leaves y_c + t * r_c/r_c* at c, with
-    y_c = s_res[c] - alpha* r_c, whose numerators are Q * u_c - P_c * u_c*
-    over Q * den.  So the class is trivial iff every y_c lies in Q(zeta_N)
-    and, in each power-basis coordinate i, with y_ci = a_ci/m modulo
-    Z[1/N] (so the coset denominator of y_c divides m), one t_i in Z / m
-    solves t_i * h_c = -a_ci mod m for every c.  With the denominator
-    dN * d of y split as in ``reduce_mod_NZ``, y_ci is x_ci/d modulo Z[1/N]
-    for x_ci = z_ci * dN^(-1) mod d, so the coset denominator divides m iff
-    every x_ci * m is divisible by d, and then a_ci = x_ci * m / d.  The
-    weights give the only candidate, t_i = -sum(lambda_c * a_ci) mod m,
-    which is then checked at every column.  The constants that work are
-    then alpha* - t/r_c* + g Z[1/N, zeta_N]; they share the part off
-    Q(zeta_N) (what ``cyclo._project`` drops) and alpha moves their
-    Q(zeta_N) part theta to g * R(theta/g), with R the representative of
-    ``reduce_mod_NZ``, which depends only on the set of valid constants.
+    beta r_c* in Z[1/N, zeta_N], and it leaves y_c + t * r_c/r_c* at c.
+    So the class is trivial iff every y_c lies in Q(zeta_N) and, in each
+    power-basis coordinate i, with y_ci = a_ci/m modulo Z[1/N] (so the
+    coset denominator of y_c divides m), one t_i in Z / m solves t_i * h_c
+    = -a_ci mod m for every c.  With the denominator dN * d of y split as
+    in ``reduce_mod_NZ`` and d' = d / gcd(d, m), that coset denominator
+    divides m iff d' divides every numerator z_ci, and then a_ci = (z_ci/d')
+    * dN^(-1) * (m / gcd(d, m)) mod m; the coset numerators z_ci * dN^(-1)
+    mod d are formed only for a nontrivial verdict.  The weights give the
+    only candidate, t_i = -sum(lambda_c * a_ci) mod m (0 with no column
+    but c*), checked at every column.  The constants that work are then
+    alpha* - t/r_c* + g Z[1/N, zeta_N]; they share the part off Q(zeta_N)
+    (what ``cyclo._project`` drops) and alpha moves their Q(zeta_N) part
+    theta to g * R(theta/g), R the representative of ``reduce_mod_NZ``,
+    which depends only on the set of valid constants.
     """
     star, m, weights = plan.star, plan.m, plan.weights
     if star is None:
-        alpha, y = Cyclo(K), u
+        alpha = Cyclo(K)
     else:
-        k, P, Q = plan.ratios
-        at_star = u[k]
+        k, _, Q = plan.ratios
+        weights = weights[:k] + weights[k + 1:]
         inv_num, inv_den = star[1].as_integer_ratio()  # 1/r_c*
         alpha = _reduced(K, tuple([inv_num * x for x in at_star]), den * inv_den)
-        y = [[Q * x - p * x_star for x, x_star in zip(z, at_star)] for z, p in zip(u, P)]
         den *= Q
     y, scale = _descend_rows(y, K, N)
     dN, d = _split_denominator(den * scale, N)
     unit = pow(dN, -1, d)
-    xs = [None if z is None else [a * unit % d for a in z] for z in y]
-    if any(x is None or any(x_ci * m % d for x_ci in x) for x in xs):
-        return alpha, [_coset(N, x, d) for x in xs], False
-    a = [[x_ci * m // d for x_ci in x] for x in xs]
-    t = [-sum(lam * a_ci for (_, lam), a_ci in zip(weights, column)) % m for column in zip(*a)]
-    if any((a_ci + ti * h) % m for (h, _), a_c in zip(weights, a) for a_ci, ti in zip(a_c, t)):
-        return alpha, [_coset(N, x, d) for x in xs], False
-    cosets = [_zero_coset(N)] * len(xs)
+    d1 = d // math.gcd(d, m)
+    trivial = all(z is not None and not any([x % d1 for x in z]) for z in y)
+    if trivial:
+        f = unit * (m * d1 // d)
+        a = [[x // d1 * f % m for x in z] for z in y]
+        lam = [w for _, w in weights]
+        t = [-sum(map(mul, lam, column)) % m for column in zip(*a)] or [0] * euler_phi(N)
+        trivial = not any((a_ci + ti * h) % m for (h, _), a_c in zip(weights, a)
+                          for a_ci, ti in zip(a_c, t))
+    if not trivial:
+        cosets = [_coset(N, None if z is None else [x * unit % d for x in z], d) for z in y]
+        if star is not None:
+            cosets.insert(k, _zero_coset(N))
+        return alpha, cosets, False
+    cosets = [_zero_coset(N)] * len(plan.free)
     if star is None:
         return alpha, cosets, True
     # theta = part - t/r_c* and g * R(theta/g), g = p/q, in integers per coordinate
@@ -326,12 +358,8 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
     if K % level:
         raise LevelMismatch(f"{level} does not divide {K}")
     coeffs = s.coeffs[:prec]
-    # the residual at each free column c, in integers over D * E
     S, E = _numerators(coeffs)
-    u = basis._residual(S)
-    if level != K:
-        u = [_lift_numerators(z, level, K) for z in u]
-    alpha, free_cosets, trivial = _classify(u, D * E, plan, N, K)
+    alpha, free_cosets, trivial = _classify(*_fused(S, level, K, plan), D * E, plan, N, K)
 
     # s_res and r vanish at every pivot, so only the free columns can carry
     # a nonzero coset
@@ -345,7 +373,10 @@ def reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqCla
         rep = QSeries(N, prec, [zero if c is None else c.rep for c in cosets])
     # the basis coefficients are s at the pivots; 1 has basis coefficients
     # (1, 0, ...), so only coefficient 0 moves with alpha
-    beta = [coeffs[p].lift(L) for p in pivots]
+    beta = [coeffs[p] for p in pivots]
+    if level != L:
+        lifted = _lift_rows([x.num for x in beta], level, L)
+        beta = [_make(L, num, x.den) for num, x in zip(lifted, beta)]
     constant = alpha.lift(L)
     modular_part = {
         "pivot_columns": list(pivots),

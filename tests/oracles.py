@@ -641,6 +641,27 @@ def classify_by_cyclo(s_res, plan, N: int, K: int) -> tuple[Cyclo, list, bool]:
     return canonical if K == N else alpha + (canonical - part).lift(K), cosets, True
 
 
+def y_of_residual(u: list, plan) -> tuple[list, list | None]:
+    """(y, at_star) from the residual numerators u per free column of plan,
+    all over one denominator: y_c = Q * u_c - P_c * u_c* for r_c/r_c* =
+    P_c/Q at every free column c but c*, where it is 0, and u_c*; y = u
+    and no c* when r vanishes."""
+    if plan.ratios is None:
+        return [list(z) for z in u], None
+    k, P, Q = plan.ratios
+    at_star = list(u[k])
+    y = [[Q * x - p * x_star for x, x_star in zip(z, at_star)] for z, p in zip(u, P)]
+    assert not any(y.pop(k))
+    return y, at_star
+
+
+def y_by_two_passes(S: list, plan) -> tuple[list, list | None]:
+    """(y, at_star) of the input numerators S, in the input's field, as
+    ``reduce_Uq`` formed them before its plan held fused rows: the residual
+    of ``ModFormBasis._residual`` first, then y from it."""
+    return y_of_residual(plan.basis._residual(S), plan)
+
+
 def cyclo_reduce_Uq(s: QSeries, N: int, degree: int, prec: int | None = None) -> UqClass:
     """``reduce.reduce_Uq`` by ``eliminate_at`` and ``classify_by_cyclo``."""
     if degree % 2 != 0:

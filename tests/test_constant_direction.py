@@ -19,7 +19,13 @@ from ellgenus.cyclo import Cyclo, descend, in_NZ, reduce_mod_NZ
 from ellgenus.integers import _split_denominator, euler_phi
 from ellgenus.modforms import sturm_bound
 from ellgenus.reduce import _classify, _constant_lattice, _plan, _Plan
-from oracles import classify_by_cyclo, eliminate, field_solve_constant_direction, rref_tracked
+from oracles import (
+    classify_by_cyclo,
+    eliminate,
+    field_solve_constant_direction,
+    rref_tracked,
+    y_of_residual,
+)
 
 
 def _z_echelon_tracked(rows: list[list[int]], width: int):
@@ -182,8 +188,15 @@ def _numerators(values: list[Cyclo]) -> tuple[list[list[int]], int]:
     return [[a * (den // x.den) for a in x.num] for x in values], den
 
 
+def classify(s_cols, plan, N, K):
+    """``_classify`` of the residual values s_cols at the free columns of
+    plan, with y formed from their numerators as Q * u_c - P_c * u_c*."""
+    u, den = _numerators(s_cols)
+    return _classify(*y_of_residual(u, plan), den, plan, N, K)
+
+
 def assert_decides_like_the_lattice_oracle(s_cols, plan, N, K, L):
-    """_classify over the free columns of plan agrees with the Fraction lattice solve.
+    """``classify`` over the free columns of plan agrees with the Fraction lattice solve.
 
     On a trivial verdict the constant is a witness, every coset is zero and
     the constant differs from the oracle's by a period; otherwise the
@@ -191,7 +204,7 @@ def assert_decides_like_the_lattice_oracle(s_cols, plan, N, K, L):
     Cyclo decision of ``classify_by_cyclo`` returns the same triple.
     """
     r_cols = [r for _, r in plan.free]
-    alpha, cosets, trivial = _classify(*_numerators(s_cols), plan, N, K)
+    alpha, cosets, trivial = classify(s_cols, plan, N, K)
     assert (alpha, cosets, trivial) == \
         classify_by_cyclo(dict(zip((c for c, _ in plan.free), s_cols)), plan, N, K)
     want = _oracle_solve_constant_direction([s.lift(L) for s in s_cols], r_cols, N, L)
@@ -266,8 +279,8 @@ def test_solve_in_the_input_field_matches_the_field_solve(N, K, L, data):
     r_cols = data.draw(RATIONAL_R)
     s_cols = data.draw(free_columns(N, K, r_cols))
     free = tuple(enumerate(r_cols))
-    # the decision reads neither the basis nor the zero series
-    plan = _Plan(None, free, *_constant_lattice(free, N), None)
+    # the decision reads neither the basis, the zero series nor the rows
+    plan = _Plan(None, free, *_constant_lattice(free, N), None, ())
     assert_lattice_is_the_order_of_the_ratios(plan, N)
     got = assert_decides_like_the_lattice_oracle(s_cols, plan, N, K, L)
     want = field_solve_constant_direction([s.lift(L) for s in s_cols], r_cols, N, L)

@@ -7,8 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellgenus.cyclo import Cyclo, cyclotomic_poly, descend, in_NZ, reduce_mod_NZ
+from ellgenus.cyclo import (
+    Cyclo,
+    _descent_echelon,
+    _lift_columns,
+    _lift_rows,
+    _power_table,
+    cyclotomic_poly,
+    descend,
+    in_NZ,
+    reduce_mod_NZ,
+)
 from ellgenus.integers import _integer, euler_phi
+from ellgenus.modforms import ambient_field_level
 from ellgenus.series import QSeries
 from oracles import lift_by_table
 
@@ -341,3 +352,32 @@ def test_lift_matches_the_table_loop_and_is_canonical(n, L, data):
     assert math.gcd(got.den, *got.num) == 1
     if not a:
         assert got.num == (0,) * euler_phi(L) and got.den == 1
+
+
+# every n | L for the ambient level L of each supported N
+SUPPORTED_LIFTS = sorted({(n, L) for L in map(ambient_field_level, (4, 5, 6, 7, 8, 9, 10, 12))
+                          for n in range(1, L + 1) if L % n == 0})
+
+
+@pytest.mark.parametrize("n, L", SUPPORTED_LIFTS, ids=[f"{n}-{L}" for n, L in SUPPORTED_LIFTS])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_the_lift_skips_exactly_the_zero_columns(n, L, data):
+    # the table keeps every column that the image of Q(zeta_n) meets and no
+    # other, and the rows lifted through it are the table loop's numerators
+    step = L // n
+    full = list(zip(*(_power_table(L)[i * step] for i in range(euler_phi(n)))))
+    assert _lift_columns(n, L) == tuple((j, c) for j, c in enumerate(full) if any(c))
+    elements = [Cyclo(n, data.draw(diff_elements(n))) for _ in range(3)]
+    want = [lift_by_table(a, L) for a in elements]
+    assert list(_lift_rows([a.num for a in elements], n, L)) == [a.num for a in want]
+    assert [a.lift(L) for a in elements] == want
+
+
+def test_zero_columns_of_the_lift_and_descent_tables():
+    # Q(zeta_5) in Q(zeta_20) meets 4 of 8 columns and Q(zeta_7) in Q(zeta_42)
+    # 8 of 12; every free descent column at (20, 5) is zero, 4 of 6 at (42, 7)
+    assert [len(_lift_columns(n, L)) for n, L in ((5, 20), (7, 42))] == [4, 8]
+    for (L, n), zeros, free in (((20, 5), 4, 4), ((42, 7), 4, 6)):
+        columns = _descent_echelon(L, n)[1]
+        assert len(columns) == free and sum(not any(c) for _, c in columns) == zeros

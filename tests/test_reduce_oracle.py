@@ -18,7 +18,7 @@ from ellgenus import cyclo
 from ellgenus.cyclo import Cyclo, descend
 from ellgenus.integers import euler_phi
 from ellgenus.modforms import _numerators, is_in_span, sturm_bound, weight_basis
-from ellgenus.reduce import _plan, reduce_Uq, reduce_Wtilde
+from ellgenus.reduce import _fused, _plan, reduce_Uq, reduce_Wtilde
 from ellgenus.series import PQSeries, QSeries
 from oracles import (
     basis_with_denominators,
@@ -29,6 +29,7 @@ from oracles import (
     field_reduce_Wtilde,
     reducing_over,
     residual_of_one,
+    y_by_two_passes,
 )
 
 # (N, weight, prec); the ambient level L is 20, 42 and, at N = 12, N itself
@@ -77,6 +78,32 @@ def draw_series(data, N, basis, level, trivial=None):
 
 def as_bytes(cls):
     return json.dumps(cls.serialize(), sort_keys=True)
+
+
+# every plan at the supported levels up to weight 4, at the Sturm bound
+PLANS = [(N, k, sturm_bound(N, k)) for N in (4, 5, 6, 7, 8, 9, 10, 12) for k in range(5)]
+
+
+@pytest.mark.parametrize("key", PLANS, ids=lambda b: "-".join(map(str, b)))
+@settings(max_examples=4)
+@given(data=st.data())
+def test_fused_rows_give_the_two_pass_numerators(key, data):
+    # the plan's rows fold the elimination and the c* residual into one dot
+    # product per coordinate; read in the input's field, and lifted to L, they
+    # give what the residual and then Q * u - P * u* gave
+    N, _, prec = key
+    plan = _plan(*key)
+    L = plan.basis.field_level
+    for level in sorted({N, L}):
+        coeffs = [element(data, level, (1, 2, 3, 7, N, N**2)) for _ in range(prec)]
+        S, _ = _numerators(coeffs)
+        y, at_star = y_by_two_passes(S, plan)
+        assert _fused(S, level, level, plan) == (y, at_star)
+        got_y, got_star = _fused(S, level, L, plan)
+        assert [list(z) for z in got_y] == [list(Cyclo(level, z).lift(L).num) for z in y]
+        assert (got_star is None) == (at_star is None)
+        if at_star is not None:
+            assert list(got_star) == list(Cyclo(level, at_star).lift(L).num)
 
 
 @pytest.mark.parametrize("key", BASES, ids=lambda b: "-".join(map(str, b)))
